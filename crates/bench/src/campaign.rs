@@ -123,6 +123,24 @@ impl Scheme {
             os: None,
         }
     }
+
+    /// A builder simulating this scheme for `warmup` then `instructions`
+    /// instructions, with physical frames placed by `seed`.
+    pub(crate) fn builder(&self, seed: u64, warmup: u64, instructions: u64) -> SimulationBuilder {
+        let builder = SimulationBuilder::new()
+            .prefetcher(self.prefetcher)
+            .pgc_policy(self.policy)
+            .l2_prefetcher(self.l2)
+            .boundary(self.boundary)
+            .huge_pages(self.huge.clone())
+            .seed(seed)
+            .warmup(warmup)
+            .instructions(instructions);
+        match self.os {
+            Some(os) => builder.os(os),
+            None => builder,
+        }
+    }
 }
 
 /// Campaign-wide length scaling and seeding (keeps the full figure set
@@ -189,18 +207,11 @@ pub fn run_one_timed<S: Subject + ?Sized>(
 ) -> (WorkloadResult, PhaseTimings) {
     let (warm, measure) = w.lengths();
     let factory = w.factory();
-    let mut builder = SimulationBuilder::new()
-        .prefetcher(scheme.prefetcher)
-        .pgc_policy(scheme.policy)
-        .l2_prefetcher(scheme.l2)
-        .boundary(scheme.boundary)
-        .huge_pages(scheme.huge.clone())
-        .seed(cfg.seed)
-        .warmup((warm as f64 * cfg.warmup_scale) as u64)
-        .instructions((measure as f64 * cfg.measure_scale) as u64);
-    if let Some(os) = scheme.os {
-        builder = builder.os(os);
-    }
+    let builder = scheme.builder(
+        cfg.seed,
+        (warm as f64 * cfg.warmup_scale) as u64,
+        (measure as f64 * cfg.measure_scale) as u64,
+    );
     let (report, phases, error) = match builder.try_run_workload_timed(factory) {
         Ok((report, phases)) => (report, phases, None),
         Err(e) => (

@@ -24,13 +24,12 @@
 //! the parsed command is a plain enum so it is unit-testable.
 
 use crate::campaign::{
-    core_schemes, env_jobs, run_grid, CampaignConfig, CampaignRun, Subject, WorkloadResult,
+    core_schemes, env_jobs, run_grid, CampaignConfig, CampaignRun, Scheme, Subject, WorkloadResult,
 };
 use crate::table::fmt_opt_ratio;
 use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{
-    L2PrefetcherKind, OsConfig, PgcPolicyKind, PrefetcherKind, Report, SimulationBuilder,
-    TelemetryConfig,
+    L2PrefetcherKind, OsConfig, PgcPolicyKind, PrefetcherKind, Report, TelemetryConfig,
 };
 use pagecross_mem::HugePagePolicy;
 use pagecross_telemetry::{chrome_trace_json, interval_to_json, validate_jsonl};
@@ -47,8 +46,8 @@ pub enum Command {
         /// Suite filter.
         suite: Option<SuiteId>,
     },
-    /// Run one simulation.
-    Run(RunArgs),
+    /// Run one simulation of a registry workload.
+    Run(SimArgs),
     /// Compare the three core policies on one workload.
     Compare {
         /// Workload name.
@@ -93,7 +92,7 @@ pub enum Command {
         instructions: u64,
     },
     /// Simulate a recorded `.pct` trace.
-    Replay(ReplayArgs),
+    Replay(SimArgs),
     /// Validate a telemetry JSONL file emitted by `--telemetry-out`.
     CheckTelemetry {
         /// Path of the JSONL file.
@@ -150,11 +149,12 @@ impl OsArgs {
     }
 }
 
-/// Arguments of the `replay` subcommand.
+/// Arguments of the `run` and `replay` subcommands.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ReplayArgs {
-    /// Path of the `.pct` trace.
-    pub trace: String,
+pub struct SimArgs {
+    /// What to simulate: a registry workload name (`run --workload`) or
+    /// the path of a `.pct` trace (`replay --trace`).
+    pub source: String,
     /// L1D prefetcher.
     pub prefetcher: PrefetcherKind,
     /// Page-cross policy.
@@ -163,54 +163,11 @@ pub struct ReplayArgs {
     pub l2: L2PrefetcherKind,
     /// Huge-page fraction (0 disables).
     pub huge_fraction: f64,
-    /// Warm-up instructions (0 = first third of the recording).
+    /// Warm-up instructions (0 = the workload default, or the first third
+    /// of a recording).
     pub warmup: u64,
-    /// Measured instructions (0 = rest of the recording).
-    pub instructions: u64,
-    /// Interval time-series JSONL output path (`None` = telemetry off).
-    pub telemetry_out: Option<String>,
-    /// Retired instructions per telemetry sampling interval.
-    pub telemetry_interval: u64,
-    /// Chrome trace-event JSON output path (`None` = event tracing off).
-    pub telemetry_trace: Option<String>,
-    /// Imitation-OS model flags.
-    pub os: OsArgs,
-}
-
-impl Default for ReplayArgs {
-    fn default() -> Self {
-        Self {
-            trace: String::new(),
-            prefetcher: PrefetcherKind::Berti,
-            policy: PgcPolicyKind::Dripper,
-            l2: L2PrefetcherKind::None,
-            huge_fraction: 0.0,
-            warmup: 0,
-            instructions: 0,
-            telemetry_out: None,
-            telemetry_interval: DEFAULT_TELEMETRY_INTERVAL,
-            telemetry_trace: None,
-            os: OsArgs::default(),
-        }
-    }
-}
-
-/// Arguments of the `run` subcommand.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunArgs {
-    /// Workload name (registry lookup).
-    pub workload: String,
-    /// L1D prefetcher.
-    pub prefetcher: PrefetcherKind,
-    /// Page-cross policy.
-    pub policy: PgcPolicyKind,
-    /// L2C prefetcher.
-    pub l2: L2PrefetcherKind,
-    /// Huge-page fraction (0 disables).
-    pub huge_fraction: f64,
-    /// Warm-up instructions (0 = workload default).
-    pub warmup: u64,
-    /// Measured instructions (0 = workload default).
+    /// Measured instructions (0 = the workload default, or the rest of a
+    /// recording).
     pub instructions: u64,
     /// Interval time-series JSONL output path (`None` = telemetry off).
     pub telemetry_out: Option<String>,
@@ -225,10 +182,10 @@ pub struct RunArgs {
 /// Default `--telemetry-interval`: one sample per 10k retired instructions.
 pub const DEFAULT_TELEMETRY_INTERVAL: u64 = 10_000;
 
-impl Default for RunArgs {
+impl Default for SimArgs {
     fn default() -> Self {
         Self {
-            workload: String::new(),
+            source: String::new(),
             prefetcher: PrefetcherKind::Berti,
             policy: PgcPolicyKind::Dripper,
             l2: L2PrefetcherKind::None,
@@ -255,28 +212,53 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Parses the `--telemetry-*` flags shared by `run` and `replay` into the
-/// given argument fields.
-fn parse_telemetry_flags(
-    kv: &std::collections::HashMap<String, String>,
-    out: &mut Option<String>,
-    interval: &mut u64,
-    trace: &mut Option<String>,
-) -> Result<(), CliError> {
-    if let Some(p) = kv.get("telemetry-out") {
-        *out = Some(p.clone());
+type Flags = std::collections::HashMap<String, String>;
+
+/// Parses an instruction-count flag (absent = 0, the default).
+fn parse_count(kv: &Flags, key: &str) -> Result<u64, CliError> {
+    kv.get(key).map_or(Ok(0), |p| {
+        p.parse()
+            .map_err(|_| CliError(format!("--{key} expects a count, got '{p}'")))
+    })
+}
+
+/// Parses the flags of `run` and `replay`. They differ only in the flag
+/// naming the source: `--workload <name>` or `--trace <path>`.
+fn parse_sim(kv: &Flags, cmd: &str, source: &str, what: &str) -> Result<SimArgs, CliError> {
+    let mut a = SimArgs {
+        source: kv
+            .get(source)
+            .ok_or_else(|| CliError(format!("{cmd} requires --{source} <{what}>")))?
+            .clone(),
+        ..Default::default()
+    };
+    if let Some(p) = kv.get("prefetcher") {
+        a.prefetcher = parse_prefetcher(p)?;
     }
+    if let Some(p) = kv.get("policy") {
+        a.policy = parse_policy(p)?;
+    }
+    if let Some(p) = kv.get("l2") {
+        a.l2 = parse_l2(p)?;
+    }
+    if let Some(p) = kv.get("huge") {
+        a.huge_fraction = p
+            .parse()
+            .map_err(|_| CliError(format!("--huge expects a fraction, got '{p}'")))?;
+    }
+    a.warmup = parse_count(kv, "warmup")?;
+    a.instructions = parse_count(kv, "instructions")?;
+    a.telemetry_out = kv.get("telemetry-out").cloned();
     if let Some(p) = kv.get("telemetry-interval") {
-        *interval = p.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
+        a.telemetry_interval = p.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
             CliError(format!(
                 "--telemetry-interval expects a positive count, got '{p}'"
             ))
         })?;
     }
-    if let Some(p) = kv.get("telemetry-trace") {
-        *trace = Some(p.clone());
-    }
-    Ok(())
+    a.telemetry_trace = kv.get("telemetry-trace").cloned();
+    parse_os_flags(kv, &mut a.os)?;
+    Ok(a)
 }
 
 /// Parses a byte-size literal: plain bytes, or with a `K`/`M`/`G` suffix
@@ -291,11 +273,8 @@ fn parse_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// Parses the imitation-OS flags shared by `run` and `replay`.
-fn parse_os_flags(
-    kv: &std::collections::HashMap<String, String>,
-    os: &mut OsArgs,
-) -> Result<(), CliError> {
+/// Parses the imitation-OS flags of `run` and `replay`.
+fn parse_os_flags(kv: &Flags, os: &mut OsArgs) -> Result<(), CliError> {
     if let Some(p) = kv.get("os") {
         os.enabled = match p.as_str() {
             "on" => true,
@@ -391,7 +370,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         return Ok(Command::Help);
     };
 
-    let mut kv = std::collections::HashMap::new();
+    let mut kv = Flags::new();
     let rest: Vec<&str> = it.collect();
     let mut i = 0;
     while i < rest.len() {
@@ -412,46 +391,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "list" => Ok(Command::List {
             suite: get("suite").map(parse_suite).transpose()?,
         }),
-        "run" => {
-            let mut a = RunArgs {
-                workload: get("workload")
-                    .ok_or_else(|| CliError("run requires --workload <name>".into()))?
-                    .to_string(),
-                ..Default::default()
-            };
-            if let Some(p) = get("prefetcher") {
-                a.prefetcher = parse_prefetcher(p)?;
-            }
-            if let Some(p) = get("policy") {
-                a.policy = parse_policy(p)?;
-            }
-            if let Some(p) = get("l2") {
-                a.l2 = parse_l2(p)?;
-            }
-            if let Some(p) = get("huge") {
-                a.huge_fraction = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--huge expects a fraction, got '{p}'")))?;
-            }
-            if let Some(p) = get("warmup") {
-                a.warmup = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--warmup expects a count, got '{p}'")))?;
-            }
-            if let Some(p) = get("instructions") {
-                a.instructions = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--instructions expects a count, got '{p}'")))?;
-            }
-            parse_telemetry_flags(
-                &kv,
-                &mut a.telemetry_out,
-                &mut a.telemetry_interval,
-                &mut a.telemetry_trace,
-            )?;
-            parse_os_flags(&kv, &mut a.os)?;
-            Ok(Command::Run(a))
-        }
+        "run" => Ok(Command::Run(parse_sim(&kv, "run", "workload", "name")?)),
         "compare" => Ok(Command::Compare {
             workload: get("workload")
                 .ok_or_else(|| CliError("compare requires --workload <name>".into()))?
@@ -492,61 +432,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError("record requires --workload <name>".into()))?
                 .to_string(),
             out: get("out").map(str::to_string),
-            warmup: get("warmup")
-                .map(|p| {
-                    p.parse()
-                        .map_err(|_| CliError(format!("--warmup expects a count, got '{p}'")))
-                })
-                .transpose()?
-                .unwrap_or(0),
-            instructions: get("instructions")
-                .map(|p| {
-                    p.parse()
-                        .map_err(|_| CliError(format!("--instructions expects a count, got '{p}'")))
-                })
-                .transpose()?
-                .unwrap_or(0),
+            warmup: parse_count(&kv, "warmup")?,
+            instructions: parse_count(&kv, "instructions")?,
         }),
-        "replay" => {
-            let mut a = ReplayArgs {
-                trace: get("trace")
-                    .ok_or_else(|| CliError("replay requires --trace <path>".into()))?
-                    .to_string(),
-                ..Default::default()
-            };
-            if let Some(p) = get("prefetcher") {
-                a.prefetcher = parse_prefetcher(p)?;
-            }
-            if let Some(p) = get("policy") {
-                a.policy = parse_policy(p)?;
-            }
-            if let Some(p) = get("l2") {
-                a.l2 = parse_l2(p)?;
-            }
-            if let Some(p) = get("huge") {
-                a.huge_fraction = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--huge expects a fraction, got '{p}'")))?;
-            }
-            if let Some(p) = get("warmup") {
-                a.warmup = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--warmup expects a count, got '{p}'")))?;
-            }
-            if let Some(p) = get("instructions") {
-                a.instructions = p
-                    .parse()
-                    .map_err(|_| CliError(format!("--instructions expects a count, got '{p}'")))?;
-            }
-            parse_telemetry_flags(
-                &kv,
-                &mut a.telemetry_out,
-                &mut a.telemetry_interval,
-                &mut a.telemetry_trace,
-            )?;
-            parse_os_flags(&kv, &mut a.os)?;
-            Ok(Command::Replay(a))
-        }
+        "replay" => Ok(Command::Replay(parse_sim(&kv, "replay", "trace", "path")?)),
         "check-telemetry" => Ok(Command::CheckTelemetry {
             jsonl: get("jsonl")
                 .ok_or_else(|| CliError("check-telemetry requires --jsonl <path>".into()))?
@@ -669,53 +558,83 @@ fn print_report(r: &Report) {
     }
 }
 
-/// Runs `builder` over `w`, collecting telemetry when either output path
-/// is set, and writes the requested files. Returns the report plus the
-/// telemetry summary lines to print after the report block (so the report
-/// itself stays diffable between `run` and `replay`).
-fn simulate_with_telemetry(
-    builder: &SimulationBuilder,
-    w: &dyn TraceFactory,
-    out: Option<&str>,
-    interval: u64,
-    trace: Option<&str>,
-) -> Result<(Report, Vec<String>), CliError> {
-    if out.is_none() && trace.is_none() {
-        let report = builder
-            .try_run_workload(w)
-            .map_err(|e| CliError(format!("simulation aborted: {e}")))?;
-        return Ok((report, Vec::new()));
-    }
-    let tcfg = TelemetryConfig {
-        interval,
-        events: trace.is_some(),
-        ..TelemetryConfig::default()
+/// Simulates `subject` under `a` (the `run` and `replay` subcommands),
+/// writes the requested telemetry files and prints the report block. The
+/// telemetry summary lines follow the report, so the report itself stays
+/// diffable between `run` and `replay`.
+fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliError> {
+    let (dw, di) = subject.lengths();
+    let scheme = Scheme {
+        l2: a.l2,
+        huge: if a.huge_fraction > 0.0 {
+            HugePagePolicy::Fraction(a.huge_fraction)
+        } else {
+            HugePagePolicy::None
+        },
+        os: a.os.to_config(),
+        ..Scheme::new("", a.prefetcher, a.policy)
     };
-    let (report, telemetry) = builder.run_workload_with_telemetry(w, &tcfg);
+    let builder = scheme.builder(
+        CampaignConfig::DEFAULT_SEED,
+        if a.warmup > 0 { a.warmup } else { dw },
+        if a.instructions > 0 {
+            a.instructions
+        } else {
+            di
+        },
+    );
+    let w = subject.factory();
+    let (out, trace) = (a.telemetry_out.as_deref(), a.telemetry_trace.as_deref());
     let mut lines = Vec::new();
-    if let Some(path) = out {
-        let mut text = String::new();
-        for rec in &telemetry.intervals {
-            text.push_str(&interval_to_json(rec));
-            text.push('\n');
+    let report = if out.is_none() && trace.is_none() {
+        builder
+            .try_run_workload(w)
+            .map_err(|e| CliError(format!("simulation aborted: {e}")))?
+    } else {
+        let tcfg = TelemetryConfig {
+            interval: a.telemetry_interval,
+            events: trace.is_some(),
+            ..TelemetryConfig::default()
+        };
+        let (report, telemetry) = builder.run_workload_with_telemetry(w, &tcfg);
+        if let Some(path) = out {
+            let mut text = String::new();
+            for rec in &telemetry.intervals {
+                text.push_str(&interval_to_json(rec));
+                text.push('\n');
+            }
+            std::fs::write(path, &text)
+                .map_err(|e| CliError(format!("cannot write telemetry JSONL '{path}': {e}")))?;
+            lines.push(format!(
+                "telemetry    {} intervals -> {path}",
+                telemetry.intervals.len()
+            ));
         }
-        std::fs::write(path, &text)
-            .map_err(|e| CliError(format!("cannot write telemetry JSONL '{path}': {e}")))?;
-        lines.push(format!(
-            "telemetry    {} intervals -> {path}",
-            telemetry.intervals.len()
-        ));
+        if let Some(path) = trace {
+            std::fs::write(path, chrome_trace_json(&telemetry.events))
+                .map_err(|e| CliError(format!("cannot write chrome trace '{path}': {e}")))?;
+            lines.push(format!(
+                "trace        {} events kept of {} seen -> {path}",
+                telemetry.events.len(),
+                telemetry.events_seen
+            ));
+        }
+        report
+    };
+    print_report(&report);
+    for line in &lines {
+        println!("{line}");
     }
-    if let Some(path) = trace {
-        std::fs::write(path, chrome_trace_json(&telemetry.events))
-            .map_err(|e| CliError(format!("cannot write chrome trace '{path}': {e}")))?;
-        lines.push(format!(
-            "trace        {} events kept of {} seen -> {path}",
-            telemetry.events.len(),
-            telemetry.events_seen
-        ));
-    }
-    Ok((report, lines))
+    Ok(())
+}
+
+/// Opens a `.pct` trace after a full scan (every chunk CRC and the end
+/// marker), so a trace corrupted past the header is a clean CLI error
+/// with a named file, not a panic halfway through a simulation.
+fn open_trace(path: &Path) -> Result<TraceReplay, CliError> {
+    pagecross_trace::verify_file(path)
+        .and_then(|_| TraceReplay::open(path))
+        .map_err(|e| CliError(format!("cannot open trace '{}': {e}", path.display())))
 }
 
 /// Collects the `.pct` files of a directory, sorted by name so the grid
@@ -731,16 +650,9 @@ fn trace_dir_replays(dir: &Path) -> Result<Vec<TraceReplay>, CliError> {
     if paths.is_empty() {
         return Err(CliError(format!("no .pct traces in '{}'", dir.display())));
     }
-    paths
-        .iter()
-        .map(|p| {
-            // Full scan before the campaign starts: a corrupt trace fails
-            // here with a named file, not as a panic on some worker thread.
-            pagecross_trace::verify_file(p)
-                .and_then(|_| TraceReplay::open(p))
-                .map_err(|e| CliError(format!("cannot open trace '{}': {e}", p.display())))
-        })
-        .collect()
+    // Every trace is scanned before the campaign starts, so a corrupt one
+    // fails here rather than on some worker thread.
+    paths.iter().map(|p| open_trace(p)).collect()
 }
 
 fn find_workload(name: &str) -> Result<&'static Workload, CliError> {
@@ -790,6 +702,18 @@ fn run_compare_grid<S: Subject + ?Sized>(
     run
 }
 
+/// The exit code of a simulating subcommand: 0, or 2 after printing the
+/// error.
+fn exit_code(r: Result<(), CliError>) -> i32 {
+    match r {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("error: {e}");
+            2
+        }
+    }
+}
+
 /// Executes a parsed command, printing to stdout. Returns an exit code.
 pub fn execute(cmd: Command) -> i32 {
     match cmd {
@@ -818,53 +742,9 @@ pub fn execute(cmd: Command) -> i32 {
             }
             0
         }
-        Command::Run(a) => {
-            let w = match find_workload(&a.workload) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
-            let (dw, di) = w.default_lengths();
-            let builder = SimulationBuilder::new()
-                .prefetcher(a.prefetcher)
-                .pgc_policy(a.policy)
-                .l2_prefetcher(a.l2)
-                .huge_pages(if a.huge_fraction > 0.0 {
-                    HugePagePolicy::Fraction(a.huge_fraction)
-                } else {
-                    HugePagePolicy::None
-                })
-                .warmup(if a.warmup > 0 { a.warmup } else { dw })
-                .instructions(if a.instructions > 0 {
-                    a.instructions
-                } else {
-                    di
-                });
-            let builder = match a.os.to_config() {
-                Some(cfg) => builder.os(cfg),
-                None => builder,
-            };
-            match simulate_with_telemetry(
-                &builder,
-                w,
-                a.telemetry_out.as_deref(),
-                a.telemetry_interval,
-                a.telemetry_trace.as_deref(),
-            ) {
-                Ok((r, lines)) => {
-                    print_report(&r);
-                    for line in &lines {
-                        println!("{line}");
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
-            }
+        Command::Run(a) => exit_code(find_workload(&a.source).and_then(|w| simulate(&a, w))),
+        Command::Replay(a) => {
+            exit_code(open_trace(Path::new(&a.source)).and_then(|r| simulate(&a, &r)))
         }
         Command::Compare {
             workload,
@@ -978,61 +858,6 @@ pub fn execute(cmd: Command) -> i32 {
                 }
             }
         }
-        Command::Replay(a) => {
-            // Full scan up front (every chunk CRC + end marker) so a trace
-            // corrupted past the header is a clean CLI error, not a panic
-            // halfway through the simulation.
-            if let Err(e) = pagecross_trace::verify_file(Path::new(&a.trace)) {
-                eprintln!("error: cannot open trace '{}': {e}", a.trace);
-                return 2;
-            }
-            let replay = match TraceReplay::open(Path::new(&a.trace)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: cannot open trace '{}': {e}", a.trace);
-                    return 2;
-                }
-            };
-            let (dw, di) = replay.lengths();
-            let builder = SimulationBuilder::new()
-                .prefetcher(a.prefetcher)
-                .pgc_policy(a.policy)
-                .l2_prefetcher(a.l2)
-                .huge_pages(if a.huge_fraction > 0.0 {
-                    HugePagePolicy::Fraction(a.huge_fraction)
-                } else {
-                    HugePagePolicy::None
-                })
-                .warmup(if a.warmup > 0 { a.warmup } else { dw })
-                .instructions(if a.instructions > 0 {
-                    a.instructions
-                } else {
-                    di
-                });
-            let builder = match a.os.to_config() {
-                Some(cfg) => builder.os(cfg),
-                None => builder,
-            };
-            match simulate_with_telemetry(
-                &builder,
-                &replay,
-                a.telemetry_out.as_deref(),
-                a.telemetry_interval,
-                a.telemetry_trace.as_deref(),
-            ) {
-                Ok((r, lines)) => {
-                    print_report(&r);
-                    for line in &lines {
-                        println!("{line}");
-                    }
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    2
-                }
-            }
-        }
         Command::CheckTelemetry { jsonl } => {
             let text = match std::fs::read_to_string(&jsonl) {
                 Ok(t) => t,
@@ -1083,28 +908,135 @@ mod tests {
         assert!(parse(&argv("list --suite nope")).is_err());
     }
 
+    /// `run` and `replay` share every flag but the one naming the source:
+    /// each row parses to the same arguments under both subcommands, and
+    /// each bad value fails both with the same error.
     #[test]
-    fn run_parses_all_flags() {
-        let cmd = parse(&argv(
-            "run --workload gap.s00 --prefetcher bop --policy permit --l2 spp --huge 0.5 \
-             --warmup 1000 --instructions 2000",
-        ))
-        .unwrap();
-        let Command::Run(a) = cmd else {
-            panic!("expected run")
-        };
-        assert_eq!(a.workload, "gap.s00");
-        assert_eq!(a.prefetcher, PrefetcherKind::Bop);
-        assert_eq!(a.policy, PgcPolicyKind::PermitPgc);
-        assert_eq!(a.l2, L2PrefetcherKind::Spp);
-        assert!((a.huge_fraction - 0.5).abs() < 1e-12);
-        assert_eq!(a.warmup, 1_000);
-        assert_eq!(a.instructions, 2_000);
+    fn run_and_replay_parse_shared_flags_identically() {
+        let d = SimArgs::default;
+        let rows = [
+            // Spelled out in full so the defaults themselves are pinned.
+            (
+                "",
+                SimArgs {
+                    source: String::new(),
+                    prefetcher: PrefetcherKind::Berti,
+                    policy: PgcPolicyKind::Dripper,
+                    l2: L2PrefetcherKind::None,
+                    huge_fraction: 0.0,
+                    warmup: 0,
+                    instructions: 0,
+                    telemetry_out: None,
+                    telemetry_interval: 10_000,
+                    telemetry_trace: None,
+                    os: OsArgs::default(),
+                },
+            ),
+            (
+                "--prefetcher bop --policy permit --l2 spp --huge 0.5",
+                SimArgs {
+                    prefetcher: PrefetcherKind::Bop,
+                    policy: PgcPolicyKind::PermitPgc,
+                    l2: L2PrefetcherKind::Spp,
+                    huge_fraction: 0.5,
+                    ..d()
+                },
+            ),
+            (
+                "--warmup 1000 --instructions 2000",
+                SimArgs {
+                    warmup: 1_000,
+                    instructions: 2_000,
+                    ..d()
+                },
+            ),
+            (
+                "--telemetry-out t.jsonl --telemetry-interval 5000 --telemetry-trace t.json",
+                SimArgs {
+                    telemetry_out: Some("t.jsonl".into()),
+                    telemetry_interval: 5_000,
+                    telemetry_trace: Some("t.json".into()),
+                    ..d()
+                },
+            ),
+            (
+                "--os on --phys-mem 64M --thp 0.5 --fault-ns 1000",
+                SimArgs {
+                    os: OsArgs {
+                        enabled: true,
+                        phys_mem_bytes: 64 << 20,
+                        thp: 0.5,
+                        fault_ns: 1_000,
+                    },
+                    ..d()
+                },
+            ),
+        ];
+        for (flags, want) in rows {
+            let run = parse(&argv(&format!("run --workload src {flags}"))).unwrap();
+            let replay = parse(&argv(&format!("replay --trace src {flags}"))).unwrap();
+            let want = SimArgs {
+                source: "src".into(),
+                ..want
+            };
+            assert_eq!(run, Command::Run(want.clone()), "run {flags}");
+            assert_eq!(replay, Command::Replay(want), "replay {flags}");
+        }
+        assert_eq!(d().os.to_config(), None, "the OS model is off by default");
+
+        for flags in [
+            "--prefetcher nope",
+            "--policy nope",
+            "--l2 nope",
+            "--huge half",
+            "--warmup x",
+            "--instructions -1",
+            "--telemetry-interval 0",
+            "--telemetry-interval x",
+            "--os maybe",
+            "--phys-mem 63M",
+            "--phys-mem lots",
+            "--thp 1.5",
+            "--fault-ns 0",
+        ] {
+            let run = parse(&argv(&format!("run --workload src {flags}"))).unwrap_err();
+            let replay = parse(&argv(&format!("replay --trace src {flags}"))).unwrap_err();
+            assert_eq!(run, replay, "{flags}");
+        }
     }
 
     #[test]
-    fn run_requires_workload() {
-        assert!(parse(&argv("run --policy dripper")).is_err());
+    fn run_and_replay_require_their_source() {
+        let e = parse(&argv("run --policy dripper")).unwrap_err();
+        assert_eq!(e.0, "run requires --workload <name>");
+        let e = parse(&argv("replay --workload gap.s00")).unwrap_err();
+        assert_eq!(e.0, "replay requires --trace <path>");
+    }
+
+    #[test]
+    fn os_flags_map_to_config() {
+        let os = OsArgs {
+            enabled: true,
+            phys_mem_bytes: 64 << 20,
+            thp: 0.5,
+            fault_ns: 1_000,
+        };
+        let cfg = os.to_config().expect("os is on");
+        assert_eq!(cfg.phys_mem_bytes, 64 << 20);
+        assert_eq!(cfg.minor_fault_cycles, 4_000);
+        assert_eq!(cfg.major_fault_cycles, 32_000);
+        // Unset size/latency flags fall back to the OsConfig defaults.
+        let cfg = OsArgs {
+            enabled: true,
+            ..OsArgs::default()
+        }
+        .to_config()
+        .expect("os is on");
+        assert_eq!(cfg.phys_mem_bytes, OsConfig::default().phys_mem_bytes);
+        assert_eq!(
+            cfg.minor_fault_cycles,
+            OsConfig::default().minor_fault_cycles
+        );
     }
 
     #[test]
@@ -1117,15 +1049,6 @@ mod tests {
     fn unknown_subcommand_rejected() {
         let e = parse(&argv("frobnicate")).unwrap_err();
         assert!(e.0.contains("unknown subcommand"));
-    }
-
-    #[test]
-    fn defaults_are_berti_dripper() {
-        let Command::Run(a) = parse(&argv("run --workload spec06.s00")).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(a.prefetcher, PrefetcherKind::Berti);
-        assert_eq!(a.policy, PgcPolicyKind::Dripper);
     }
 
     #[test]
@@ -1178,81 +1101,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flags_parse_with_defaults() {
-        let Command::Run(a) = parse(&argv(
-            "run --workload gap.s00 --telemetry-out t.jsonl --telemetry-interval 5000 \
-             --telemetry-trace t.json",
-        ))
-        .unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(a.telemetry_out.as_deref(), Some("t.jsonl"));
-        assert_eq!(a.telemetry_interval, 5_000);
-        assert_eq!(a.telemetry_trace.as_deref(), Some("t.json"));
-
-        let Command::Run(b) = parse(&argv("run --workload gap.s00")).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(b.telemetry_out, None);
-        assert_eq!(b.telemetry_interval, DEFAULT_TELEMETRY_INTERVAL);
-        assert_eq!(b.telemetry_trace, None);
-
-        let Command::Replay(c) =
-            parse(&argv("replay --trace g.pct --telemetry-out r.jsonl")).unwrap()
-        else {
-            panic!("expected replay")
-        };
-        assert_eq!(c.telemetry_out.as_deref(), Some("r.jsonl"));
-
-        assert!(parse(&argv("run --workload gap.s00 --telemetry-interval 0")).is_err());
-        assert!(parse(&argv("run --workload gap.s00 --telemetry-interval x")).is_err());
-    }
-
-    #[test]
-    fn os_flags_parse_with_defaults() {
-        let Command::Run(a) = parse(&argv(
-            "run --workload gap.s00 --os on --phys-mem 64M --thp 0.5 --fault-ns 1000",
-        ))
-        .unwrap() else {
-            panic!("expected run")
-        };
-        assert!(a.os.enabled);
-        assert_eq!(a.os.phys_mem_bytes, 64 << 20);
-        assert!((a.os.thp - 0.5).abs() < 1e-12);
-        assert_eq!(a.os.fault_ns, 1_000);
-        let cfg = a.os.to_config().expect("os is on");
-        assert_eq!(cfg.phys_mem_bytes, 64 << 20);
-        assert_eq!(cfg.minor_fault_cycles, 4_000);
-        assert_eq!(cfg.major_fault_cycles, 32_000);
-
-        let Command::Run(b) = parse(&argv("run --workload gap.s00")).unwrap() else {
-            panic!("expected run")
-        };
-        assert_eq!(b.os, OsArgs::default());
-        assert_eq!(b.os.to_config(), None, "off by default");
-
-        let Command::Replay(c) =
-            parse(&argv("replay --trace g.pct --os on --phys-mem 2G")).unwrap()
-        else {
-            panic!("expected replay")
-        };
-        assert!(c.os.enabled);
-        assert_eq!(c.os.phys_mem_bytes, 2 << 30);
-        // Unset size/latency flags fall back to the OsConfig defaults.
-        let cfg = c.os.to_config().expect("os is on");
-        assert_eq!(
-            cfg.minor_fault_cycles,
-            OsConfig::default().minor_fault_cycles
-        );
-
-        assert!(parse(&argv("run --workload gap.s00 --os maybe")).is_err());
-        assert!(parse(&argv("run --workload gap.s00 --phys-mem 63M")).is_err());
-        assert!(parse(&argv("run --workload gap.s00 --phys-mem lots")).is_err());
-        assert!(parse(&argv("run --workload gap.s00 --thp 1.5")).is_err());
-        assert!(parse(&argv("run --workload gap.s00 --fault-ns 0")).is_err());
-    }
-
-    #[test]
     fn size_literals_parse_binary_suffixes() {
         assert_eq!(parse_size("64M"), Some(64 << 20));
         assert_eq!(parse_size("2g"), Some(2 << 30));
@@ -1280,8 +1128,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let jsonl = dir.join("out.jsonl");
         let trace = dir.join("trace.json");
-        let code = execute(Command::Run(RunArgs {
-            workload: "gap.s00".to_string(),
+        let code = execute(Command::Run(SimArgs {
+            source: "gap.s00".to_string(),
             warmup: 1_000,
             instructions: 5_000,
             telemetry_out: Some(jsonl.to_string_lossy().into_owned()),
@@ -1321,7 +1169,7 @@ mod tests {
     }
 
     #[test]
-    fn record_and_replay_parse() {
+    fn record_parses() {
         assert_eq!(
             parse(&argv(
                 "record --workload gap.s00 --out /tmp/g.pct --warmup 100 --instructions 200"
@@ -1347,18 +1195,7 @@ mod tests {
             parse(&argv("record")).is_err(),
             "record requires --workload"
         );
-
-        let Command::Replay(a) = parse(&argv(
-            "replay --trace /tmp/g.pct --prefetcher ipcp --policy permit",
-        ))
-        .unwrap() else {
-            panic!("expected replay")
-        };
-        assert_eq!(a.trace, "/tmp/g.pct");
-        assert_eq!(a.prefetcher, PrefetcherKind::Ipcp);
-        assert_eq!(a.policy, PgcPolicyKind::PermitPgc);
-        assert_eq!(a.warmup, 0, "defaults derive from the recording length");
-        assert!(parse(&argv("replay")).is_err(), "replay requires --trace");
+        assert!(parse(&argv("record --workload gap.s00 --warmup x")).is_err());
     }
 
     #[test]
@@ -1373,8 +1210,8 @@ mod tests {
             instructions: 1_500,
         });
         assert_eq!(code, 0);
-        let code = execute(Command::Replay(ReplayArgs {
-            trace: out.to_string_lossy().into_owned(),
+        let code = execute(Command::Replay(SimArgs {
+            source: out.to_string_lossy().into_owned(),
             ..Default::default()
         }));
         assert_eq!(code, 0);

@@ -412,57 +412,62 @@ impl SimulationBuilder {
         (mem, os)
     }
 
-    /// Runs a single workload on a single core. Telemetry collection (when
-    /// `tcfg` is `Some`) is pure observation: the returned `Report` is
-    /// bit-identical with and without it.
-    fn run_single(
+    /// The simulation loop shared by single runs and mixes (§IV-A2).
+    /// Cores advance in rough cycle lockstep, the laggard first. A core
+    /// stops when it reaches its quota; the others keep contending for the
+    /// shared LLC, DRAM and OS until every core is done. Telemetry (`tcfg`)
+    /// observes core 0 and is pure observation: the counters are
+    /// bit-identical with and without it. An `Err` means physical memory
+    /// was exhausted with nothing left to reclaim (only possible with the
+    /// OS model on and a pathological footprint/pool ratio).
+    fn simulate(
         &self,
-        workload: &dyn TraceFactory,
+        workloads: &[&dyn TraceFactory],
         tcfg: Option<&TelemetryConfig>,
-    ) -> (Report, PhaseTimings, Option<TelemetryRun>) {
-        self.try_run_single(workload, tcfg)
-            .expect("out of physical memory")
-    }
-
-    /// Fallible variant of the single-core path: an `Err` means physical
-    /// memory was exhausted with nothing left to reclaim (only possible
-    /// with the OS model on and a pathological footprint/pool ratio).
-    fn try_run_single(
-        &self,
-        workload: &dyn TraceFactory,
-        tcfg: Option<&TelemetryConfig>,
-    ) -> Result<(Report, PhaseTimings, Option<TelemetryRun>), OomError> {
+    ) -> Result<Finished, OomError> {
+        let n = workloads.len();
+        assert!(n > 0, "a simulation needs at least one workload");
         let t0 = Instant::now();
-        let (mut mem, mut os) = self.make_mem_and_os(1);
-        let mut engine = self.make_engine(0);
-        let mut trace = workload.build();
+        let (mut mem, mut os) = self.make_mem_and_os(n);
+        let mut engines: Vec<CoreEngine> = (0..n).map(|i| self.make_engine(i)).collect();
+        let mut traces: Vec<_> = workloads.iter().map(|w| w.build()).collect();
         let t_setup = Instant::now();
-        for _ in 0..self.warmup {
-            let i = trace.next_instr();
-            engine.step(&mut mem, &mut os, &i)?;
-        }
+        let mut run_until = |engines: &mut [CoreEngine],
+                             mem: &mut MemorySystem,
+                             os: &mut Option<Os>,
+                             quota: u64| {
+            while let Some(i) = next_core(engines, quota) {
+                let instr = traces[i].next_instr();
+                engines[i].step(mem, os, &instr)?;
+            }
+            Ok::<(), OomError>(())
+        };
+        run_until(&mut engines, &mut mem, &mut os, self.warmup)?;
         let t_warmup = Instant::now();
         if let Some(o) = os.as_mut() {
             o.reset_stats();
         }
         mem.reset_stats();
-        engine.reset_stats(&mem);
+        for e in &mut engines {
+            e.reset_stats(&mem);
+        }
         if let Some(cfg) = tcfg {
-            engine.attach_sampler(cfg.interval);
+            engines[0].attach_sampler(cfg.interval);
             if let Some(ring) = cfg.make_ring() {
                 mem.attach_events(ring);
             }
         }
-        for _ in 0..self.instructions {
-            let i = trace.next_instr();
-            engine.step(&mut mem, &mut os, &i)?;
+        run_until(&mut engines, &mut mem, &mut os, self.instructions)?;
+        for e in &mut engines {
+            e.finish();
         }
-        engine.finish();
-        let telemetry = engine.take_sampler().map(|mut sampler| {
-            // Close the final partial interval against the post-finish
-            // counters so the deltas telescope to the report totals.
-            let now = engine.telemetry_counters(&mem);
-            sampler.flush(now, engine.policy().telemetry());
+        let telemetry = engines[0].take_sampler().map(|mut sampler| {
+            // Close the final partial interval against the report's cycle
+            // count (live clock plus drain) so the deltas telescope to the
+            // report totals.
+            let mut now = engines[0].telemetry_counters(&mem);
+            now.cycles = engines[0].stats.cycles;
+            sampler.flush(now, engines[0].policy().telemetry());
             let (events, events_seen) = match mem.take_events() {
                 Some(ring) => {
                     let seen = ring.seen();
@@ -481,13 +486,30 @@ impl SimulationBuilder {
             warmup: t_warmup.duration_since(t_setup),
             measure: t_warmup.elapsed(),
         };
-        let report = self.collect_report(workload.name(), &engine, &mem);
-        Ok((report, timings, telemetry))
+        Ok(Finished {
+            engines,
+            mem,
+            timings,
+            telemetry,
+        })
+    }
+
+    /// Runs `workload` on one core and reports it with the run's phase
+    /// timings and telemetry.
+    fn try_run_single(
+        &self,
+        workload: &dyn TraceFactory,
+        tcfg: Option<&TelemetryConfig>,
+    ) -> Result<(Report, PhaseTimings, Option<TelemetryRun>), OomError> {
+        let f = self.simulate(&[workload], tcfg)?;
+        let report = self.collect_report(workload.name(), &f.engines[0], &f.mem);
+        Ok((report, f.timings, f.telemetry))
     }
 
     /// Runs a single workload on a single core.
     pub fn run_workload(&self, workload: &dyn TraceFactory) -> Report {
-        self.run_single(workload, None).0
+        self.try_run_workload(workload)
+            .expect("out of physical memory")
     }
 
     /// Runs a single workload, surfacing physical-memory exhaustion as an
@@ -503,19 +525,15 @@ impl SimulationBuilder {
         workload: &dyn TraceFactory,
         cfg: &TelemetryConfig,
     ) -> (Report, TelemetryRun) {
-        let (report, _, telemetry) = self.run_single(workload, Some(cfg));
+        let (report, _, telemetry) = self
+            .try_run_single(workload, Some(cfg))
+            .expect("out of physical memory");
         (report, telemetry.expect("sampler was attached"))
     }
 
     /// Runs a single workload, also returning wall-clock phase timings.
-    pub fn run_workload_timed(&self, workload: &dyn TraceFactory) -> (Report, PhaseTimings) {
-        let (report, timings, _) = self.run_single(workload, None);
-        (report, timings)
-    }
-
-    /// Fallible variant of [`Self::run_workload_timed`]: campaign cells use
-    /// this so one out-of-memory cell surfaces as a per-cell failure
-    /// instead of sinking the whole grid.
+    /// Campaign cells use this so one out-of-memory cell surfaces as a
+    /// per-cell failure instead of sinking the whole grid.
     pub fn try_run_workload_timed(
         &self,
         workload: &dyn TraceFactory,
@@ -526,7 +544,7 @@ impl SimulationBuilder {
 
     /// Runs an `n`-core mix (§IV-A2): cores advance in rough cycle
     /// lockstep; each core's statistics freeze when it reaches the measured
-    /// instruction quota, and it keeps running (replayed) to preserve
+    /// instruction quota, and the others keep running to preserve
     /// contention until every core finishes.
     pub fn run_mix(&self, workloads: &[&dyn TraceFactory]) -> MixReport {
         self.try_run_mix(workloads).expect("out of physical memory")
@@ -535,68 +553,37 @@ impl SimulationBuilder {
     /// Fallible variant of [`run_mix`](Self::run_mix); see
     /// [`try_run_workload`](Self::try_run_workload).
     pub fn try_run_mix(&self, workloads: &[&dyn TraceFactory]) -> Result<MixReport, OomError> {
-        let n = workloads.len();
-        assert!(n > 0, "a mix needs at least one workload");
-        let (mut mem, mut os) = self.make_mem_and_os(n);
-        let mut engines: Vec<CoreEngine> = (0..n).map(|i| self.make_engine(i)).collect();
-        let mut traces: Vec<_> = workloads.iter().map(|w| w.build()).collect();
-
-        // Warm-up all cores in rough lockstep.
-        let mut warmed = vec![false; n];
-        while warmed.iter().any(|w| !w) {
-            let pending: Vec<bool> = warmed.iter().map(|w| !w).collect();
-            let i = next_core(&engines, &pending);
-            let instr = traces[i].next_instr();
-            engines[i].step(&mut mem, &mut os, &instr)?;
-            if engines[i].instructions() >= self.warmup {
-                warmed[i] = true;
-            }
-        }
-        if let Some(o) = os.as_mut() {
-            o.reset_stats();
-        }
-        mem.reset_stats();
-        for e in &mut engines {
-            e.reset_stats(&mem);
-        }
-
-        // Measured phase.
-        let mut frozen: Vec<Option<pagecross_types::CoreStats>> = vec![None; n];
-        let mut frozen_os: Vec<pagecross_types::OsStats> = vec![Default::default(); n];
-        while frozen.iter().any(Option::is_none) {
-            let pending: Vec<bool> = frozen.iter().map(Option::is_none).collect();
-            let i = next_core(&engines, &pending);
-            let instr = traces[i].next_instr();
-            engines[i].step(&mut mem, &mut os, &instr)?;
-            if frozen[i].is_none() && engines[i].instructions() >= self.instructions {
-                engines[i].finish();
-                frozen[i] = Some(engines[i].stats);
-                frozen_os[i] = engines[i].os_stats;
-            }
-        }
-
+        let f = self.simulate(workloads, None)?;
         Ok(MixReport {
             workloads: workloads.iter().map(|w| w.name().to_string()).collect(),
-            cores: frozen
-                .into_iter()
-                .map(|s| s.expect("all cores frozen"))
-                .collect(),
-            os: frozen_os,
-            llc: mem.llc.stats,
+            cores: f.engines.iter().map(|e| e.stats).collect(),
+            os: f.engines.iter().map(|e| e.os_stats).collect(),
+            llc: f.mem.llc.stats,
         })
     }
 }
 
-/// Picks the laggard core among those still eligible (`true` in `mask`);
-/// falls back to any eligible core when all are done.
-fn next_core(engines: &[CoreEngine], mask: &[bool]) -> usize {
+/// The state a finished [`SimulationBuilder::simulate`] leaves behind.
+struct Finished {
+    engines: Vec<CoreEngine>,
+    mem: MemorySystem,
+    timings: PhaseTimings,
+    telemetry: Option<TelemetryRun>,
+}
+
+/// Picks the laggard among the cores still below `quota` retired
+/// instructions, or `None` once every core has reached it.
+fn next_core(engines: &[CoreEngine], quota: u64) -> Option<usize> {
+    if let [e] = engines {
+        // Single-core fast path: no scan on every instruction.
+        return (e.instructions() < quota).then_some(0);
+    }
     engines
         .iter()
         .enumerate()
-        .filter(|(i, _)| mask[*i])
+        .filter(|(_, e)| e.instructions() < quota)
         .min_by_key(|(_, e)| e.cycle())
         .map(|(i, _)| i)
-        .expect("at least one eligible core")
 }
 
 impl Default for SimulationBuilder {

@@ -180,19 +180,21 @@ mod tests {
 
     #[test]
     fn weighted_ipc_sums_relative_progress() {
-        let mut m = MixReport::default();
-        m.cores = vec![
-            CoreStats {
-                instructions: 100,
-                cycles: 100,
-                ..Default::default()
-            }, // IPC 1.0
-            CoreStats {
-                instructions: 100,
-                cycles: 200,
-                ..Default::default()
-            }, // IPC 0.5
-        ];
+        let m = MixReport {
+            cores: vec![
+                CoreStats {
+                    instructions: 100,
+                    cycles: 100,
+                    ..Default::default()
+                }, // IPC 1.0
+                CoreStats {
+                    instructions: 100,
+                    cycles: 200,
+                    ..Default::default()
+                }, // IPC 0.5
+            ],
+            ..Default::default()
+        };
         let w = m.weighted_ipc(&[2.0, 1.0]).expect("matching lengths");
         assert!((w - 1.0).abs() < 1e-12, "0.5 + 0.5");
     }

@@ -368,15 +368,16 @@ mod tests {
     use pagecross_types::{IntervalRecord, PolicyTelemetry};
 
     fn record(seq: u64, instrs: u64, cycles: u64) -> IntervalRecord {
-        let mut delta = TelemetryCounters::default();
-        delta.instructions = instrs;
-        delta.cycles = cycles;
-        delta.l1d_misses = 3;
         IntervalRecord {
             seq,
             end_instructions: (seq + 1) * instrs,
             end_cycles: (seq + 1) * cycles,
-            delta,
+            delta: TelemetryCounters {
+                instructions: instrs,
+                cycles,
+                l1d_misses: 3,
+                ..Default::default()
+            },
             policy: None,
         }
     }

@@ -6,44 +6,7 @@
 //! produces a [`SystemSnapshot`] over a sliding window and hands it to the
 //! filter at decision time and at epoch boundaries.
 
-/// Cumulative counters captured at a window boundary.
-///
-/// The CPU model captures one of these at every epoch boundary and diffs
-/// consecutive captures to produce a windowed [`SystemSnapshot`] — MPKIs
-/// and miss rates over the window, not since the start of the run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounters {
-    /// Retired instructions.
-    pub instructions: u64,
-    /// Elapsed cycles.
-    pub cycles: u64,
-    /// L1D demand accesses.
-    pub l1d_acc: u64,
-    /// L1D demand misses.
-    pub l1d_miss: u64,
-    /// L1I demand misses.
-    pub l1i_miss: u64,
-    /// LLC demand accesses.
-    pub llc_acc: u64,
-    /// LLC demand misses.
-    pub llc_miss: u64,
-    /// STLB accesses.
-    pub stlb_acc: u64,
-    /// STLB misses.
-    pub stlb_miss: u64,
-    /// Useful page-cross prefetches.
-    pub pgc_useful: u64,
-    /// Useless page-cross prefetches.
-    pub pgc_useless: u64,
-    /// OS page faults (minor + major) serviced for this core.
-    pub os_faults: u64,
-    /// Frames reclaimed by the OS CLOCK sweep for this core's faults.
-    pub os_reclaims: u64,
-    /// 2 MB regions the THP daemon promoted on this core's touches.
-    pub os_promotions: u64,
-    /// TLB shootdown broadcasts triggered by this core.
-    pub os_shootdowns: u64,
-}
+use crate::telemetry::TelemetryCounters;
 
 /// A windowed summary of the system state, in the units the paper uses.
 ///
@@ -88,7 +51,7 @@ pub struct SystemSnapshot {
 }
 
 impl SystemSnapshot {
-    /// Builds a windowed snapshot from two cumulative captures.
+    /// Builds a windowed snapshot from two cumulative counter captures.
     ///
     /// `base` is the capture at the start of the window, `now` the capture
     /// at its end; `rob_occupancy` and `inflight_l1d_misses` are
@@ -96,14 +59,13 @@ impl SystemSnapshot {
     /// retired instructions (or zero elapsed cycles) is clamped to one so
     /// the MPKI/IPC divisions stay finite.
     pub fn from_window(
-        now: &WindowCounters,
-        base: &WindowCounters,
+        now: &TelemetryCounters,
+        base: &TelemetryCounters,
         rob_occupancy: f64,
         inflight_l1d_misses: u32,
     ) -> SystemSnapshot {
-        let b = base;
-        let instrs = (now.instructions - b.instructions).max(1) as f64;
-        let kilo = instrs / 1000.0;
+        let d = now.delta(base);
+        let kilo = d.instructions.max(1) as f64 / 1000.0;
         let rate = |num: u64, den: u64| {
             if den == 0 {
                 0.0
@@ -112,25 +74,22 @@ impl SystemSnapshot {
             }
         };
         SystemSnapshot {
-            l1d_mpki: (now.l1d_miss - b.l1d_miss) as f64 / kilo,
-            l1d_miss_rate: rate(now.l1d_miss - b.l1d_miss, now.l1d_acc - b.l1d_acc),
-            llc_mpki: (now.llc_miss - b.llc_miss) as f64 / kilo,
-            llc_miss_rate: rate(now.llc_miss - b.llc_miss, now.llc_acc - b.llc_acc),
-            stlb_mpki: (now.stlb_miss - b.stlb_miss) as f64 / kilo,
-            stlb_miss_rate: rate(now.stlb_miss - b.stlb_miss, now.stlb_acc - b.stlb_acc),
-            l1i_mpki: (now.l1i_miss - b.l1i_miss) as f64 / kilo,
-            ipc: rate(
-                now.instructions - b.instructions,
-                (now.cycles - b.cycles).max(1),
-            ),
+            l1d_mpki: d.l1d_misses as f64 / kilo,
+            l1d_miss_rate: rate(d.l1d_misses, d.l1d_accesses),
+            llc_mpki: d.llc_misses as f64 / kilo,
+            llc_miss_rate: rate(d.llc_misses, d.llc_accesses),
+            stlb_mpki: d.stlb_misses as f64 / kilo,
+            stlb_miss_rate: rate(d.stlb_misses, d.stlb_accesses),
+            l1i_mpki: d.l1i_misses as f64 / kilo,
+            ipc: rate(d.instructions, d.cycles.max(1)),
             rob_occupancy,
             inflight_l1d_misses,
-            pgc_useful: now.pgc_useful - b.pgc_useful,
-            pgc_useless: now.pgc_useless - b.pgc_useless,
-            os_faults: now.os_faults - b.os_faults,
-            os_reclaims: now.os_reclaims - b.os_reclaims,
-            os_promotions: now.os_promotions - b.os_promotions,
-            os_shootdowns: now.os_shootdowns - b.os_shootdowns,
+            pgc_useful: d.pgc_useful,
+            pgc_useless: d.pgc_useless,
+            os_faults: d.os_minor_faults + d.os_major_faults,
+            os_reclaims: d.os_reclaims,
+            os_promotions: d.os_promotions,
+            os_shootdowns: d.os_shootdowns,
         }
     }
 
@@ -182,33 +141,37 @@ mod tests {
     /// cumulative totals.
     #[test]
     fn windowing_is_delta_based_across_consecutive_windows() {
-        let w0 = WindowCounters::default();
-        let w1 = WindowCounters {
+        let w0 = TelemetryCounters::default();
+        let w1 = TelemetryCounters {
             instructions: 2_000,
             cycles: 4_000,
-            l1d_acc: 800,
-            l1d_miss: 200,
-            l1i_miss: 10,
-            llc_acc: 150,
-            llc_miss: 30,
-            stlb_acc: 100,
-            stlb_miss: 25,
+            l1d_accesses: 800,
+            l1d_misses: 200,
+            l1i_misses: 10,
+            llc_accesses: 150,
+            llc_misses: 30,
+            stlb_accesses: 100,
+            stlb_misses: 25,
             pgc_useful: 8,
             pgc_useless: 2,
+            os_minor_faults: 4,
+            os_major_faults: 1,
             ..Default::default()
         };
-        let w2 = WindowCounters {
+        let w2 = TelemetryCounters {
             instructions: 4_000,
             cycles: 5_000,
-            l1d_acc: 1_000,
-            l1d_miss: 210,
-            l1i_miss: 10,
-            llc_acc: 170,
-            llc_miss: 34,
-            stlb_acc: 140,
-            stlb_miss: 27,
+            l1d_accesses: 1_000,
+            l1d_misses: 210,
+            l1i_misses: 10,
+            llc_accesses: 170,
+            llc_misses: 34,
+            stlb_accesses: 140,
+            stlb_misses: 27,
             pgc_useful: 20,
             pgc_useless: 5,
+            os_minor_faults: 6,
+            os_major_faults: 4,
             ..Default::default()
         };
 
@@ -226,6 +189,7 @@ mod tests {
         assert_eq!(s1.inflight_l1d_misses, 3);
         assert_eq!(s1.pgc_useful, 8);
         assert_eq!(s1.pgc_useless, 2);
+        assert_eq!(s1.os_faults, 5, "minor + major");
 
         // Second window: [w1, w2) — deltas only, not cumulative values.
         let s2 = SystemSnapshot::from_window(&w2, &w1, 0.25, 1);
@@ -239,6 +203,7 @@ mod tests {
         assert!((s2.ipc - 2.0).abs() < 1e-12);
         assert_eq!(s2.pgc_useful, 12);
         assert_eq!(s2.pgc_useless, 3);
+        assert_eq!(s2.os_faults, 5, "2 minor + 3 major");
     }
 
     /// A window in which nothing retired must stay finite: the instruction
@@ -246,20 +211,20 @@ mod tests {
     /// IPC to 0.
     #[test]
     fn zero_retired_window_is_finite() {
-        let base = WindowCounters {
+        let base = TelemetryCounters {
             instructions: 1_000,
             cycles: 2_000,
-            l1d_acc: 500,
-            l1d_miss: 100,
+            l1d_accesses: 500,
+            l1d_misses: 100,
             ..Default::default()
         };
         // Same instruction count, but misses still accrued (e.g. stalled
         // on outstanding requests across the boundary).
-        let now = WindowCounters {
+        let now = TelemetryCounters {
             instructions: 1_000,
             cycles: 2_000,
-            l1d_acc: 504,
-            l1d_miss: 103,
+            l1d_accesses: 504,
+            l1d_misses: 103,
             ..Default::default()
         };
         let s = SystemSnapshot::from_window(&now, &base, 1.0, 7);

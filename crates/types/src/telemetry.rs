@@ -166,6 +166,7 @@ macro_rules! for_each_telemetry_counter {
             llc_accesses,
             llc_misses,
             dtlb_misses,
+            stlb_accesses,
             stlb_misses,
             demand_walks,
             prefetch_walks,
@@ -448,9 +449,11 @@ mod tests {
 
     #[test]
     fn counter_delta_and_entries_agree() {
-        let mut a = TelemetryCounters::default();
-        a.instructions = 100;
-        a.l1d_misses = 7;
+        let a = TelemetryCounters {
+            instructions: 100,
+            l1d_misses: 7,
+            ..Default::default()
+        };
         let mut b = a;
         b.instructions = 160;
         b.l1d_misses = 9;
