@@ -8,72 +8,38 @@
 
 use moka_pgc::dripper::dripper_config;
 use moka_pgc::TargetPrefetcher;
-use pagecross_bench::{env_scale, fmt_pct, print_header, print_row, run_one, Scheme, Summary};
-use pagecross_cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder};
-use pagecross_types::geomean;
+use pagecross_bench::{
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, run_all, Scheme, Summary,
+};
+use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
 use pagecross_workloads::representative_seen;
 
-fn geo_with(vub: usize, pubn: usize, workloads: &[&'static pagecross_workloads::Workload]) -> f64 {
-    let cfg = env_scale();
-    let mut ratios = Vec::new();
-    for w in workloads {
-        let base = run_one(
-            w,
-            &Scheme::new("discard", PrefetcherKind::Berti, PgcPolicyKind::DiscardPgc),
-            &cfg,
-        )
-        .report
-        .ipc();
-        let (warm, measure) = w.default_lengths();
-        let mut fcfg = dripper_config(TargetPrefetcher::Berti);
-        fcfg.vub_entries = vub;
-        fcfg.pub_entries = pubn;
-        let r = SimulationBuilder::new()
-            .prefetcher(PrefetcherKind::Berti)
-            .custom_filter(fcfg)
-            .warmup((warm as f64 * cfg.warmup_scale) as u64)
-            .instructions((measure as f64 * cfg.measure_scale) as u64)
-            .run_workload(*w);
-        ratios.push(r.ipc() / base);
-    }
-    geomean(&ratios).unwrap_or(1.0)
-}
+const SWEEP: [(usize, usize); 6] = [(1, 128), (4, 128), (16, 128), (4, 8), (4, 32), (4, 512)];
 
 fn main() {
     let workloads = representative_seen(1);
+    let pf = PrefetcherKind::Berti;
+    let mut schemes = vec![Scheme::new("discard", pf, PgcPolicyKind::DiscardPgc)];
+    schemes.extend(SWEEP.map(|(vub, pubn)| {
+        let mut s = Scheme::new(&format!("vub{vub}-pub{pubn}"), pf, PgcPolicyKind::Dripper);
+        let mut fcfg = dripper_config(TargetPrefetcher::Berti);
+        fcfg.vub_entries = vub;
+        fcfg.pub_entries = pubn;
+        s.filter = Some(fcfg);
+        s
+    }));
+    let results = run_all(&workloads, &schemes, &env_scale());
+    let geos = geomeans_vs_first(&results, &schemes);
+
     print_header("ablation_buffers", &["vUB", "pUB", "geomean vs discard"]);
-    let sweep = [
-        (1usize, 128usize),
-        (4, 128),
-        (16, 128),
-        (4, 8),
-        (4, 32),
-        (4, 512),
-    ];
-    let mut results = Vec::new();
-    for (vub, pubn) in sweep {
-        let g = geo_with(vub, pubn, &workloads);
+    for ((vub, pubn), g) in SWEEP.iter().zip(&geos) {
         print_row(
             "ablation_buffers",
-            &[vub.to_string(), pubn.to_string(), fmt_pct(g)],
+            &[vub.to_string(), pubn.to_string(), fmt_pct(*g)],
         );
-        results.push(((vub, pubn), g));
     }
-    let chosen = results
-        .iter()
-        .find(|(k, _)| *k == (4, 128))
-        .expect("chosen point ran")
-        .1;
-    let tiny_pub = results
-        .iter()
-        .find(|(k, _)| *k == (4, 8))
-        .expect("tiny pUB ran")
-        .1;
-    let big = results
-        .iter()
-        .find(|(k, _)| *k == (4, 512))
-        .expect("big pUB ran")
-        .1;
+    let at = |point| geos[SWEEP.iter().position(|p| *p == point).expect("point ran")];
+    let (chosen, tiny_pub, big) = (at((4, 128)), at((4, 8)), at((4, 512)));
 
     Summary {
         experiment: "ablation_buffers".into(),

@@ -5,8 +5,10 @@
 //! workload mix; the adaptive scheme is at least competitive with the best
 //! static point and beats the worst by a clear margin.
 
+use moka_pgc::dripper::dripper_config;
+use moka_pgc::TargetPrefetcher;
 use pagecross_bench::{
-    env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, quick_seen_set, run_all,
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, quick_seen_set, run_all,
     Scheme, Summary,
 };
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
@@ -15,33 +17,33 @@ fn main() {
     let cfg = env_scale();
     let workloads = quick_seen_set();
     let pf = PrefetcherKind::Berti;
+    // DRIPPER's filter with the adaptive threshold pinned to `t`.
+    let fixed = |t: i32| {
+        let mut s = Scheme::new(&format!("static({t})"), pf, PgcPolicyKind::Dripper);
+        let mut fcfg = dripper_config(TargetPrefetcher::Berti);
+        fcfg.adaptive = false;
+        fcfg.static_threshold = t;
+        s.filter = Some(fcfg);
+        s
+    };
     let schemes = vec![
         Scheme::new("discard-pgc", pf, PgcPolicyKind::DiscardPgc),
-        Scheme::new("static(-4)", pf, PgcPolicyKind::DripperStatic(-4)),
-        Scheme::new("static(0)", pf, PgcPolicyKind::DripperStatic(0)),
-        Scheme::new("static(6)", pf, PgcPolicyKind::DripperStatic(6)),
-        Scheme::new("static(14)", pf, PgcPolicyKind::DripperStatic(14)),
+        fixed(-4),
+        fixed(0),
+        fixed(6),
+        fixed(14),
         Scheme::new("adaptive", pf, PgcPolicyKind::Dripper),
     ];
     let results = run_all(&workloads, &schemes, &cfg);
-    let base = ipcs_of(&results, "discard-pgc");
+    let geos = geomeans_vs_first(&results, &schemes);
 
     print_header("ablation_threshold", &["threshold", "geomean vs discard"]);
-    let mut geos = Vec::new();
-    for s in &schemes[1..] {
-        let g = geomean_speedup(&ipcs_of(&results, &s.label), &base);
-        print_row("ablation_threshold", &[s.label.clone(), fmt_pct(g)]);
-        geos.push((s.label.clone(), g));
+    for (s, g) in schemes[1..].iter().zip(&geos) {
+        print_row("ablation_threshold", &[s.label.clone(), fmt_pct(*g)]);
     }
-    let adaptive = geos.last().expect("adaptive last").1;
-    let best_static = geos[..geos.len() - 1]
-        .iter()
-        .map(|(_, g)| *g)
-        .fold(0.0, f64::max);
-    let worst_static = geos[..geos.len() - 1]
-        .iter()
-        .map(|(_, g)| *g)
-        .fold(f64::INFINITY, f64::min);
+    let (statics, adaptive) = (&geos[..geos.len() - 1], geos[geos.len() - 1]);
+    let best_static = statics.iter().copied().fold(0.0, f64::max);
+    let worst_static = statics.iter().copied().fold(f64::INFINITY, f64::min);
 
     Summary {
         experiment: "ablation_threshold".into(),

@@ -7,64 +7,41 @@
 
 use moka_pgc::dripper::dripper_config;
 use moka_pgc::TargetPrefetcher;
-use pagecross_bench::{env_scale, fmt_pct, print_header, print_row, run_one, Scheme, Summary};
-use pagecross_cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder};
-use pagecross_types::geomean;
+use pagecross_bench::{
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, run_all, Scheme, Summary,
+};
+use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
 use pagecross_workloads::representative_seen;
 
+const SWEEP: [usize; 4] = [64, 256, 1024, 4096];
+
 fn main() {
-    let cfg = env_scale();
     let workloads = representative_seen(1);
+    let pf = PrefetcherKind::Berti;
+    let mut schemes = vec![Scheme::new("discard", pf, PgcPolicyKind::DiscardPgc)];
+    schemes.extend(SWEEP.map(|entries| {
+        let mut s = Scheme::new(&format!("wt{entries}"), pf, PgcPolicyKind::Dripper);
+        let mut fcfg = dripper_config(TargetPrefetcher::Berti);
+        fcfg.wt_entries = entries;
+        s.filter = Some(fcfg);
+        s
+    }));
+    let results = run_all(&workloads, &schemes, &env_scale());
+    let geos = geomeans_vs_first(&results, &schemes);
+
     print_header(
         "ablation_wt_size",
         &["entries", "storage KB", "geomean vs discard"],
     );
-
-    let mut results = Vec::new();
-    for entries in [64usize, 256, 1024, 4096] {
-        let mut ratios = Vec::new();
-        for w in &workloads {
-            let base = run_one(
-                w,
-                &Scheme::new("discard", PrefetcherKind::Berti, PgcPolicyKind::DiscardPgc),
-                &cfg,
-            )
-            .report
-            .ipc();
-            let (warm, measure) = w.default_lengths();
-            let mut fcfg = dripper_config(TargetPrefetcher::Berti);
-            fcfg.wt_entries = entries;
-            let storage = fcfg.storage_kb();
-            let r = SimulationBuilder::new()
-                .prefetcher(PrefetcherKind::Berti)
-                .custom_filter(fcfg)
-                .warmup((warm as f64 * cfg.warmup_scale) as u64)
-                .instructions((measure as f64 * cfg.measure_scale) as u64)
-                .run_workload(*w);
-            ratios.push(r.ipc() / base);
-            if ratios.len() == 1 {
-                results.push((entries, storage, 0.0));
-            }
-        }
-        let g = geomean(&ratios).unwrap_or(1.0);
-        results.last_mut().expect("pushed").2 = g;
-        let (_, storage, _) = *results.last().expect("pushed");
+    for ((entries, s), g) in SWEEP.iter().zip(&schemes[1..]).zip(&geos) {
+        let storage = s.filter.as_ref().expect("sweep filter").storage_kb();
         print_row(
             "ablation_wt_size",
-            &[entries.to_string(), format!("{storage:.2}"), fmt_pct(g)],
+            &[entries.to_string(), format!("{storage:.2}"), fmt_pct(*g)],
         );
     }
-
-    let at_1024 = results
-        .iter()
-        .find(|(e, _, _)| *e == 1024)
-        .expect("1024 ran")
-        .2;
-    let at_4096 = results
-        .iter()
-        .find(|(e, _, _)| *e == 4096)
-        .expect("4096 ran")
-        .2;
+    let at = |entries| geos[SWEEP.iter().position(|e| *e == entries).expect("point ran")];
+    let (at_1024, at_4096) = (at(1024), at(4096));
     Summary {
         experiment: "ablation_wt_size".into(),
         paper: "the ~1K-entry weight table is the knee; bigger budgets give small geomean \

@@ -13,33 +13,39 @@ use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
 fn main() {
     let cfg = env_scale();
     let workloads = motivation_set();
+    // Per prefetcher, a (discard, permit) pair of adjacent schemes.
+    let schemes: Vec<Scheme> = [
+        PrefetcherKind::Berti,
+        PrefetcherKind::Bop,
+        PrefetcherKind::Ipcp,
+    ]
+    .into_iter()
+    .flat_map(|pf| {
+        [
+            Scheme::new(&format!("{pf:?}-discard"), pf, PgcPolicyKind::DiscardPgc),
+            Scheme::new(&format!("{pf:?}-permit"), pf, PgcPolicyKind::PermitPgc),
+        ]
+    })
+    .collect();
+    let results = run_all(&workloads, &schemes, &cfg);
     print_header("fig02", &["workload", "berti", "bop", "ipcp"]);
 
     let mut any_pos = 0;
     let mut any_neg = 0;
-    for w in &workloads {
-        let mut cells = vec![w.name().to_string()];
-        for pf in [
-            PrefetcherKind::Berti,
-            PrefetcherKind::Bop,
-            PrefetcherKind::Ipcp,
-        ] {
-            let schemes = [
-                Scheme::new("discard", pf, PgcPolicyKind::DiscardPgc),
-                Scheme::new("permit", pf, PgcPolicyKind::PermitPgc),
-            ];
-            let rs = run_all(&[w], &schemes, &cfg);
-            let ratio = rs[1].report.ipc() / rs[0].report.ipc();
-            if pf == PrefetcherKind::Berti {
-                if ratio > 1.002 {
-                    any_pos += 1;
-                }
-                if ratio < 0.998 {
-                    any_neg += 1;
-                }
-            }
-            cells.push(fmt_pct(ratio));
+    for cell in results.chunks(schemes.len()) {
+        let ratios: Vec<f64> = cell
+            .chunks(2)
+            .map(|pair| pair[1].report.ipc() / pair[0].report.ipc())
+            .collect();
+        // Berti's ratio is the first.
+        if ratios[0] > 1.002 {
+            any_pos += 1;
         }
+        if ratios[0] < 0.998 {
+            any_neg += 1;
+        }
+        let mut cells = vec![cell[0].workload.clone()];
+        cells.extend(ratios.into_iter().map(fmt_pct));
         print_row("fig02", &cells);
     }
 
@@ -57,5 +63,3 @@ fn main() {
     }
     .print();
 }
-
-use pagecross_cpu::trace::TraceFactory;

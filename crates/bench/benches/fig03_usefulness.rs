@@ -6,26 +6,28 @@
 //! prefetches are useless — prefetchers are not accurate across pages.
 
 use pagecross_bench::{
-    env_scale, motivation_set, print_header, print_row, run_all, Scheme, Summary,
+    env_scale, mean, motivation_set, print_header, print_row, run_all, Scheme, Summary,
 };
-use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
 
 fn main() {
     let cfg = env_scale();
     let workloads = motivation_set();
-    print_header("fig03", &["prefetcher", "workload", "useful%", "useless%"]);
-
-    let mut summaries = Vec::new();
-    for pf in [
+    let prefetchers = [
         PrefetcherKind::Berti,
         PrefetcherKind::Bop,
         PrefetcherKind::Ipcp,
-    ] {
-        let schemes = [Scheme::new("permit", pf, PgcPolicyKind::PermitPgc)];
+    ];
+    let schemes =
+        prefetchers.map(|pf| Scheme::new(&format!("{pf:?}"), pf, PgcPolicyKind::PermitPgc));
+    let results = run_all(&workloads, &schemes, &cfg);
+    print_header("fig03", &["prefetcher", "workload", "useful%", "useless%"]);
+
+    let mut summaries = Vec::new();
+    for (i, pf) in prefetchers.into_iter().enumerate() {
         let mut ratios = Vec::new();
-        for w in &workloads {
-            let r = &run_all(&[w], &schemes, &cfg)[0].report;
+        for cell in results.chunks(schemes.len()) {
+            let r = &cell[i].report;
             let resolved = r.l1d.pgc_useful + r.l1d.pgc_useless;
             if resolved == 0 {
                 continue;
@@ -36,13 +38,13 @@ fn main() {
                 "fig03",
                 &[
                     format!("{pf:?}"),
-                    w.name().to_string(),
+                    cell[i].workload.clone(),
                     format!("{:.1}", useful * 100.0),
                     format!("{:.1}", (1.0 - useful) * 100.0),
                 ],
             );
         }
-        let avg = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
+        let avg = mean(&ratios);
         let spread = ratios.iter().cloned().fold(f64::INFINITY, f64::min)
             ..ratios.iter().cloned().fold(0.0, f64::max);
         print_row(

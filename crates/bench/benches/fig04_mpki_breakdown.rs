@@ -6,9 +6,9 @@
 //! pressure across the same structures.
 
 use pagecross_bench::{
-    env_scale, motivation_set, print_header, print_row, run_all, Scheme, Summary,
+    env_scale, mean_delta, motivation_set, mpki_delta, print_header, print_row, run_all, Scheme,
+    Summary,
 };
-use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
 
 fn main() {
@@ -18,70 +18,35 @@ fn main() {
         Scheme::new("discard", PrefetcherKind::Berti, PgcPolicyKind::DiscardPgc),
         Scheme::new("permit", PrefetcherKind::Berti, PgcPolicyKind::PermitPgc),
     ];
+    let results = run_all(&workloads, &schemes, &cfg);
     print_header(
         "fig04",
         &["group", "workload", "d_dtlb", "d_stlb", "d_l1d", "d_llc"],
     );
 
-    // (winner-is-permit, deltas)
+    let row = |group: &str, name: &str, d: [f64; 4]| {
+        let mut cells = vec![group.to_string(), name.to_string()];
+        cells.extend(d.map(|x| format!("{x:+.2}")));
+        print_row("fig04", &cells);
+    };
     let mut permit_wins: Vec<[f64; 4]> = Vec::new();
     let mut discard_wins: Vec<[f64; 4]> = Vec::new();
-    for w in &workloads {
-        let rs = run_all(&[w], &schemes, &cfg);
-        let (d, p) = (&rs[0].report, &rs[1].report);
-        let deltas = [
-            p.dtlb_mpki() - d.dtlb_mpki(),
-            p.stlb_mpki() - d.stlb_mpki(),
-            p.l1d_mpki() - d.l1d_mpki(),
-            p.llc_mpki() - d.llc_mpki(),
-        ];
+    for cell in results.chunks(2) {
+        let (d, p) = (&cell[0].report, &cell[1].report);
+        let deltas = mpki_delta(p, d);
         let permit_better = p.ipc() > d.ipc();
-        print_row(
-            "fig04",
-            &[
-                if permit_better {
-                    "permit-wins"
-                } else {
-                    "discard-wins"
-                }
-                .to_string(),
-                w.name().to_string(),
-                format!("{:+.2}", deltas[0]),
-                format!("{:+.2}", deltas[1]),
-                format!("{:+.2}", deltas[2]),
-                format!("{:+.2}", deltas[3]),
-            ],
-        );
-        if permit_better {
-            permit_wins.push(deltas);
+        let (group, label) = if permit_better {
+            (&mut permit_wins, "permit-wins")
         } else {
-            discard_wins.push(deltas);
-        }
+            (&mut discard_wins, "discard-wins")
+        };
+        row(label, &cell[0].workload, deltas);
+        group.push(deltas);
     }
 
-    let mean = |v: &[[f64; 4]], i: usize| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().map(|d| d[i]).sum::<f64>() / v.len() as f64
-        }
-    };
-    for (label, group) in [
-        ("permit-wins", &permit_wins),
-        ("discard-wins", &discard_wins),
-    ] {
-        print_row(
-            "fig04",
-            &[
-                label.to_string(),
-                "MEAN".into(),
-                format!("{:+.2}", mean(group, 0)),
-                format!("{:+.2}", mean(group, 1)),
-                format!("{:+.2}", mean(group, 2)),
-                format!("{:+.2}", mean(group, 3)),
-            ],
-        );
-    }
+    let (pw, dw) = (mean_delta(&permit_wins), mean_delta(&discard_wins));
+    row("permit-wins", "MEAN", pw);
+    row("discard-wins", "MEAN", dw);
 
     // Shape: in the permit-wins group the mean dTLB and L1D deltas are
     // strongly negative (pressure relieved); in the discard-wins group
@@ -91,10 +56,10 @@ fn main() {
     // work more than as MPKI pollution; see EXPERIMENTS.md.
     let shape = !permit_wins.is_empty()
         && !discard_wins.is_empty()
-        && mean(&permit_wins, 0) < -0.5
-        && mean(&permit_wins, 2) < -0.5
-        && mean(&permit_wins, 0) < 5.0 * mean(&discard_wins, 0)
-        && mean(&permit_wins, 2) < 5.0 * mean(&discard_wins, 2);
+        && pw[0] < -0.5
+        && pw[2] < -0.5
+        && pw[0] < 5.0 * dw[0]
+        && pw[2] < 5.0 * dw[2];
     Summary {
         experiment: "fig04".into(),
         paper: "permit-wins group: dTLB/sTLB/L1D/LLC MPKIs drop strongly; discard-wins \
@@ -104,14 +69,7 @@ fn main() {
         measured: format!(
             "permit-wins mean deltas: dtlb {:+.2}, stlb {:+.2}, l1d {:+.2}, llc {:+.2}; \
              discard-wins: dtlb {:+.2}, stlb {:+.2}, l1d {:+.2}, llc {:+.2}",
-            mean(&permit_wins, 0),
-            mean(&permit_wins, 1),
-            mean(&permit_wins, 2),
-            mean(&permit_wins, 3),
-            mean(&discard_wins, 0),
-            mean(&discard_wins, 1),
-            mean(&discard_wins, 2),
-            mean(&discard_wins, 3),
+            pw[0], pw[1], pw[2], pw[3], dw[0], dw[1], dw[2], dw[3],
         ),
         shape_holds: shape,
     }

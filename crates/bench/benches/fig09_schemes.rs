@@ -5,7 +5,7 @@
 //! ISO-Storage ≈ Permit; PPF/PPF+Dthr ≈ Discard (no gain); DRIPPER highest.
 
 use pagecross_bench::{
-    env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, quick_seen_set, run_all,
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, quick_seen_set, run_all,
     Scheme, Summary,
 };
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
@@ -33,14 +33,16 @@ fn main() {
             Scheme::new("dripper", pf, PgcPolicyKind::Dripper),
         ];
         let results = run_all(&workloads, &schemes, &cfg);
-        let base = ipcs_of(&results, "discard-pgc");
-        let mut geos = Vec::new();
-        for s in &schemes[1..] {
-            let g = geomean_speedup(&ipcs_of(&results, &s.label), &base);
-            print_row("fig09", &[format!("{pf:?}"), s.label.clone(), fmt_pct(g)]);
-            geos.push((s.label.clone(), g));
+        let geos = geomeans_vs_first(&results, &schemes);
+        for (s, g) in schemes[1..].iter().zip(&geos) {
+            print_row("fig09", &[format!("{pf:?}"), s.label.clone(), fmt_pct(*g)]);
         }
-        let get = |name: &str| geos.iter().find(|(l, _)| l == name).expect("scheme ran").1;
+        let get = |name: &str| {
+            geos[schemes[1..]
+                .iter()
+                .position(|s| s.label == name)
+                .expect("scheme ran")]
+        };
         let dripper = get("dripper");
         // The robust paper claims: DRIPPER beats both static policies,
         // Discard-PTW, and ISO-Storage, and is at worst competitive with

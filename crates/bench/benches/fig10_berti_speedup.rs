@@ -7,11 +7,11 @@
 //! geomean beats Permit (+2.5%) and Discard (+1.7%); GAP benefits most.
 
 use pagecross_bench::{
-    core_schemes, env_scale, fmt_pct, geomean_speedup, print_header, print_row, quick_seen_set,
-    run_all, Summary,
+    core_schemes, env_scale, fmt_pct, print_geomean_row, print_header, print_speedup_rows,
+    quick_seen_set, run_all, speedup_rows, SpeedupRow, Summary,
 };
 use pagecross_cpu::PrefetcherKind;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 fn main() {
     let cfg = env_scale();
@@ -20,54 +20,24 @@ fn main() {
     let results = run_all(&workloads, &schemes, &cfg);
 
     // Top: per-workload s-curve (sorted by DRIPPER speedup).
-    let mut rows: Vec<(String, &'static str, f64, f64)> = Vec::new();
-    for chunk in results.chunks(3) {
-        let (d, p, x) = (&chunk[0], &chunk[1], &chunk[2]);
-        rows.push((
-            d.workload.clone(),
-            d.suite,
-            p.report.ipc() / d.report.ipc(),
-            x.report.ipc() / d.report.ipc(),
-        ));
-    }
-    rows.sort_by(|a, b| a.3.total_cmp(&b.3));
+    let mut rows = speedup_rows(&results, schemes.len());
+    rows.sort_by(|a, b| a.speedups[1].total_cmp(&b.speedups[1]));
     print_header("fig10", &["workload", "permit", "dripper"]);
-    for (name, _, permit, dripper) in &rows {
-        print_row(
-            "fig10",
-            &[name.clone(), fmt_pct(*permit), fmt_pct(*dripper)],
-        );
-    }
+    print_speedup_rows("fig10", &rows);
 
     // Bottom: per-suite geomeans.
-    let mut by_suite: BTreeMap<&'static str, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
-    for (_, suite, permit, dripper) in &rows {
-        let e = by_suite.entry(suite).or_default();
-        e.0.push(*permit);
-        e.1.push(*dripper);
-    }
     print_header("fig10", &["suite", "permit geomean", "dripper geomean"]);
-    for (suite, (p, x)) in &by_suite {
-        let ones = vec![1.0; p.len()];
-        print_row(
-            "fig10",
-            &[
-                suite.to_string(),
-                fmt_pct(geomean_speedup(p, &ones)),
-                fmt_pct(geomean_speedup(x, &ones)),
-            ],
-        );
+    let suites: BTreeSet<&str> = rows.iter().map(|r| r.suite).collect();
+    for suite in suites {
+        let in_suite: Vec<SpeedupRow> = rows.iter().filter(|r| r.suite == suite).cloned().collect();
+        print_geomean_row("fig10", suite, &in_suite);
     }
-    let all_p: Vec<f64> = rows.iter().map(|r| r.2).collect();
-    let all_x: Vec<f64> = rows.iter().map(|r| r.3).collect();
-    let ones = vec![1.0; all_p.len()];
-    let gp = geomean_speedup(&all_p, &ones);
-    let gx = geomean_speedup(&all_x, &ones);
-    print_row("fig10", &["OVERALL".into(), fmt_pct(gp), fmt_pct(gx)]);
+    let overall = print_geomean_row("fig10", "OVERALL", &rows);
+    let (gp, gx) = (overall[0], overall[1]);
 
     let dripper_majority = rows
         .iter()
-        .filter(|r| r.3 >= r.2 - 1e-9 && r.3 >= 1.0 - 1e-9)
+        .filter(|r| r.speedups[1] >= r.speedups[0] - 1e-9 && r.speedups[1] >= 1.0 - 1e-9)
         .count();
     Summary {
         experiment: "fig10".into(),

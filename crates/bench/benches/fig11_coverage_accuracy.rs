@@ -6,7 +6,7 @@
 //! drops the useless ones).
 
 use pagecross_bench::{
-    core_schemes, env_scale, print_header, print_row, quick_seen_set, run_all, Summary,
+    core_schemes, env_scale, mean, print_header, print_row, quick_seen_set, run_all, Summary,
 };
 use pagecross_cpu::PrefetcherKind;
 use std::collections::BTreeMap;
@@ -17,23 +17,18 @@ fn main() {
     let schemes = core_schemes(PrefetcherKind::Berti);
     let results = run_all(&workloads, &schemes, &cfg);
 
-    #[derive(Default)]
-    struct Acc {
-        cov: [Vec<f64>; 3],
-        acc: [Vec<f64>; 3],
-    }
-    let mut by_suite: BTreeMap<&'static str, Acc> = BTreeMap::new();
+    // Per suite: the coverage of each scheme, then the accuracy of each.
+    let mut by_suite: BTreeMap<&'static str, [Vec<f64>; 6]> = BTreeMap::new();
     for chunk in results.chunks(3) {
         let e = by_suite.entry(chunk[0].suite).or_default();
         for (i, r) in chunk.iter().enumerate() {
             // An unresolved metric (no prefetches in a cell) contributes 0
             // here, keeping the suite means comparable to earlier runs.
-            e.cov[i].push(r.report.coverage().unwrap_or(0.0));
-            e.acc[i].push(r.report.prefetch_accuracy().unwrap_or(0.0));
+            e[i].push(r.report.coverage().unwrap_or(0.0));
+            e[3 + i].push(r.report.prefetch_accuracy().unwrap_or(0.0));
         }
     }
 
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     print_header(
         "fig11",
         &[
@@ -47,27 +42,11 @@ fn main() {
         ],
     );
     let (mut cov_gap, mut acc_gain) = (Vec::new(), Vec::new());
-    for (suite, a) in &by_suite {
-        let row = [
-            mean(&a.cov[0]),
-            mean(&a.cov[1]),
-            mean(&a.cov[2]),
-            mean(&a.acc[0]),
-            mean(&a.acc[1]),
-            mean(&a.acc[2]),
-        ];
-        print_row(
-            "fig11",
-            &[
-                suite.to_string(),
-                format!("{:.3}", row[0]),
-                format!("{:.3}", row[1]),
-                format!("{:.3}", row[2]),
-                format!("{:.3}", row[3]),
-                format!("{:.3}", row[4]),
-                format!("{:.3}", row[5]),
-            ],
-        );
+    for (suite, columns) in &by_suite {
+        let row = columns.each_ref().map(|c| mean(c));
+        let mut cells = vec![suite.to_string()];
+        cells.extend(row.map(|m| format!("{m:.3}")));
+        print_row("fig11", &cells);
         cov_gap.push(row[1] - row[2]); // permit cov - dripper cov
         acc_gain.push(row[5] - row[4]); // dripper acc - permit acc
     }

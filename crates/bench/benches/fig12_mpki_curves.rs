@@ -6,7 +6,8 @@
 //! dominates Permit's on the harmful side.
 
 use pagecross_bench::{
-    core_schemes, env_scale, print_header, print_row, quick_seen_set, run_all, Summary,
+    core_schemes, env_scale, mean_delta, mpki_delta, print_header, print_row, quick_seen_set,
+    run_all, Summary,
 };
 use pagecross_cpu::PrefetcherKind;
 
@@ -20,66 +21,24 @@ fn main() {
         "fig12",
         &["workload", "scheme", "d_dtlb", "d_stlb", "d_l1d", "d_llc"],
     );
-    let mut permit_deltas = [0.0f64; 4];
-    let mut dripper_deltas = [0.0f64; 4];
-    let mut dripper_worse_l1d = 0usize;
+    let row = |workload: &str, scheme: &str, d: [f64; 4]| {
+        let mut cells = vec![workload.to_string(), scheme.to_string()];
+        cells.extend(d.map(|x| format!("{x:+.3}")));
+        print_row("fig12", &cells);
+    };
+    let (mut permit, mut dripper) = (Vec::new(), Vec::new());
     for chunk in results.chunks(3) {
         let base = &chunk[0].report;
-        for (r, acc) in [
-            (&chunk[1], &mut permit_deltas),
-            (&chunk[2], &mut dripper_deltas),
-        ] {
-            let d = [
-                r.report.dtlb_mpki() - base.dtlb_mpki(),
-                r.report.stlb_mpki() - base.stlb_mpki(),
-                r.report.l1d_mpki() - base.l1d_mpki(),
-                r.report.llc_mpki() - base.llc_mpki(),
-            ];
-            for i in 0..4 {
-                acc[i] += d[i];
-            }
-            if r.scheme == "dripper" && d[2] > 0.05 {
-                dripper_worse_l1d += 1;
-            }
-            print_row(
-                "fig12",
-                &[
-                    r.workload.clone(),
-                    r.scheme.clone(),
-                    format!("{:+.3}", d[0]),
-                    format!("{:+.3}", d[1]),
-                    format!("{:+.3}", d[2]),
-                    format!("{:+.3}", d[3]),
-                ],
-            );
+        for (r, deltas) in [(&chunk[1], &mut permit), (&chunk[2], &mut dripper)] {
+            let d = mpki_delta(&r.report, base);
+            row(&r.workload, &r.scheme, d);
+            deltas.push(d);
         }
     }
-    let n = workloads.len() as f64;
-    for d in permit_deltas.iter_mut().chain(dripper_deltas.iter_mut()) {
-        *d /= n;
-    }
-    print_row(
-        "fig12",
-        &[
-            "MEAN".into(),
-            "permit".into(),
-            format!("{:+.3}", permit_deltas[0]),
-            format!("{:+.3}", permit_deltas[1]),
-            format!("{:+.3}", permit_deltas[2]),
-            format!("{:+.3}", permit_deltas[3]),
-        ],
-    );
-    print_row(
-        "fig12",
-        &[
-            "MEAN".into(),
-            "dripper".into(),
-            format!("{:+.3}", dripper_deltas[0]),
-            format!("{:+.3}", dripper_deltas[1]),
-            format!("{:+.3}", dripper_deltas[2]),
-            format!("{:+.3}", dripper_deltas[3]),
-        ],
-    );
+    let dripper_worse_l1d = dripper.iter().filter(|d| d[2] > 0.05).count();
+    let (permit_deltas, dripper_deltas) = (mean_delta(&permit), mean_delta(&dripper));
+    row("MEAN", "permit", permit_deltas);
+    row("MEAN", "dripper", dripper_deltas);
 
     // Shape: DRIPPER's mean deltas are ≤ 0 on every structure, its L1D
     // reduction is comparable to Permit's (≥ 85%), and it rarely hurts

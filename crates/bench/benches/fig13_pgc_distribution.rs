@@ -6,7 +6,7 @@
 //! near zero and Permit's does not.
 
 use pagecross_bench::{
-    core_schemes, env_scale, print_header, print_row, quick_seen_set, run_all, Summary,
+    core_schemes, env_scale, mean, print_header, print_row, quick_seen_set, run_all, Summary,
 };
 use pagecross_cpu::PrefetcherKind;
 
@@ -26,49 +26,34 @@ fn main() {
             "useless/KI dripper",
         ],
     );
-    let (mut pu, mut du, mut pw, mut dw) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let row = |label: &str, values: [f64; 4]| {
+        let mut cells = vec![label.to_string()];
+        cells.extend(values.map(|v| format!("{v:.3}")));
+        print_row("fig13", &cells);
+    };
+    // Useful per KI of Permit and DRIPPER, then useless per KI of each.
+    let mut columns: [Vec<f64>; 4] = Default::default();
     for chunk in results.chunks(3) {
-        let permit = &chunk[1].report;
-        let dripper = &chunk[2].report;
-        pu.push(permit.pgc_useful_pki());
-        du.push(dripper.pgc_useful_pki());
-        pw.push(permit.pgc_useless_pki());
-        dw.push(dripper.pgc_useless_pki());
-        print_row(
-            "fig13",
-            &[
-                chunk[0].workload.clone(),
-                format!("{:.3}", permit.pgc_useful_pki()),
-                format!("{:.3}", dripper.pgc_useful_pki()),
-                format!("{:.3}", permit.pgc_useless_pki()),
-                format!("{:.3}", dripper.pgc_useless_pki()),
-            ],
-        );
+        let (permit, dripper) = (&chunk[1].report, &chunk[2].report);
+        let values = [
+            permit.pgc_useful_pki(),
+            dripper.pgc_useful_pki(),
+            permit.pgc_useless_pki(),
+            dripper.pgc_useless_pki(),
+        ];
+        for (column, v) in columns.iter_mut().zip(values) {
+            column.push(v);
+        }
+        row(&chunk[0].workload, values);
     }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    print_row(
-        "fig13",
-        &[
-            "MEAN".into(),
-            format!("{:.3}", mean(&pu)),
-            format!("{:.3}", mean(&du)),
-            format!("{:.3}", mean(&pw)),
-            format!("{:.3}", mean(&dw)),
-        ],
-    );
+    let means = columns.each_ref().map(|c| mean(c));
+    row("MEAN", means);
+    let [pu, du, pw, dw] = means;
 
     // Shape: DRIPPER keeps a meaningful share of the useful prefetches but
     // cuts the useless ones by far more.
-    let useful_kept = if mean(&pu) > 0.0 {
-        mean(&du) / mean(&pu)
-    } else {
-        1.0
-    };
-    let useless_kept = if mean(&pw) > 0.0 {
-        mean(&dw) / mean(&pw)
-    } else {
-        0.0
-    };
+    let useful_kept = if pu > 0.0 { du / pu } else { 1.0 };
+    let useless_kept = if pw > 0.0 { dw / pw } else { 0.0 };
     Summary {
         experiment: "fig13".into(),
         paper: "DRIPPER has almost the same useful-PGC volume as Permit and far fewer \

@@ -6,7 +6,7 @@
 
 use moka_pgc::{ProgramFeature, SystemFeature};
 use pagecross_bench::{
-    env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, quick_seen_set, run_all,
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, quick_seen_set, run_all,
     Scheme, Summary,
 };
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
@@ -35,20 +35,14 @@ fn main() {
         Scheme::new("dripper", pf, PgcPolicyKind::Dripper),
     ];
     let results = run_all(&workloads, &schemes, &cfg);
-    let base = ipcs_of(&results, "discard-pgc");
+    let geos = geomeans_vs_first(&results, &schemes);
 
     print_header("fig14", &["scheme", "geomean vs discard"]);
-    let mut geos = Vec::new();
-    for s in &schemes[1..] {
-        let g = geomean_speedup(&ipcs_of(&results, &s.label), &base);
-        print_row("fig14", &[s.label.clone(), fmt_pct(g)]);
-        geos.push((s.label.clone(), g));
+    for (s, g) in schemes[1..].iter().zip(&geos) {
+        print_row("fig14", &[s.label.clone(), fmt_pct(*g)]);
     }
-    let dripper = geos.last().expect("dripper last").1;
-    let best_single = geos[..geos.len() - 1]
-        .iter()
-        .map(|(_, g)| *g)
-        .fold(0.0f64, f64::max);
+    let (singles, dripper) = (&geos[..geos.len() - 1], geos[geos.len() - 1]);
+    let best_single = singles.iter().copied().fold(0.0f64, f64::max);
     Summary {
         experiment: "fig14".into(),
         paper: "DRIPPER outperforms each of its constituent single-feature filters".into(),

@@ -6,8 +6,8 @@
 //! candidates in ways phase-level system features cannot.
 
 use pagecross_bench::{
-    env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, quick_seen_set, run_all,
-    Scheme, Summary,
+    env_scale, fmt_pct, print_geomean_row, print_header, print_speedup_rows, quick_seen_set,
+    run_all, speedup_rows, Scheme, Summary,
 };
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind};
 
@@ -21,28 +21,16 @@ fn main() {
         Scheme::new("dripper", pf, PgcPolicyKind::Dripper),
     ];
     let results = run_all(&workloads, &schemes, &cfg);
-    let base = ipcs_of(&results, "discard-pgc");
-    let sf = ipcs_of(&results, "dripper-sf");
-    let full = ipcs_of(&results, "dripper");
 
     print_header("fig15", &["workload", "dripper-sf", "dripper"]);
-    let mut dripper_wins = 0;
-    for (i, chunk) in results.chunks(3).enumerate() {
-        print_row(
-            "fig15",
-            &[
-                chunk[0].workload.clone(),
-                fmt_pct(sf[i] / base[i]),
-                fmt_pct(full[i] / base[i]),
-            ],
-        );
-        if full[i] >= sf[i] - 1e-9 {
-            dripper_wins += 1;
-        }
-    }
-    let g_sf = geomean_speedup(&sf, &base);
-    let g_full = geomean_speedup(&full, &base);
-    print_row("fig15", &["GEOMEAN".into(), fmt_pct(g_sf), fmt_pct(g_full)]);
+    let rows = speedup_rows(&results, schemes.len());
+    print_speedup_rows("fig15", &rows);
+    let geos = print_geomean_row("fig15", "GEOMEAN", &rows);
+    let (g_sf, g_full) = (geos[0], geos[1]);
+    let dripper_wins = results
+        .chunks(schemes.len())
+        .filter(|c| c[2].report.ipc() >= c[1].report.ipc() - 1e-9)
+        .count();
 
     Summary {
         experiment: "fig15".into(),

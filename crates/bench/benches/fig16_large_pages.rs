@@ -7,7 +7,7 @@
 //! over Discard; @4KB beats @2MB by 0.5%).
 
 use pagecross_bench::{
-    env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, quick_seen_set, run_all,
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, quick_seen_set, run_all,
     Scheme, Summary,
 };
 use pagecross_cpu::{BoundaryMode, PgcPolicyKind, PrefetcherKind};
@@ -43,18 +43,13 @@ fn main() {
         with("dripper@4kb", PgcPolicyKind::Dripper, BoundaryMode::Fixed4K),
     ];
     let results = run_all(&workloads, &schemes, &cfg);
-    let base = ipcs_of(&results, "discard-pgc");
+    let geos = geomeans_vs_first(&results, &schemes);
 
     print_header("fig16", &["scheme", "geomean vs discard (4KB+2MB pages)"]);
-    let mut geos = Vec::new();
-    for s in &schemes[1..] {
-        let g = geomean_speedup(&ipcs_of(&results, &s.label), &base);
-        print_row("fig16", &[s.label.clone(), fmt_pct(g)]);
-        geos.push((s.label.clone(), g));
+    for (s, g) in schemes[1..].iter().zip(&geos) {
+        print_row("fig16", &[s.label.clone(), fmt_pct(*g)]);
     }
-    let permit = geos[0].1;
-    let d2m = geos[1].1;
-    let d4k = geos[2].1;
+    let (permit, d2m, d4k) = (geos[0], geos[1], geos[2]);
     Summary {
         experiment: "fig16".into(),
         paper: "with 4KB+2MB pages, DRIPPER@4KB ≥ DRIPPER@2MB and both beat Permit; \

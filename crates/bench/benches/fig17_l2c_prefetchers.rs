@@ -6,7 +6,7 @@
 //! DRIPPER's margin is slightly larger without an L2C prefetcher.
 
 use pagecross_bench::{
-    env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, quick_seen_set, run_all,
+    env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, quick_seen_set, run_all,
     Scheme, Summary,
 };
 use pagecross_cpu::{L2PrefetcherKind, PgcPolicyKind, PrefetcherKind};
@@ -36,9 +36,8 @@ fn main() {
             with("dripper", PgcPolicyKind::Dripper),
         ];
         let results = run_all(&workloads, &schemes, &cfg);
-        let base = ipcs_of(&results, "discard-pgc");
-        let permit = geomean_speedup(&ipcs_of(&results, "permit-pgc"), &base);
-        let dripper = geomean_speedup(&ipcs_of(&results, "dripper"), &base);
+        let geos = geomeans_vs_first(&results, &schemes);
+        let (permit, dripper) = (geos[0], geos[1]);
         print_row(
             "fig17",
             &[format!("{l2:?}"), fmt_pct(permit), fmt_pct(dripper)],

@@ -5,40 +5,23 @@
 //! and Discard (+1.2%) in geomean over 178 unseen workloads.
 
 use pagecross_bench::{
-    core_schemes, env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, run_all,
-    Summary,
+    core_schemes, env_per_suite, env_scale, fmt_pct, print_geomean_row, print_header,
+    print_speedup_rows, run_all, speedup_rows, Summary,
 };
 use pagecross_cpu::PrefetcherKind;
 use pagecross_workloads::representative_unseen;
 
 fn main() {
     let cfg = env_scale();
-    let per_suite = std::env::var("PAGECROSS_PER_SUITE")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(4)
-        .clamp(1, 64);
-    let workloads = representative_unseen(per_suite);
+    let workloads = representative_unseen(env_per_suite());
     let schemes = core_schemes(PrefetcherKind::Berti);
     let results = run_all(&workloads, &schemes, &cfg);
-    let base = ipcs_of(&results, "discard-pgc");
-    let permit = ipcs_of(&results, "permit-pgc");
-    let dripper = ipcs_of(&results, "dripper");
 
     print_header("fig18", &["workload", "permit", "dripper"]);
-    for (i, chunk) in results.chunks(3).enumerate() {
-        print_row(
-            "fig18",
-            &[
-                chunk[0].workload.clone(),
-                fmt_pct(permit[i] / base[i]),
-                fmt_pct(dripper[i] / base[i]),
-            ],
-        );
-    }
-    let gp = geomean_speedup(&permit, &base);
-    let gd = geomean_speedup(&dripper, &base);
-    print_row("fig18", &["GEOMEAN".into(), fmt_pct(gp), fmt_pct(gd)]);
+    let rows = speedup_rows(&results, schemes.len());
+    print_speedup_rows("fig18", &rows);
+    let geos = print_geomean_row("fig18", "GEOMEAN", &rows);
+    let (gp, gd) = (geos[0], geos[1]);
 
     Summary {
         experiment: "fig18".into(),

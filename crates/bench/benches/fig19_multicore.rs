@@ -4,20 +4,26 @@
 //! Paper's shape: across 300 random 8-core mixes, DRIPPER beats Permit
 //! (+3.3%) and Discard (+2.0%) in geomean and wins for the vast majority
 //! of mixes. This harness runs a scaled-down campaign (default 8 mixes,
-//! `PAGECROSS_MIXES` to change).
+//! `PAGECROSS_MIXES` to change) of 8K warm-up + 16K measured instructions
+//! per core, scaled by `PAGECROSS_SCALE`. Mixes run serially through
+//! `run_mix`: the campaign grid simulates single-core cells only.
 
-use pagecross_bench::{fmt_pct, print_header, print_row, Summary};
+use pagecross_bench::{env_scale, fmt_pct, print_header, print_row, CampaignConfig, Summary};
 use pagecross_cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder, TraceFactory};
 use pagecross_types::geomean;
 use pagecross_workloads::random_mixes;
 
-fn run_mix(policy: PgcPolicyKind, mix: &[&'static pagecross_workloads::Workload]) -> Vec<f64> {
+fn run_mix(
+    policy: PgcPolicyKind,
+    mix: &[&'static pagecross_workloads::Workload],
+    cfg: &CampaignConfig,
+) -> Vec<f64> {
     let ws: Vec<&dyn TraceFactory> = mix.iter().map(|w| *w as &dyn TraceFactory).collect();
     SimulationBuilder::new()
         .prefetcher(PrefetcherKind::Berti)
         .pgc_policy(policy)
-        .warmup(8_000)
-        .instructions(16_000)
+        .warmup((8_000.0 * cfg.warmup_scale) as u64)
+        .instructions((16_000.0 * cfg.measure_scale) as u64)
         .run_mix(&ws)
         .ipcs()
 }
@@ -29,6 +35,7 @@ fn main() {
         .unwrap_or(8)
         .clamp(1, 300);
     let mixes = random_mixes(n_mixes, 8, 0xFEED);
+    let cfg = env_scale();
 
     print_header(
         "fig19",
@@ -37,9 +44,9 @@ fn main() {
     let mut permit_ws = Vec::new();
     let mut dripper_ws = Vec::new();
     for (i, mix) in mixes.iter().enumerate() {
-        let base = run_mix(PgcPolicyKind::DiscardPgc, mix);
-        let permit = run_mix(PgcPolicyKind::PermitPgc, mix);
-        let dripper = run_mix(PgcPolicyKind::Dripper, mix);
+        let base = run_mix(PgcPolicyKind::DiscardPgc, mix, &cfg);
+        let permit = run_mix(PgcPolicyKind::PermitPgc, mix, &cfg);
+        let dripper = run_mix(PgcPolicyKind::Dripper, mix, &cfg);
         // Weighted speedup over the Discard baseline: per-core relative IPC
         // summed, normalised by core count.
         let wsp =

@@ -13,6 +13,7 @@ use pagecross_bench::{
     env_scale, ipcs_of, print_header, print_row, run_all, Scheme, Summary, WorkloadResult,
 };
 use pagecross_cpu::{BoundaryMode, OsConfig, PgcPolicyKind, PrefetcherKind};
+use pagecross_types::geomean;
 use pagecross_workloads::representative_seen;
 
 const THP_LEVELS: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -25,13 +26,6 @@ fn label(phys: &str, thp: f64) -> String {
 /// Sums a page-cross/OS counter of one scheme across every workload.
 fn total_of(results: &[WorkloadResult], scheme: &str, f: impl Fn(&WorkloadResult) -> u64) -> u64 {
     results.iter().filter(|r| r.scheme == scheme).map(f).sum()
-}
-
-fn geomean(v: &[f64]) -> f64 {
-    if v.is_empty() {
-        return 0.0;
-    }
-    (v.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / v.len() as f64).exp()
 }
 
 fn main() {
@@ -82,7 +76,7 @@ fn main() {
     let mut monotone = true;
     let mut endpoints = Vec::new();
     for &(phys_label, _) in &PHYS_LEVELS {
-        let mut prev: Option<u64> = None;
+        let mut pgcs: Vec<u64> = Vec::new();
         for thp in THP_LEVELS {
             let s = label(phys_label, thp);
             let pgc = total_of(&results, &s, |r| r.report.prefetch.pgc_issued);
@@ -90,7 +84,7 @@ fn main() {
             let reclaims = total_of(&results, &s, |r| r.report.os.reclaims);
             let promotions = total_of(&results, &s, |r| r.report.os.thp_promotions);
             let shootdowns = total_of(&results, &s, |r| r.report.os.shootdowns);
-            let geo = geomean(&ipcs_of(&results, &s));
+            let geo = geomean(&ipcs_of(&results, &s)).unwrap_or(0.0);
             print_row(
                 "fig_thp",
                 &[
@@ -105,20 +99,12 @@ fn main() {
             );
             // Weakly monotone per pressure level, with 2% slack for timing
             // noise from reclamation churn.
-            if let Some(p) = prev {
+            if let Some(&p) = pgcs.last() {
                 monotone &= pgc as f64 <= p as f64 * 1.02;
             }
-            prev = Some(pgc);
+            pgcs.push(pgc);
         }
-        let first = total_of(&results, &label(phys_label, THP_LEVELS[0]), |r| {
-            r.report.prefetch.pgc_issued
-        });
-        let last = total_of(
-            &results,
-            &label(phys_label, *THP_LEVELS.last().unwrap()),
-            |r| r.report.prefetch.pgc_issued,
-        );
-        endpoints.push((phys_label, first, last));
+        endpoints.push((phys_label, pgcs[0], pgcs[pgcs.len() - 1]));
     }
     let strictly_falls = endpoints.iter().all(|&(_, first, last)| last < first);
 

@@ -48,15 +48,6 @@ fn bench_decode(c: &mut Micro, path: &Path) {
             black_box(drain(&mut src, TRACE_LEN))
         });
     });
-    // Informational: the decoder thread forced on, regardless of core
-    // count (on a single-core box this shows the overlap-free overhead
-    // the adaptive spawn avoids).
-    g.bench_function("streaming_source_forced_bg", |b| {
-        b.iter(|| {
-            let mut src = StreamingSource::spawn_background(path).expect("verified trace");
-            black_box(drain(&mut src, TRACE_LEN))
-        });
-    });
     g.finish();
 }
 

@@ -12,48 +12,34 @@ fn main() {
     let cfg = dripper_config(TargetPrefetcher::Berti);
     print_header("table03", &["component", "geometry", "KB"]);
 
-    let wt_bits =
-        cfg.program_features.len() as u64 * cfg.wt_entries as u64 * cfg.weight_bits as u64;
-    print_row(
-        "table03",
-        &[
-            "program features".into(),
-            format!(
-                "{}x{}x{} bits",
-                cfg.program_features.len(),
-                cfg.wt_entries,
-                cfg.weight_bits
-            ),
-            format!("{:.5}", wt_bits as f64 / 8.0 / 1000.0),
-        ],
+    let (pfs, sfs, bits) = (
+        cfg.program_features.len(),
+        cfg.system_features.len(),
+        cfg.weight_bits as usize,
     );
-    let sf_bits = cfg.system_features.len() as u64 * cfg.weight_bits as u64;
-    print_row(
-        "table03",
-        &[
-            "system features".into(),
-            format!("{}x{} bits", cfg.system_features.len(), cfg.weight_bits),
-            format!("{:.5}", sf_bits as f64 / 8.0 / 1000.0),
-        ],
-    );
-    let vub_bits = cfg.vub_entries as u64 * 48;
-    let pub_bits = cfg.pub_entries as u64 * 48;
-    print_row(
-        "table03",
-        &[
-            "vUB".into(),
+    // (component, geometry, size in bits); a buffer entry is 36 + 12 bits.
+    let rows = [
+        (
+            "program features",
+            format!("{pfs}x{}x{bits} bits", cfg.wt_entries),
+            pfs * cfg.wt_entries * bits,
+        ),
+        ("system features", format!("{sfs}x{bits} bits"), sfs * bits),
+        (
+            "vUB",
             format!("{}x(36+12) bits", cfg.vub_entries),
-            format!("{:.5}", vub_bits as f64 / 8.0 / 1000.0),
-        ],
-    );
-    print_row(
-        "table03",
-        &[
-            "pUB".into(),
+            cfg.vub_entries * 48,
+        ),
+        (
+            "pUB",
             format!("{}x(36+12) bits", cfg.pub_entries),
-            format!("{:.5}", pub_bits as f64 / 8.0 / 1000.0),
-        ],
-    );
+            cfg.pub_entries * 48,
+        ),
+    ];
+    for (component, geometry, size) in rows {
+        let kb = format!("{:.5}", size as f64 / 8.0 / 1000.0);
+        print_row("table03", &[component.into(), geometry, kb]);
+    }
     let total = cfg.storage_kb();
     print_row(
         "table03",

@@ -8,22 +8,13 @@
 //! never harms the non-intensive workloads.
 
 use pagecross_bench::{
-    core_schemes, env_scale, fmt_pct, geomean_speedup, ipcs_of, print_header, print_row, run_all,
-    Summary,
+    core_schemes, env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, run_all, Summary,
+    WorkloadResult,
 };
-use pagecross_cpu::PrefetcherKind;
-use pagecross_workloads::{non_intensive_workloads, representative_seen, representative_unseen};
-
-fn geo_pair(workloads: &[&'static pagecross_workloads::Workload]) -> (f64, f64) {
-    let cfg = env_scale();
-    let schemes = core_schemes(PrefetcherKind::Berti);
-    let results = run_all(workloads, &schemes, &cfg);
-    let base = ipcs_of(&results, "discard-pgc");
-    (
-        geomean_speedup(&ipcs_of(&results, "permit-pgc"), &base),
-        geomean_speedup(&ipcs_of(&results, "dripper"), &base),
-    )
-}
+use pagecross_cpu::{PrefetcherKind, TraceFactory};
+use pagecross_workloads::{
+    non_intensive_workloads, representative_seen, representative_unseen, Workload,
+};
 
 fn main() {
     let seen = representative_seen(2);
@@ -33,27 +24,36 @@ fn main() {
     all.extend(unseen.iter().copied());
     all.extend(non_intensive.iter().copied());
 
+    // Every distinct workload runs once; each set's geomeans are taken
+    // over its own workloads' cells, in the set's order.
+    let mut distinct: Vec<&Workload> = Vec::new();
+    for w in &all {
+        if !distinct.iter().any(|d| std::ptr::eq(*d, *w)) {
+            distinct.push(w);
+        }
+    }
+    let schemes = core_schemes(PrefetcherKind::Berti);
+    let results = run_all(&distinct, &schemes, &env_scale());
+    let geo_pair = |set: &[&Workload]| {
+        let cells: Vec<WorkloadResult> = set
+            .iter()
+            .flat_map(|w| results.iter().filter(|r| r.workload == w.name()))
+            .cloned()
+            .collect();
+        let g = geomeans_vs_first(&cells, &schemes);
+        (g[0], g[1])
+    };
+
     print_header("table05", &["set", "permit", "dripper"]);
-    let (p_seen, d_seen) = geo_pair(&seen);
-    print_row(
-        "table05",
-        &["seen".into(), fmt_pct(p_seen), fmt_pct(d_seen)],
-    );
-    let (p_unseen, d_unseen) = geo_pair(&unseen);
-    print_row(
-        "table05",
-        &["unseen".into(), fmt_pct(p_unseen), fmt_pct(d_unseen)],
-    );
-    let (p_all, d_all) = geo_pair(&all);
-    print_row(
-        "table05",
-        &["all+non-intensive".into(), fmt_pct(p_all), fmt_pct(d_all)],
-    );
-    let (p_ni, d_ni) = geo_pair(&non_intensive);
-    print_row(
-        "table05",
-        &["non-intensive only".into(), fmt_pct(p_ni), fmt_pct(d_ni)],
-    );
+    let row = |label: &str, set: &[&Workload]| {
+        let (p, d) = geo_pair(set);
+        print_row("table05", &[label.into(), fmt_pct(p), fmt_pct(d)]);
+        (p, d)
+    };
+    let (p_seen, d_seen) = row("seen", &seen);
+    let (p_unseen, d_unseen) = row("unseen", &unseen);
+    let (p_all, d_all) = row("all+non-intensive", &all);
+    let (_, d_ni) = row("non-intensive only", &non_intensive);
 
     let shape = d_seen > p_seen
         && d_unseen > p_unseen

@@ -11,13 +11,15 @@
 //! **bit-for-bit identical** for any worker count — `--jobs 1` and
 //! `--jobs 32` produce the same reports, in the same order.
 //!
-//! The 20+ `benches/fig*`/`table*` experiment harnesses all call
-//! [`run_all`], which routes through the pool sized by
-//! [`env_jobs`] (`PAGECROSS_JOBS`, default: all available cores), so every
-//! figure campaign scales with the machine without per-experiment code.
+//! The `benches/fig*`/`table*`/`ablation*` experiment harnesses all call
+//! [`run_all`] (fig19's 8-core mixes excepted), which routes through the
+//! pool sized by [`env_jobs`] (`PAGECROSS_JOBS`, default: all available
+//! cores), so every figure campaign scales with the machine without
+//! per-experiment code.
 
 use std::time::{Duration, Instant};
 
+use moka_pgc::FilterConfig;
 use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{
     BoundaryMode, L2PrefetcherKind, OsConfig, PgcPolicyKind, PhaseTimings, PrefetcherKind, Report,
@@ -108,6 +110,9 @@ pub struct Scheme {
     pub huge: HugePagePolicy,
     /// Imitation-OS model (`None` = off, the default).
     pub os: Option<OsConfig>,
+    /// Explicit MOKA filter overriding `policy` (ablation sweeps; `None`
+    /// = build the filter `policy` names).
+    pub filter: Option<FilterConfig>,
 }
 
 impl Scheme {
@@ -121,13 +126,14 @@ impl Scheme {
             boundary: BoundaryMode::Fixed4K,
             huge: HugePagePolicy::None,
             os: None,
+            filter: None,
         }
     }
 
     /// A builder simulating this scheme for `warmup` then `instructions`
     /// instructions, with physical frames placed by `seed`.
     pub(crate) fn builder(&self, seed: u64, warmup: u64, instructions: u64) -> SimulationBuilder {
-        let builder = SimulationBuilder::new()
+        let mut builder = SimulationBuilder::new()
             .prefetcher(self.prefetcher)
             .pgc_policy(self.policy)
             .l2_prefetcher(self.l2)
@@ -136,10 +142,13 @@ impl Scheme {
             .seed(seed)
             .warmup(warmup)
             .instructions(instructions);
-        match self.os {
-            Some(os) => builder.os(os),
-            None => builder,
+        if let Some(os) = self.os {
+            builder = builder.os(os);
         }
+        if let Some(filter) = &self.filter {
+            builder = builder.custom_filter(filter.clone());
+        }
+        builder
     }
 }
 
@@ -187,15 +196,6 @@ pub struct WorkloadResult {
     /// failed cell — e.g. physical-memory exhaustion under the OS model —
     /// never sinks the rest of the grid: the other cells still merge.
     pub error: Option<String>,
-}
-
-/// Runs one (subject, scheme) cell.
-pub fn run_one<S: Subject + ?Sized>(
-    w: &S,
-    scheme: &Scheme,
-    cfg: &CampaignConfig,
-) -> WorkloadResult {
-    run_one_timed(w, scheme, cfg).0
 }
 
 /// Runs one (subject, scheme) cell and reports where the host wall-clock
@@ -454,14 +454,15 @@ pub fn run_all<S: Subject + ?Sized>(
 }
 
 /// Campaign scale from the environment: `PAGECROSS_SCALE` multiplies the
-/// measured instruction counts (default 1.0). Use e.g. `PAGECROSS_SCALE=4`
-/// for higher-fidelity runs.
+/// warm-up and measured instruction counts (default 1.0, floor 0.05, no
+/// ceiling). Use e.g. `PAGECROSS_SCALE=4` for higher-fidelity runs.
 pub fn env_scale() -> CampaignConfig {
     let scale = std::env::var("PAGECROSS_SCALE")
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|s| s.is_finite())
         .unwrap_or(1.0)
-        .clamp(0.05, 100.0);
+        .max(0.05);
     CampaignConfig {
         warmup_scale: scale,
         measure_scale: scale,
@@ -469,16 +470,21 @@ pub fn env_scale() -> CampaignConfig {
     }
 }
 
-/// The default experiment workload set: a template-stratified slice of the
-/// seen set spanning every suite (size controlled by `PAGECROSS_PER_SUITE`,
-/// default 4 → 32 workloads).
-pub fn quick_seen_set() -> Vec<&'static Workload> {
-    let per_suite = std::env::var("PAGECROSS_PER_SUITE")
+/// Workloads taken per suite from the environment: `PAGECROSS_PER_SUITE`
+/// (default 4, clamped to 1..=64).
+pub fn env_per_suite() -> usize {
+    std::env::var("PAGECROSS_PER_SUITE")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(4)
-        .clamp(1, 64);
-    pagecross_workloads::representative_seen(per_suite)
+        .clamp(1, 64)
+}
+
+/// The default experiment workload set: a template-stratified slice of the
+/// seen set spanning every suite ([`env_per_suite`] each, default 4 → 32
+/// workloads).
+pub fn quick_seen_set() -> Vec<&'static Workload> {
+    pagecross_workloads::representative_seen(env_per_suite())
 }
 
 /// The motivation-study set (Figs. 2–4): a curated dozen covering
@@ -775,6 +781,32 @@ mod tests {
         }
         assert_eq!(replayed.results[0].suite, "trace");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_filter_scheme_runs_the_builder_custom_filter() {
+        let w: &Workload = &suite(SuiteId::Gap).workloads()[0];
+        let cfg = tiny_cfg();
+        let mut fcfg = moka_pgc::dripper::dripper_config(moka_pgc::TargetPrefetcher::Berti);
+        fcfg.adaptive = false;
+        fcfg.static_threshold = -4;
+        let mut scheme = Scheme::new("static(-4)", PrefetcherKind::Berti, PgcPolicyKind::Dripper);
+        scheme.filter = Some(fcfg.clone());
+        let grid = run_grid(&[w], &[scheme], &cfg, 1);
+        let (warm, measure) = w.default_lengths();
+        let direct = SimulationBuilder::new()
+            .prefetcher(PrefetcherKind::Berti)
+            .custom_filter(fcfg)
+            .seed(cfg.seed)
+            .warmup((warm as f64 * cfg.warmup_scale) as u64)
+            .instructions((measure as f64 * cfg.measure_scale) as u64)
+            .run_workload(w);
+        assert_eq!(grid.results[0].report, direct);
+        let adaptive = run_grid(&[w], &core_schemes(PrefetcherKind::Berti)[2..], &cfg, 1);
+        assert_ne!(
+            adaptive.results[0].report, direct,
+            "the filter must override the scheme's own policy"
+        );
     }
 
     #[test]

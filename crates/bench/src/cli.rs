@@ -214,6 +214,34 @@ impl std::error::Error for CliError {}
 
 type Flags = std::collections::HashMap<String, String>;
 
+/// The flags `run` and `replay` share: every flag of their USAGE lines but
+/// the one naming the source.
+const SIM_FLAGS: &str = "prefetcher policy l2 huge warmup instructions telemetry-out \
+                         telemetry-interval telemetry-trace os phys-mem thp fault-ns";
+
+/// Parses `--key value` pairs. A flag outside `allowed` (the
+/// space-separated flags the subcommand's USAGE line lists) or given twice
+/// is an error rather than silently ignored or overridden.
+fn parse_flags(cmd: &str, args: &[&str], allowed: &str) -> Result<Flags, CliError> {
+    let mut kv = Flags::new();
+    for pair in args.chunks(2) {
+        let flag = pair[0];
+        let key = flag
+            .strip_prefix("--")
+            .ok_or_else(|| CliError(format!("expected --flag, got '{flag}'")))?;
+        let val = pair
+            .get(1)
+            .ok_or_else(|| CliError(format!("flag '{flag}' needs a value")))?;
+        if !allowed.split_whitespace().any(|a| a == key) {
+            return Err(CliError(format!("{cmd} does not take flag '{flag}'")));
+        }
+        if kv.insert(key.to_string(), val.to_string()).is_some() {
+            return Err(CliError(format!("flag '{flag}' given more than once")));
+        }
+    }
+    Ok(kv)
+}
+
 /// Parses an instruction-count flag (absent = 0, the default).
 fn parse_count(kv: &Flags, key: &str) -> Result<u64, CliError> {
     kv.get(key).map_or(Ok(0), |p| {
@@ -363,6 +391,23 @@ fn parse_l2(s: &str) -> Result<L2PrefetcherKind, CliError> {
     }
 }
 
+/// The flags `cmd`'s USAGE line lists, space-separated; `None` for an
+/// unknown subcommand.
+fn flags_of(cmd: &str) -> Option<String> {
+    Some(match cmd {
+        "help" | "--help" | "-h" => String::new(),
+        "list" => "suite".into(),
+        "run" => format!("workload {SIM_FLAGS}"),
+        "compare" => "workload prefetcher".into(),
+        "sweep" => "suite prefetcher jobs".into(),
+        "campaign" => "suite prefetcher jobs per-suite trace-dir".into(),
+        "record" => "workload out warmup instructions".into(),
+        "replay" => format!("trace {SIM_FLAGS}"),
+        "check-telemetry" => "jsonl".into(),
+        _ => return None,
+    })
+}
+
 /// Parses an argument vector (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter().map(String::as_str);
@@ -370,20 +415,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         return Ok(Command::Help);
     };
 
-    let mut kv = Flags::new();
-    let rest: Vec<&str> = it.collect();
-    let mut i = 0;
-    while i < rest.len() {
-        let key = rest[i];
-        if !key.starts_with("--") {
-            return Err(CliError(format!("expected --flag, got '{key}'")));
-        }
-        let val = rest
-            .get(i + 1)
-            .ok_or_else(|| CliError(format!("flag '{key}' needs a value")))?;
-        kv.insert(key.trim_start_matches("--").to_string(), val.to_string());
-        i += 2;
-    }
+    let allowed = flags_of(cmd)
+        .ok_or_else(|| CliError(format!("unknown subcommand '{cmd}' (try 'help')")))?;
+    let kv = parse_flags(cmd, &it.collect::<Vec<_>>(), &allowed)?;
     let get = |k: &str| kv.get(k).map(String::as_str);
 
     match cmd {
@@ -441,9 +475,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .ok_or_else(|| CliError("check-telemetry requires --jsonl <path>".into()))?
                 .to_string(),
         }),
-        other => Err(CliError(format!(
-            "unknown subcommand '{other}' (try 'help')"
-        ))),
+        _ => unreachable!("subcommand '{cmd}' checked above"),
     }
 }
 
@@ -1009,7 +1041,7 @@ mod tests {
     fn run_and_replay_require_their_source() {
         let e = parse(&argv("run --policy dripper")).unwrap_err();
         assert_eq!(e.0, "run requires --workload <name>");
-        let e = parse(&argv("replay --workload gap.s00")).unwrap_err();
+        let e = parse(&argv("replay --policy dripper")).unwrap_err();
         assert_eq!(e.0, "replay requires --trace <path>");
     }
 
@@ -1043,6 +1075,72 @@ mod tests {
     fn flags_need_values() {
         assert!(parse(&argv("run --workload")).is_err());
         assert!(parse(&argv("list --suite gap stray")).is_err());
+    }
+
+    /// Each subcommand takes exactly the flags its USAGE entry lists.
+    #[test]
+    fn subcommand_flags_match_usage() {
+        let mut usage: Vec<(&str, Vec<&str>)> = Vec::new();
+        let entries = USAGE
+            .lines()
+            .skip_while(|l| !l.starts_with("USAGE:"))
+            .take_while(|l| !l.starts_with("Suites:"));
+        for line in entries {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"pagecross") {
+                usage.push((words.nth(1).unwrap(), Vec::new()));
+            }
+            if let Some((_, flags)) = usage.last_mut() {
+                flags.extend(words.filter_map(|w| w.trim_start_matches('[').strip_prefix("--")));
+            }
+        }
+        assert_eq!(
+            usage.len(),
+            8,
+            "every subcommand but help has a USAGE entry"
+        );
+        for (cmd, mut listed) in usage {
+            let allowed = flags_of(cmd).expect("USAGE names a real subcommand");
+            let mut taken: Vec<&str> = allowed.split_whitespace().collect();
+            listed.sort_unstable();
+            taken.sort_unstable();
+            assert_eq!(taken, listed, "{cmd}");
+        }
+    }
+
+    /// A flag the subcommand would ignore, or a second value for one it
+    /// takes, is an error naming the flag.
+    #[test]
+    fn unknown_and_repeated_flags_rejected() {
+        for (args, want) in [
+            (
+                "run --workload gap.s00 --polcy permit",
+                "run does not take flag '--polcy'",
+            ),
+            (
+                "replay --trace t.pct --workload gap.s00",
+                "replay does not take flag '--workload'",
+            ),
+            (
+                "record --workload gap.s00 --policy permit",
+                "record does not take flag '--policy'",
+            ),
+            (
+                "campaign --per-suite 2 --telemetry-out t.jsonl",
+                "campaign does not take flag '--telemetry-out'",
+            ),
+            ("help --suite gap", "help does not take flag '--suite'"),
+            (
+                "run --workload gap.s00 --warmup 1 --warmup 2",
+                "flag '--warmup' given more than once",
+            ),
+            (
+                "sweep --suite gap --suite spec06",
+                "flag '--suite' given more than once",
+            ),
+        ] {
+            assert_eq!(parse(&argv(args)).unwrap_err().0, want, "{args}");
+        }
     }
 
     #[test]

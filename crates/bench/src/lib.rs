@@ -11,8 +11,12 @@ pub mod microbench;
 pub mod table;
 
 pub use campaign::{
-    core_schemes, env_jobs, env_scale, ipcs_of, motivation_set, quick_seen_set, run_all, run_grid,
-    run_one, run_one_timed, CampaignConfig, CampaignRun, CellTiming, Scheme, ShardStats, Subject,
-    WorkloadResult,
+    core_schemes, env_jobs, env_per_suite, env_scale, ipcs_of, motivation_set, quick_seen_set,
+    run_all, run_grid, run_one_timed, CampaignConfig, CampaignRun, CellTiming, Scheme, ShardStats,
+    Subject, WorkloadResult,
 };
-pub use table::{fmt_opt_ratio, fmt_pct, geomean_speedup, print_header, print_row, Summary};
+pub use table::{
+    fmt_opt_ratio, fmt_pct, geomean_speedup, geomeans_vs_first, mean, mean_delta, mpki_delta,
+    print_geomean_row, print_header, print_row, print_speedup_rows, speedup_rows, SpeedupRow,
+    Summary,
+};

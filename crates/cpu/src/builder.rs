@@ -5,9 +5,7 @@ use crate::config::{BoundaryMode, CoreConfig};
 use crate::engine::CoreEngine;
 use crate::report::{MixReport, Report};
 use crate::trace::TraceFactory;
-use moka_pgc::dripper::{
-    dripper_config, single_program_feature, single_system_feature, TargetPrefetcher,
-};
+use moka_pgc::dripper::{single_program_feature, single_system_feature, TargetPrefetcher};
 use moka_pgc::{
     DiscardPgc, DiscardPtw, FilterConfig, FilterPolicy, PageCrossFilter, PermitPgc, PgcPolicy,
     ProgramFeature, SystemFeature,
@@ -78,8 +76,6 @@ pub enum PgcPolicyKind {
     Dripper,
     /// DRIPPER with only its system features (§V-B5).
     DripperSf,
-    /// DRIPPER with a static activation threshold (ablation).
-    DripperStatic(i32),
     /// PPF converted to a page-cross filter (static threshold).
     Ppf,
     /// PPF with MOKA's dynamic thresholding.
@@ -100,7 +96,6 @@ impl PgcPolicyKind {
             PgcPolicyKind::IsoStorage => "iso-storage",
             PgcPolicyKind::Dripper => "dripper",
             PgcPolicyKind::DripperSf => "dripper-sf",
-            PgcPolicyKind::DripperStatic(_) => "dripper-static",
             PgcPolicyKind::Ppf => "ppf",
             PgcPolicyKind::PpfDthr => "ppf+dthr",
             PgcPolicyKind::SingleFeature(_) => "single-feature",
@@ -335,15 +330,6 @@ impl SimulationBuilder {
                 Box::new(moka_pgc::dripper::dripper(self.prefetcher.dripper_target()))
             }
             PgcPolicyKind::DripperSf => Box::new(moka_pgc::dripper_sf()),
-            PgcPolicyKind::DripperStatic(t) => {
-                let mut cfg = dripper_config(self.prefetcher.dripper_target());
-                cfg.adaptive = false;
-                cfg.static_threshold = t;
-                Box::new(FilterPolicy::new(
-                    "dripper-static",
-                    PageCrossFilter::new(cfg),
-                ))
-            }
             PgcPolicyKind::Ppf => Box::new(moka_pgc::ppf()),
             PgcPolicyKind::PpfDthr => Box::new(moka_pgc::ppf_dthr()),
             PgcPolicyKind::SingleFeature(f) => Box::new(single_program_feature(f)),

@@ -21,10 +21,13 @@
 //!
 //! # Reading modes
 //!
-//! * [`BlockingSource`] decodes chunks inline on the simulation thread;
 //! * [`StreamingSource`] decodes on a background `std::thread` into a
-//!   double-buffered channel so decode overlaps simulation (the default for
-//!   [`TraceReplay`]).
+//!   double-buffered channel so decode overlaps simulation. It is what
+//!   [`TraceReplay`] builds on a machine with two or more hardware threads.
+//! * [`BlockingSource`] decodes chunks inline on the simulation thread. It
+//!   is what [`TraceReplay`] builds on a single-core machine, where a
+//!   decoder thread has nothing to overlap with, or after
+//!   [`TraceReplay::blocking`].
 //!
 //! Both rewind to the first chunk when the file is exhausted, preserving
 //! the infinite-stream `TraceSource` contract (like ChampSim's trace

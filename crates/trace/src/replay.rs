@@ -4,9 +4,11 @@
 //! default: chunks are decoded on a background `std::thread` and passed
 //! through a bounded two-slot channel, so the decode of chunk *n+1* (and
 //! *n+2*) overlaps the simulation of chunk *n* — the double-buffering the
-//! paper's ChampSim methodology gets from its gzip pipe. The blocking
-//! variant decodes inline and exists as the baseline the `micro_trace`
-//! benchmark compares against.
+//! paper's ChampSim methodology gets from its gzip pipe. Overlap needs a
+//! second hardware thread, so on a single-core machine (or after
+//! [`TraceReplay::blocking`]) `build` hands out the inline
+//! [`BlockingSource`] instead; a decoder thread there could only add
+//! context-switch cost on top of the same decode work.
 
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver};
@@ -53,7 +55,8 @@ impl TraceReplay {
         })
     }
 
-    /// Switches `build()` to the inline (blocking) decoder.
+    /// Switches `build()` to the inline (blocking) decoder on every
+    /// machine.
     pub fn blocking(mut self) -> Self {
         self.streaming = false;
         self
@@ -80,17 +83,13 @@ impl TraceFactory for TraceReplay {
         // environmental (file deleted/corrupted between open and build) and
         // the infallible TraceSource contract leaves panicking with a
         // descriptive message as the only honest option.
-        if self.streaming {
-            Box::new(
-                StreamingSource::spawn(&self.path)
-                    .unwrap_or_else(|e| panic!("replay of {}: {e}", self.path.display())),
-            )
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let source: Result<Box<dyn TraceSource>, TraceError> = if self.streaming && cores >= 2 {
+            StreamingSource::spawn(&self.path).map(|s| Box::new(s) as _)
         } else {
-            Box::new(
-                BlockingSource::open(&self.path)
-                    .unwrap_or_else(|e| panic!("replay of {}: {e}", self.path.display())),
-            )
-        }
+            BlockingSource::open(&self.path).map(|s| Box::new(s) as _)
+        };
+        source.unwrap_or_else(|e| panic!("replay of {}: {e}", self.path.display()))
     }
 }
 
@@ -152,51 +151,19 @@ impl TraceSource for BlockingSource {
 /// background thread (`pct-decode`) and handed over through a bounded
 /// two-slot channel, so decode overlaps simulation.
 ///
-/// Overlap needs a second hardware thread. On a single-core machine a
-/// background decoder can only *add* context-switch cost on top of the
-/// same decode work, so [`StreamingSource::spawn`] degrades to inline
-/// decoding there (measured in the `micro_trace` benchmark); use
-/// [`StreamingSource::spawn_background`] to force the decoder thread.
-///
 /// The decoder thread exits when the source is dropped (the channel
 /// disconnects and `send` fails) or when it hits a decode error, which it
 /// forwards so the consumer can report it.
 pub struct StreamingSource {
-    inner: StreamImpl,
+    rx: Receiver<Result<Vec<Instr>, TraceError>>,
     path: PathBuf,
     chunk: Vec<Instr>,
     pos: usize,
 }
 
-enum StreamImpl {
-    /// Chunks arrive pre-decoded from the `pct-decode` thread.
-    Background(Receiver<Result<Vec<Instr>, TraceError>>),
-    /// Single-core fallback: decode inline on the consumer thread.
-    Inline(TraceReader),
-}
-
 impl StreamingSource {
-    /// Opens `path` for streaming replay: decode on a background thread
-    /// when a second hardware thread exists, inline otherwise.
+    /// Opens `path` and spawns its decoder thread.
     pub fn spawn(path: &Path) -> Result<Self, TraceError> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores >= 2 {
-            return Self::spawn_background(path);
-        }
-        let reader = TraceReader::open(path)?;
-        if reader.meta().instr_count == 0 {
-            return Err(TraceError::Empty);
-        }
-        Ok(Self {
-            inner: StreamImpl::Inline(reader),
-            path: path.to_path_buf(),
-            chunk: Vec::new(),
-            pos: 0,
-        })
-    }
-
-    /// Opens `path` and unconditionally spawns the decoder thread.
-    pub fn spawn_background(path: &Path) -> Result<Self, TraceError> {
         let mut reader = TraceReader::open(path)?;
         if reader.meta().instr_count == 0 {
             return Err(TraceError::Empty);
@@ -225,47 +192,24 @@ impl StreamingSource {
             })
             .map_err(TraceError::Io)?;
         Ok(Self {
-            inner: StreamImpl::Background(rx),
+            rx,
             path: path.to_path_buf(),
             chunk: Vec::new(),
             pos: 0,
         })
     }
 
-    /// True when chunks come from the background decoder thread.
-    pub fn is_background(&self) -> bool {
-        matches!(self.inner, StreamImpl::Background(_))
-    }
-
     fn refill(&mut self) {
-        loop {
-            match &mut self.inner {
-                StreamImpl::Background(rx) => match rx.recv() {
-                    Ok(Ok(chunk)) => {
-                        self.chunk = chunk;
-                        self.pos = 0;
-                        return;
-                    }
-                    Ok(Err(e)) => panic!("replay of {}: {e}", self.path.display()),
-                    Err(_) => panic!(
-                        "replay of {}: decoder thread exited unexpectedly",
-                        self.path.display()
-                    ),
-                },
-                StreamImpl::Inline(reader) => match reader.next_chunk(&mut self.chunk) {
-                    Ok(true) => {
-                        self.pos = 0;
-                        return;
-                    }
-                    Ok(false) => {
-                        // Clean end of the recording: repeat from the top.
-                        if let Err(e) = reader.rewind() {
-                            panic!("replay of {}: {e}", self.path.display());
-                        }
-                    }
-                    Err(e) => panic!("replay of {}: {e}", self.path.display()),
-                },
+        match self.rx.recv() {
+            Ok(Ok(chunk)) => {
+                self.chunk = chunk;
+                self.pos = 0;
             }
+            Ok(Err(e)) => panic!("replay of {}: {e}", self.path.display()),
+            Err(_) => panic!(
+                "replay of {}: decoder thread exited unexpectedly",
+                self.path.display()
+            ),
         }
     }
 }
@@ -367,10 +311,7 @@ mod tests {
         let replay = TraceReplay::open(&path).unwrap();
         assert_eq!(replay.meta().instr_count, n);
         let mut blocking = BlockingSource::open(&path).unwrap();
-        // Force the decoder thread so this covers the background path even
-        // on single-core CI (adaptive spawn would decode inline there).
-        let mut streaming = StreamingSource::spawn_background(&path).unwrap();
-        assert!(streaming.is_background());
+        let mut streaming = StreamingSource::spawn(&path).unwrap();
         let mut direct = w.build();
         // Read past the end of the recording: both sources must wrap to the
         // first record (direct reference: restart the generator).
@@ -392,7 +333,7 @@ mod tests {
     fn dropping_streaming_source_stops_decoder() {
         let path = tmp("drop");
         record(&RandomWorkload { seed: 3 }, 1_000, 3, &path).unwrap();
-        let mut s = StreamingSource::spawn_background(&path).unwrap();
+        let mut s = StreamingSource::spawn(&path).unwrap();
         let _ = s.next_instr();
         drop(s);
         // The decoder notices the closed channel and exits; nothing to
@@ -401,20 +342,21 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_spawn_matches_background_stream() {
+    fn adaptive_build_matches_blocking_source() {
         let path = tmp("adaptive");
         let w = RandomWorkload { seed: 41 };
         record(&w, 1_200, 41, &path).unwrap();
-        // Whichever implementation spawn() picked for this machine, the
-        // instruction stream is the same.
-        let mut adaptive = StreamingSource::spawn(&path).unwrap();
-        let mut forced = StreamingSource::spawn_background(&path).unwrap();
+        // Whichever source build() picks for this machine (streaming with
+        // two or more cores, inline otherwise), and with blocking() forced,
+        // the instruction stream is the same.
+        let replay = TraceReplay::open(&path).unwrap();
+        let mut adaptive = replay.build();
+        let mut forced = replay.blocking().build();
+        let mut reference = BlockingSource::open(&path).unwrap();
         for i in 0..2_400 {
-            assert_eq!(
-                adaptive.next_instr(),
-                forced.next_instr(),
-                "diverged at {i}"
-            );
+            let want = reference.next_instr();
+            assert_eq!(forced.next_instr(), want, "blocking() diverged at {i}");
+            assert_eq!(adaptive.next_instr(), want, "build() diverged at {i}");
         }
         std::fs::remove_file(&path).ok();
     }

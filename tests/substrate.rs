@@ -5,8 +5,9 @@
 use pagecross::cpu::{CoreConfig, PgcPolicyKind, PrefetcherKind, SimulationBuilder};
 use pagecross::mem::vmem::HugePagePolicy;
 use pagecross::mem::{MemConfig, MemorySystem};
+use pagecross::moka::dripper::dripper_config;
 use pagecross::moka::filter::FilterConfig;
-use pagecross::moka::{ProgramFeature, SystemFeature};
+use pagecross::moka::{ProgramFeature, SystemFeature, TargetPrefetcher};
 use pagecross::types::VirtAddr;
 use pagecross::workloads::{suite, SuiteId};
 
@@ -205,16 +206,17 @@ fn iso_storage_enlarges_prefetcher_not_policy() {
 #[test]
 fn dripper_static_threshold_variants_differ() {
     let w = &suite(SuiteId::Gap).workloads()[0];
-    let loose = SimulationBuilder::new()
-        .pgc_policy(PgcPolicyKind::DripperStatic(-4))
-        .warmup(10_000)
-        .instructions(20_000)
-        .run_workload(w);
-    let strict = SimulationBuilder::new()
-        .pgc_policy(PgcPolicyKind::DripperStatic(12))
-        .warmup(10_000)
-        .instructions(20_000)
-        .run_workload(w);
+    let run = |threshold| {
+        let mut cfg = dripper_config(TargetPrefetcher::Berti);
+        cfg.adaptive = false;
+        cfg.static_threshold = threshold;
+        SimulationBuilder::new()
+            .custom_filter(cfg)
+            .warmup(10_000)
+            .instructions(20_000)
+            .run_workload(w)
+    };
+    let (loose, strict) = (run(-4), run(12));
     assert!(
         loose.prefetch.pgc_issued > strict.prefetch.pgc_issued,
         "threshold -4 ({}) must issue more than threshold 12 ({})",
