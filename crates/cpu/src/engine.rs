@@ -26,10 +26,10 @@ use pagecross_os::Os;
 use pagecross_prefetch::{AccessInfo, FnlMma, L1dPrefetcher, L1iPrefetcher, L2Prefetcher};
 use pagecross_telemetry::IntervalSampler;
 use pagecross_types::{
-    CoreStats, OsStats, PageSize, PhysAddr, PrefetchCandidate, PrefetchStats, StallCause,
+    CoreStats, FastSet, OsStats, PageSize, PhysAddr, PrefetchCandidate, PrefetchStats, StallCause,
     SystemSnapshot, TelemetryCounters, TraceEvent, VirtAddr,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// What a completing instruction was waiting on — recorded with its ROB
 /// entry so an ROB-full stall can be charged to the head's real cause.
@@ -86,7 +86,7 @@ pub struct CoreEngine {
     pc_hist: [u64; 3],
     delta_hist: [i64; 3],
     last_line: i64,
-    touched_pages: HashSet<u64>,
+    touched_pages: FastSet<u64>,
 
     epoch_base: TelemetryCounters,
     snapshot: SystemSnapshot,
@@ -143,7 +143,7 @@ impl CoreEngine {
             pc_hist: [0; 3],
             delta_hist: [0; 3],
             last_line: 0,
-            touched_pages: HashSet::new(),
+            touched_pages: FastSet::default(),
             epoch_base: TelemetryCounters::default(),
             snapshot: SystemSnapshot::default(),
             instrs_since_spot: 0,

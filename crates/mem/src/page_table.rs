@@ -16,8 +16,7 @@
 use crate::config::PscConfig;
 use crate::tlb::Translation;
 use crate::vmem::{FrameAllocator, OomError, Vmem};
-use pagecross_types::{PageSize, PhysAddr, VirtAddr, PAGE_SHIFT_4K};
-use std::collections::HashMap;
+use pagecross_types::{FastMap, PageSize, PhysAddr, VirtAddr, PAGE_SHIFT_4K};
 
 /// Radix levels of the 5-level table, from root to leaf.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -132,7 +131,7 @@ pub struct PageWalker {
     /// Root (PML5) node frame.
     root_frame: u64,
     /// Interior node frames keyed by (level-below-the-node, va prefix).
-    nodes: HashMap<(u8, u64), u64>,
+    nodes: FastMap<(u8, u64), u64>,
     psc_l5: Psc,
     psc_l4: Psc,
     psc_l3: Psc,
@@ -151,7 +150,7 @@ impl PageWalker {
         Self {
             core,
             root_frame: frames.alloc_pt_node(core),
-            nodes: HashMap::new(),
+            nodes: FastMap::default(),
             psc_l5: Psc::new(cfg.l5_entries),
             psc_l4: Psc::new(cfg.l4_entries),
             psc_l3: Psc::new(cfg.l3_entries),

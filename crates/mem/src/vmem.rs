@@ -13,13 +13,13 @@
 //! Within each region, every core owns a disjoint slice with its own RNG
 //! stream, so an address space's frame assignment depends only on
 //! `(seed, core, its own touch order)` — never on how accesses from
-//! different mix cores interleave. Exhaustion surfaces as a typed
-//! [`OomError`] instead of a panic, so callers (the campaign runner, or the
-//! OS reclamation layer in `pagecross-os`) can handle it.
+//! different mix cores interleave. Occupancy is a dense bitmap per slice
+//! (one bit per frame), so each random draw costs a bit test. Exhaustion
+//! surfaces as a typed [`OomError`] instead of a panic, so callers (the
+//! campaign runner, or the OS reclamation layer in `pagecross-os`) can
+//! handle it.
 
-use pagecross_types::{PageSize, Rng64, VirtAddr, HUGE_PAGE_SHIFT_2M, PAGE_SHIFT_4K};
-use std::collections::HashMap;
-use std::collections::HashSet;
+use pagecross_types::{FastMap, PageSize, Rng64, VirtAddr, HUGE_PAGE_SHIFT_2M, PAGE_SHIFT_4K};
 use std::fmt;
 
 use crate::tlb::Translation;
@@ -61,13 +61,55 @@ impl fmt::Display for OomError {
 
 impl std::error::Error for OomError {}
 
+/// Occupancy of one core's slice of a data-frame region: one bit per
+/// frame, indexed by offset from the slice base, plus the set-bit count.
+#[derive(Clone, Debug)]
+struct FramePool {
+    bits: Vec<u64>,
+    used: u64,
+}
+
+impl FramePool {
+    fn new(frames: u64) -> Self {
+        Self {
+            bits: vec![0; frames.div_ceil(64) as usize],
+            used: 0,
+        }
+    }
+
+    /// Marks offset `off` used; returns false if it already was.
+    #[inline]
+    fn insert(&mut self, off: u64) -> bool {
+        let (word, mask) = (&mut self.bits[(off / 64) as usize], 1u64 << (off % 64));
+        if *word & mask != 0 {
+            return false;
+        }
+        *word |= mask;
+        self.used += 1;
+        true
+    }
+
+    /// Marks offset `off` free; returns false if it was not in use.
+    fn remove(&mut self, off: u64) -> bool {
+        let mask = 1u64 << (off % 64);
+        match self.bits.get_mut((off / 64) as usize) {
+            Some(word) if *word & mask != 0 => {
+                *word &= !mask;
+                self.used -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// One core's private allocation context: its own RNG stream and its own
 /// occupancy within its slice of each physical region.
 #[derive(Clone, Debug)]
 struct CoreFrames {
     rng: Rng64,
-    used_4k: HashSet<u64>,
-    used_2m: HashSet<u64>,
+    used_4k: FramePool,
+    used_2m: FramePool,
     next_pt: u64,
 }
 
@@ -115,12 +157,12 @@ impl FrameAllocator {
         let pt_region_base = total_frames - total_frames / 8;
         let pt_frames = total_frames - pt_region_base;
         let n = n_cores as u64;
-        let slice_pt = pt_frames / n;
+        let (slice_4k, slice_2m, slice_pt) = (base_4k_frames / n, huge_frames / n, pt_frames / n);
         let per_core = (0..n)
             .map(|i| CoreFrames {
                 rng: Rng64::new(seed ^ 0x5EED_F4A3 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                used_4k: HashSet::new(),
-                used_2m: HashSet::new(),
+                used_4k: FramePool::new(slice_4k),
+                used_2m: FramePool::new(slice_2m),
                 next_pt: pt_region_base + i * slice_pt,
             })
             .collect();
@@ -130,8 +172,8 @@ impl FrameAllocator {
             huge_frames,
             pt_region_base,
             pt_frames,
-            slice_4k: base_4k_frames / n,
-            slice_2m: huge_frames / n,
+            slice_4k,
+            slice_2m,
             slice_pt,
             per_core,
         }
@@ -167,44 +209,49 @@ impl FrameAllocator {
         self.huge_region_base >> (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K)
     }
 
+    /// Draws uniformly from `[0, slice)` until a free offset comes up,
+    /// marks it used and returns it. One draw per iteration, stopping at the
+    /// first free offset: the frame chosen and the number of draws consumed
+    /// fix every later physical address, so this loop is part of the
+    /// simulated behaviour and must not shortcut to a known free frame.
+    fn draw(rng: &mut Rng64, pool: &mut FramePool, slice: u64) -> Option<u64> {
+        if pool.used >= slice {
+            return None;
+        }
+        loop {
+            let off = rng.below(slice);
+            if pool.insert(off) {
+                return Some(off);
+            }
+        }
+    }
+
     /// Allocates a random free 4 KB frame from `core`'s slice.
     pub fn alloc_4k(&mut self, core: u32) -> Result<u64, OomError> {
         let base = core as u64 * self.slice_4k;
-        let slice = self.slice_4k;
         let c = &mut self.per_core[core as usize];
-        if c.used_4k.len() as u64 >= slice {
-            return Err(OomError::Frames4K);
-        }
-        loop {
-            let pfn = base + c.rng.below(slice);
-            if c.used_4k.insert(pfn) {
-                return Ok(pfn);
-            }
-        }
+        Self::draw(&mut c.rng, &mut c.used_4k, self.slice_4k)
+            .map(|off| base + off)
+            .ok_or(OomError::Frames4K)
     }
 
     /// Allocates a random free 2 MB frame from `core`'s slice; returns its
     /// 2 MB frame number.
     pub fn alloc_2m(&mut self, core: u32) -> Result<u64, OomError> {
         let base = self.base_2m() + core as u64 * self.slice_2m;
-        let slice = self.slice_2m;
         let c = &mut self.per_core[core as usize];
-        if c.used_2m.len() as u64 >= slice {
-            return Err(OomError::Frames2M);
-        }
-        loop {
-            let pfn2m = base + c.rng.below(slice);
-            if c.used_2m.insert(pfn2m) {
-                return Ok(pfn2m);
-            }
-        }
+        Self::draw(&mut c.rng, &mut c.used_2m, self.slice_2m)
+            .map(|off| base + off)
+            .ok_or(OomError::Frames2M)
     }
 
     /// Returns a 4 KB frame to the pool it was allocated from (reclamation).
     pub fn free_4k(&mut self, pfn: u64) {
         debug_assert!(pfn < self.total_4k_frames, "not a 4KB data frame");
         let owner = (pfn / self.slice_4k).min(self.per_core.len() as u64 - 1);
-        let removed = self.per_core[owner as usize].used_4k.remove(&pfn);
+        let removed = self.per_core[owner as usize]
+            .used_4k
+            .remove(pfn - owner * self.slice_4k);
         debug_assert!(removed, "double free of 4KB frame {pfn}");
     }
 
@@ -213,7 +260,9 @@ impl FrameAllocator {
         let idx = pfn2m - self.base_2m();
         debug_assert!(idx < self.huge_frames, "not a 2MB data frame");
         let owner = (idx / self.slice_2m).min(self.per_core.len() as u64 - 1);
-        let removed = self.per_core[owner as usize].used_2m.remove(&pfn2m);
+        let removed = self.per_core[owner as usize]
+            .used_2m
+            .remove(idx - owner * self.slice_2m);
         debug_assert!(removed, "double free of 2MB frame {pfn2m}");
     }
 
@@ -240,8 +289,8 @@ impl FrameAllocator {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                c.used_4k.len() as u64
-                    + c.used_2m.len() as u64
+                c.used_4k.used
+                    + c.used_2m.used
                     + (c.next_pt - (self.pt_region_base + i as u64 * self.slice_pt))
             })
             .sum()
@@ -249,12 +298,12 @@ impl FrameAllocator {
 
     /// Free 4 KB frames remaining in `core`'s slice.
     pub fn free_4k_frames(&self, core: u32) -> u64 {
-        self.slice_4k - self.per_core[core as usize].used_4k.len() as u64
+        self.slice_4k - self.per_core[core as usize].used_4k.used
     }
 
     /// Free 2 MB frames remaining in `core`'s slice.
     pub fn free_2m_frames(&self, core: u32) -> u64 {
-        self.slice_2m - self.per_core[core as usize].used_2m.len() as u64
+        self.slice_2m - self.per_core[core as usize].used_2m.used
     }
 
     /// Total page-table node frames across all cores (diagnostics).
@@ -269,10 +318,10 @@ pub struct Vmem {
     policy: HugePagePolicy,
     core: u32,
     base_seed: u64,
-    map_4k: HashMap<u64, u64>,
-    map_2m: HashMap<u64, u64>,
+    map_4k: FastMap<u64, u64>,
+    map_2m: FastMap<u64, u64>,
     /// Cached promotion decision per 2 MB virtual region.
-    region_is_huge: HashMap<u64, bool>,
+    region_is_huge: FastMap<u64, bool>,
 }
 
 impl Vmem {
@@ -288,9 +337,9 @@ impl Vmem {
             policy,
             core,
             base_seed: seed,
-            map_4k: HashMap::new(),
-            map_2m: HashMap::new(),
-            region_is_huge: HashMap::new(),
+            map_4k: FastMap::default(),
+            map_2m: FastMap::default(),
+            region_is_huge: FastMap::default(),
         }
     }
 
@@ -409,17 +458,9 @@ impl Vmem {
     pub fn take_region_4k(&mut self, vpn2m: u64) -> Vec<(u64, u64)> {
         let lo = vpn2m << (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K);
         let hi = lo + (1 << (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K));
-        let mut out: Vec<(u64, u64)> = self
-            .map_4k
-            .iter()
-            .filter(|(&vpn, _)| vpn >= lo && vpn < hi)
-            .map(|(&vpn, &pfn)| (vpn, pfn))
-            .collect();
-        out.sort_unstable();
-        for (vpn, _) in &out {
-            self.map_4k.remove(vpn);
-        }
-        out
+        (lo..hi)
+            .filter_map(|vpn| Some((vpn, self.map_4k.remove(&vpn)?)))
+            .collect()
     }
 
     /// Number of mapped 4 KB pages.
@@ -436,6 +477,9 @@ impl Vmem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagecross_types::prop::{check, Config};
+    use pagecross_types::{prop_assert, prop_assert_eq};
+    use std::collections::HashSet;
 
     fn setup(policy: HugePagePolicy) -> (Vmem, FrameAllocator) {
         (Vmem::new(policy, 1), FrameAllocator::new(4u64 << 30, 2))
@@ -665,5 +709,249 @@ mod tests {
         assert_eq!(t.size, PageSize::Huge2M);
         assert_eq!(t.pfn, f2m);
         assert_eq!(vm.unmap_2m(region), Some(f2m));
+    }
+
+    /// The allocator as it was before the bitmap pools: per-core `HashSet`
+    /// occupancy keyed by absolute frame number, the same draw loop and the
+    /// same layout. The bitmap allocator must reproduce it draw for draw.
+    struct ReferenceAllocator {
+        slice_4k: u64,
+        slice_2m: u64,
+        base_2m: u64,
+        pt_base: u64,
+        slice_pt: u64,
+        rng: Vec<Rng64>,
+        used_4k: Vec<HashSet<u64>>,
+        used_2m: Vec<HashSet<u64>>,
+        next_pt: Vec<u64>,
+    }
+
+    impl ReferenceAllocator {
+        fn new(capacity_bytes: u64, seed: u64, n_cores: u32) -> Self {
+            let total = capacity_bytes >> PAGE_SHIFT_4K;
+            let n = n_cores as u64;
+            let pt_base = total - total / 8;
+            let slice_pt = (total - pt_base) / n;
+            Self {
+                slice_4k: total / 2 / n,
+                slice_2m: ((capacity_bytes * 3 / 8) >> HUGE_PAGE_SHIFT_2M) / n,
+                base_2m: (total / 2) >> (HUGE_PAGE_SHIFT_2M - PAGE_SHIFT_4K),
+                pt_base,
+                slice_pt,
+                rng: (0..n)
+                    .map(|i| Rng64::new(seed ^ 0x5EED_F4A3 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                    .collect(),
+                used_4k: vec![HashSet::new(); n as usize],
+                used_2m: vec![HashSet::new(); n as usize],
+                next_pt: (0..n).map(|i| pt_base + i * slice_pt).collect(),
+            }
+        }
+
+        fn draw(rng: &mut Rng64, used: &mut HashSet<u64>, base: u64, slice: u64) -> Option<u64> {
+            if used.len() as u64 >= slice {
+                return None;
+            }
+            loop {
+                let pfn = base + rng.below(slice);
+                if used.insert(pfn) {
+                    return Some(pfn);
+                }
+            }
+        }
+
+        fn alloc_4k(&mut self, core: u32) -> Result<u64, OomError> {
+            let c = core as usize;
+            let base = core as u64 * self.slice_4k;
+            Self::draw(&mut self.rng[c], &mut self.used_4k[c], base, self.slice_4k)
+                .ok_or(OomError::Frames4K)
+        }
+
+        fn alloc_2m(&mut self, core: u32) -> Result<u64, OomError> {
+            let c = core as usize;
+            let base = self.base_2m + core as u64 * self.slice_2m;
+            Self::draw(&mut self.rng[c], &mut self.used_2m[c], base, self.slice_2m)
+                .ok_or(OomError::Frames2M)
+        }
+
+        fn free_4k(&mut self, pfn: u64) {
+            let owner = (pfn / self.slice_4k).min(self.used_4k.len() as u64 - 1);
+            assert!(self.used_4k[owner as usize].remove(&pfn));
+        }
+
+        fn free_2m(&mut self, pfn2m: u64) {
+            let owner = ((pfn2m - self.base_2m) / self.slice_2m).min(self.used_2m.len() as u64 - 1);
+            assert!(self.used_2m[owner as usize].remove(&pfn2m));
+        }
+
+        fn alloc_pt_node(&mut self, core: u32) -> u64 {
+            let f = self.next_pt[core as usize];
+            self.next_pt[core as usize] += 1;
+            f
+        }
+
+        fn allocated_frames(&self) -> u64 {
+            let pt: u64 = (0..self.next_pt.len() as u64)
+                .map(|i| self.next_pt[i as usize] - (self.pt_base + i * self.slice_pt))
+                .sum();
+            let data: usize = self
+                .used_4k
+                .iter()
+                .chain(&self.used_2m)
+                .map(HashSet::len)
+                .sum();
+            data as u64 + pt
+        }
+    }
+
+    /// Machine shapes the differential test covers: (capacity, cores).
+    const SHAPES: [(u64, u32); 6] = [
+        (64 << 20, 1),
+        (64 << 20, 2),
+        (64 << 20, 8),
+        (4 << 30, 1),
+        (4 << 30, 2),
+        (4 << 30, 8),
+    ];
+
+    /// Frees `held[i]` in both allocators.
+    fn release(
+        fa: &mut FrameAllocator,
+        re: &mut ReferenceAllocator,
+        held: &mut Vec<(bool, u64)>,
+        i: usize,
+    ) {
+        let (huge, frame) = held.swap_remove(i);
+        if huge {
+            fa.free_2m(frame);
+            re.free_2m(frame);
+        } else {
+            fa.free_4k(frame);
+            re.free_4k(frame);
+        }
+    }
+
+    /// Runs `ops` against both allocators and compares every result.
+    /// An op is `(kind, arg)`: kinds 0–3 allocate a 4 KB frame, 4–5 a 2 MB
+    /// frame, 6 a page-table node (core `arg % cores`), and 7–9 free the
+    /// `arg`-th held frame. Then every pool the test can afford to fill is
+    /// driven to exhaustion, a few frames are freed, and it is refilled.
+    fn same_as_reference(shape: usize, seed: u64, ops: &[(u8, u64)]) -> Result<(), String> {
+        let (capacity, cores) = SHAPES[shape % SHAPES.len()];
+        let mut fa = FrameAllocator::with_cores(capacity, seed, cores);
+        let mut re = ReferenceAllocator::new(capacity, seed, cores);
+        let mut held: Vec<(bool, u64)> = Vec::new(); // (is_2m, frame)
+        let check_counts = |fa: &FrameAllocator, re: &ReferenceAllocator| -> Result<(), String> {
+            prop_assert_eq!(fa.allocated_frames(), re.allocated_frames());
+            for core in 0..cores {
+                let c = core as usize;
+                prop_assert_eq!(
+                    fa.free_4k_frames(core),
+                    re.slice_4k - re.used_4k[c].len() as u64
+                );
+                prop_assert_eq!(
+                    fa.free_2m_frames(core),
+                    re.slice_2m - re.used_2m[c].len() as u64
+                );
+            }
+            Ok(())
+        };
+        let mut allocs: Vec<(bool, u64)> = Vec::new();
+        for &(kind, arg) in ops {
+            let core = (arg % cores as u64) as u32;
+            match kind % 10 {
+                0..=3 => {
+                    let (a, b) = (fa.alloc_4k(core), re.alloc_4k(core));
+                    prop_assert_eq!(a, b, "alloc_4k(core {core})");
+                    allocs.extend(a.ok().map(|f| (false, f)));
+                }
+                4 | 5 => {
+                    let (a, b) = (fa.alloc_2m(core), re.alloc_2m(core));
+                    prop_assert_eq!(a, b, "alloc_2m(core {core})");
+                    allocs.extend(a.ok().map(|f| (true, f)));
+                }
+                6 => prop_assert_eq!(fa.alloc_pt_node(core), re.alloc_pt_node(core)),
+                _ => {
+                    held.append(&mut allocs);
+                    if !held.is_empty() {
+                        let i = (arg % held.len() as u64) as usize;
+                        release(&mut fa, &mut re, &mut held, i);
+                    }
+                }
+            }
+            check_counts(&fa, &re)?;
+        }
+        held.append(&mut allocs);
+
+        // Exhaust, free a few, refill: the refill draws land on exactly the
+        // freed frames, after as many draws as the reference takes.
+        // Filling a 4 GiB 4 KB pool would take ~7M reference draws.
+        let fill_4k = capacity <= 64 << 20;
+        let pools: &[bool] = if fill_4k { &[true, false] } else { &[true] };
+        for round in 0..2 {
+            for core in 0..cores {
+                for &huge in pools {
+                    loop {
+                        let (a, b) = if huge {
+                            (fa.alloc_2m(core), re.alloc_2m(core))
+                        } else {
+                            (fa.alloc_4k(core), re.alloc_4k(core))
+                        };
+                        prop_assert_eq!(a, b, "fill (huge {huge}, core {core}) round {round}");
+                        match a {
+                            Ok(f) => held.push((huge, f)),
+                            Err(_) => break,
+                        }
+                    }
+                }
+                prop_assert_eq!(fa.free_2m_frames(core), 0);
+                prop_assert!(!fill_4k || fa.free_4k_frames(core) == 0);
+            }
+            check_counts(&fa, &re)?;
+            let mut pick = Rng64::new(seed ^ round);
+            for _ in 0..held.len().min(16) {
+                let i = pick.below(held.len() as u64) as usize;
+                release(&mut fa, &mut re, &mut held, i);
+            }
+            check_counts(&fa, &re)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn bitmap_allocator_matches_hashset_reference() {
+        check(
+            &Config::cases(36).seed(0xF4A3),
+            |rng| {
+                let n = rng.below(600) as usize;
+                let ops: Vec<(u8, u64)> = (0..n)
+                    .map(|_| (rng.below(10) as u8, rng.next_u64()))
+                    .collect();
+                (rng.below(SHAPES.len() as u64) as u8, rng.next_u64(), ops)
+            },
+            |(shape, seed, ops)| same_as_reference(*shape as usize, *seed, ops),
+        );
+    }
+
+    #[test]
+    fn bitmap_allocator_covers_every_shape() {
+        let mut rng = Rng64::new(5);
+        let ops: Vec<(u8, u64)> = (0..400)
+            .map(|_| (rng.below(10) as u8, rng.next_u64()))
+            .collect();
+        for shape in 0..SHAPES.len() {
+            same_as_reference(shape, 977, &ops).unwrap();
+        }
+    }
+
+    #[test]
+    fn take_region_4k_leaves_other_regions() {
+        let (mut vm, mut fa) = setup(HugePagePolicy::None);
+        for vpn in [511u64, 512, 700, 1023, 1024, 5000] {
+            vm.map_4k_at(vpn, fa.alloc_4k(0).unwrap());
+        }
+        let taken: Vec<u64> = vm.take_region_4k(1).into_iter().map(|(v, _)| v).collect();
+        assert_eq!(taken, vec![512, 700, 1023]);
+        assert_eq!(vm.mapped_4k(), 3);
+        assert!(vm.take_region_4k(1).is_empty());
     }
 }

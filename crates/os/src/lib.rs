@@ -18,8 +18,8 @@
 //! split 2 MB frames are never coalesced back (no memory compaction).
 
 use pagecross_mem::{MemorySystem, OomError};
-use pagecross_types::{OsOp, OsStats, TraceEvent, VirtAddr};
-use std::collections::{HashMap, HashSet, VecDeque};
+use pagecross_types::{FastMap, FastSet, OsOp, OsStats, TraceEvent, VirtAddr};
+use std::collections::VecDeque;
 
 /// Tunables for the imitation OS. All latencies are in core cycles
 /// (4 GHz in the paper's Table IV, so 1 ns = 4 cycles).
@@ -78,21 +78,21 @@ const PAGES_PER_REGION: u64 = 512;
 #[derive(Default)]
 struct CorePager {
     /// Resident 4 KB pages: vpn4k -> CLOCK referenced bit.
-    pages: HashMap<u64, bool>,
+    pages: FastMap<u64, bool>,
     /// CLOCK hand order over reclaimable 4 KB pages (lazy deletion:
     /// stale entries are skipped when popped).
     clock: VecDeque<u64>,
     /// Resident 2 MB regions: vpn2m -> CLOCK referenced bit.
-    huge: HashMap<u64, bool>,
+    huge: FastMap<u64, bool>,
     clock_huge: VecDeque<u64>,
     /// Pages that were reclaimed; their next touch is a major fault.
-    swapped: HashSet<u64>,
+    swapped: FastSet<u64>,
     /// Code pages mapped by the loader model: never reclaimed.
-    pinned: HashSet<u64>,
+    pinned: FastSet<u64>,
     /// Resident 4 KB pages per 2 MB region (promotion trigger).
-    region_resident: HashMap<u64, u64>,
+    region_resident: FastMap<u64, u64>,
     /// Pinned pages per region (a pinned page blocks collapse).
-    region_pinned: HashMap<u64, u64>,
+    region_pinned: FastMap<u64, u64>,
     /// 4 KB frames carved out of demoted 2 MB frames, available for
     /// reuse. Split frames are never coalesced back (no compaction).
     free_subframes: Vec<u64>,

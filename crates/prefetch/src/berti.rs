@@ -14,8 +14,8 @@
 //! at page boundaries — that is the page-cross policy's job.
 
 use crate::{candidate, AccessInfo, L1dPrefetcher};
-use pagecross_types::{PrefetchCandidate, VirtAddr};
-use std::collections::{HashMap, VecDeque};
+use pagecross_types::{FastMap, PrefetchCandidate, VirtAddr};
+use std::collections::VecDeque;
 
 const HISTORY_LEN: usize = 64;
 const PENDING_LEN: usize = 32;
@@ -75,16 +75,21 @@ impl DeltaSet {
         }
     }
 
-    /// Up to two strongest active deltas.
-    fn active(&self) -> impl Iterator<Item = i64> + '_ {
-        let mut best: Vec<(i64, u8)> = self
-            .deltas
-            .iter()
-            .copied()
-            .filter(|(_, c)| *c >= ACTIVE_THRESHOLD)
-            .collect();
-        best.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
-        best.into_iter().take(2).map(|(d, _)| d)
+    /// Up to two strongest active deltas, strongest first; ties keep
+    /// table order (a stable top-2, without allocating).
+    fn active(&self) -> impl Iterator<Item = i64> {
+        let mut top: [Option<(i64, u8)>; 2] = [None, None];
+        for &(d, c) in &self.deltas {
+            if c < ACTIVE_THRESHOLD {
+                continue;
+            }
+            if top[0].is_none_or(|(_, c0)| c > c0) {
+                top = [Some((d, c)), top[0]];
+            } else if top[1].is_none_or(|(_, c1)| c > c1) {
+                top[1] = Some((d, c));
+            }
+        }
+        top.into_iter().flatten().map(|(d, _)| d)
     }
 }
 
@@ -93,7 +98,7 @@ impl DeltaSet {
 pub struct Berti {
     history: VecDeque<HistEntry>,
     pending: VecDeque<PendingMiss>,
-    per_pc: HashMap<u64, DeltaSet>,
+    per_pc: FastMap<u64, DeltaSet>,
     max_pcs: usize,
 }
 
@@ -109,7 +114,7 @@ impl Berti {
         Self {
             history: VecDeque::with_capacity(HISTORY_LEN),
             pending: VecDeque::with_capacity(PENDING_LEN),
-            per_pc: HashMap::new(),
+            per_pc: FastMap::default(),
             max_pcs: MAX_PCS_BASE * size_multiplier as usize,
         }
     }
@@ -300,5 +305,46 @@ mod tests {
             set.credit(99); // decays weakest entries, eventually replaces one
         }
         assert!(set.deltas.iter().any(|(d, _)| *d == 99));
+    }
+
+    /// `active` must equal the stable sort it replaced: filter, sort by
+    /// descending confidence keeping table order on ties, take two.
+    #[test]
+    fn active_is_a_stable_top_two() {
+        let reference = |set: &DeltaSet| -> Vec<i64> {
+            let mut best: Vec<(i64, u8)> = set
+                .deltas
+                .iter()
+                .copied()
+                .filter(|(_, c)| *c >= ACTIVE_THRESHOLD)
+                .collect();
+            best.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+            best.into_iter().take(2).map(|(d, _)| d).collect()
+        };
+        pagecross_types::prop::check(
+            &pagecross_types::prop::Config::cases(512),
+            |rng| {
+                // Confidences from a narrow range around the threshold, so
+                // most tables hold ties among their active deltas.
+                let n = rng.below(MAX_DELTAS_PER_PC as u64 + 1) as usize;
+                (0..n)
+                    .map(|i| (i as i64 + 1, 2 + rng.below(5) as u8))
+                    .collect::<Vec<(i64, u8)>>()
+            },
+            |deltas| {
+                let set = DeltaSet {
+                    deltas: deltas.clone(),
+                    updates: 0,
+                };
+                pagecross_types::prop_assert_eq!(set.active().collect::<Vec<_>>(), reference(&set));
+                Ok(())
+            },
+        );
+        let tied = DeltaSet {
+            deltas: vec![(3, 5), (-1, 7), (9, 5), (4, 7), (2, 7)],
+            updates: 0,
+        };
+        assert_eq!(tied.active().collect::<Vec<_>>(), vec![-1, 4]);
+        assert_eq!(reference(&tied), vec![-1, 4]);
     }
 }

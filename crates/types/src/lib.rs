@@ -30,6 +30,7 @@
 
 pub mod addr;
 pub mod counter;
+pub mod fastmap;
 pub mod prop;
 pub mod request;
 pub mod rng;
@@ -42,6 +43,7 @@ pub use addr::{
     LINE_SIZE, PAGE_SHIFT_4K, PAGE_SIZE_4K,
 };
 pub use counter::SatCounter;
+pub use fastmap::{FastMap, FastSet};
 pub use request::{AccessKind, Decision, PageSize, PrefetchCandidate, TranslationOutcome};
 pub use rng::Rng64;
 pub use snapshot::SystemSnapshot;
