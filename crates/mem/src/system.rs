@@ -1045,6 +1045,174 @@ mod tests {
         assert_eq!(pf_fills, 1, "the page-cross prefetch fill is recorded");
     }
 
+    // The five tests below pin asymmetries of the request path. Each is a
+    // model choice, not a law of hardware: the goldens (`tests/golden.rs`)
+    // and `simbench/expected.txt` lock it, so changing one moves both.
+
+    /// Model choice: every walk fills the dTLB, an instruction-side walk
+    /// included.
+    #[test]
+    fn every_walk_fills_the_dtlb() {
+        let mut m = sys();
+        let pc = VirtAddr::new(0x40_0000);
+        m.fetch_instr(0, pc, 0).unwrap();
+        assert_eq!(m.core(0).walk_stats.demand_walks, 1);
+        assert!(m.core(0).itlb.peek(pc));
+        assert!(m.core(0).stlb.peek(pc));
+        assert!(m.core(0).dtlb.peek(pc), "the fetch's walk fills the dTLB");
+    }
+
+    /// Model choice: a hit at L1D or L1I waits for an in-flight fill of
+    /// the line; a hit at L2C or LLC does not.
+    #[test]
+    fn only_first_level_hits_wait_for_inflight_fills() {
+        let mut m = sys();
+        let cfg = *m.config();
+        let va = VirtAddr::new(0x2000_0000);
+        m.demand_data(0, va, false, 0).unwrap();
+        let a = m.demand_data(0, va.offset(128), false, 10_000).unwrap();
+        let b = m.demand_data(0, va.offset(128), false, 10_001).unwrap();
+        assert!(!a.l1d_hit && b.l1d_hit);
+        assert_eq!(b.ready, a.ready, "an L1D hit waits for the fill");
+
+        let pc = VirtAddr::new(0x40_0000);
+        m.fetch_instr(0, pc, 0).unwrap();
+        let a = m.fetch_instr(0, pc.offset(128), 10_000).unwrap();
+        let b = m.fetch_instr(0, pc.offset(128), 10_001).unwrap();
+        assert!(!a.l1i_hit && b.l1i_hit);
+        assert_eq!(b.ready, a.ready, "an L1I hit waits for the fill");
+
+        // An L2C prefetch installs the line at issue; the demand that
+        // finds it there pays the L2C latency only.
+        let pa = m.translate_untimed(0, va.offset(256)).unwrap();
+        assert!(m.issue_l2_prefetch(0, pa, 20_000));
+        let d = m.demand_data(0, va.offset(256), false, 20_001).unwrap();
+        assert_eq!(d.l2_access, Some((pa, true)));
+        assert_eq!(d.ready, 20_001 + cfg.l1d.latency + cfg.l2c.latency);
+
+        // Core 0's L2C prefetch of core 1's line installs it in the shared
+        // LLC; core 1 then hits there without waiting for the DRAM fill.
+        let mut m = MemorySystem::new(MemConfig::table_iv(2), 2, HugePagePolicy::None, 1);
+        let vb = VirtAddr::new(0x8000_0000);
+        m.demand_data(1, vb, false, 0).unwrap();
+        let pa = m.translate_untimed(1, vb.offset(128)).unwrap();
+        assert!(m.issue_l2_prefetch(0, pa, 10_000));
+        let d = m.demand_data(1, vb.offset(128), false, 10_001).unwrap();
+        assert_eq!(d.l2_access, Some((pa, false)));
+        assert_eq!(
+            d.ready,
+            10_001 + cfg.l1d.latency + cfg.l2c.latency + cfg.llc.latency
+        );
+    }
+
+    /// Model choice: an L1D prefetch leaves for the L2C at translation-ready
+    /// time without the L1D latency; an L1I prefetch pays the L1I latency.
+    /// (The L2C prefetch pays the L2C latency; no public call can observe
+    /// it, so the `L2PrefetcherKind::Spp` golden row locks it.)
+    #[test]
+    fn l1d_prefetch_skips_its_own_latency_l1i_prefetch_pays_it() {
+        let mut m = sys();
+        let cfg = *m.config();
+        let va = VirtAddr::new(0x3000_0000);
+        m.demand_data(0, va, false, 0).unwrap();
+        let tgt = va.offset(512);
+        let pa = m.translate_untimed(0, tgt).unwrap();
+        assert!(m.issue_l2_prefetch(0, pa, 1_000));
+        assert!(
+            m.issue_prefetch(0, tgt, false, 10_000, true)
+                .unwrap()
+                .issued
+        );
+        let d = m.demand_data(0, tgt, false, 10_002).unwrap();
+        assert!(d.l1d_hit);
+        assert_eq!(d.ready, 10_000 + cfg.dtlb.latency + cfg.l2c.latency);
+
+        let pc = VirtAddr::new(0x40_0000);
+        m.fetch_instr(0, pc, 0).unwrap();
+        let tgt = pc.offset(512);
+        let pa = m.translate_untimed(0, tgt).unwrap();
+        assert!(m.issue_l2_prefetch(0, pa, 1_000));
+        assert!(m.issue_l1i_prefetch(0, tgt, 10_000));
+        let f = m.fetch_instr(0, tgt, 10_001).unwrap();
+        assert!(f.l1i_hit);
+        assert_eq!(f.ready, 10_000 + cfg.l1i.latency + cfg.l2c.latency);
+    }
+
+    /// Model choice: an L1I prefetch that hits in the sTLB does not fill
+    /// the iTLB; an L1D prefetch that hits in the sTLB fills the dTLB.
+    #[test]
+    fn stlb_hit_refills_dtlb_for_l1d_prefetch_only() {
+        let mut m = sys();
+        // A data walk fills the sTLB and dTLB, not the iTLB.
+        let code = VirtAddr::new(0x50_0000);
+        m.demand_data(0, code, false, 0).unwrap();
+        assert!(!m.core(0).itlb.peek(code) && m.core(0).stlb.peek(code));
+        assert!(m.issue_l1i_prefetch(0, code.offset(64), 1_000));
+        assert!(!m.core(0).itlb.peek(code), "iTLB not filled");
+        assert_eq!(m.core(0).itlb.stats.prefetch_fills, 0);
+
+        // Four more pages in the same 4-way dTLB set evict the first.
+        let va = VirtAddr::new(0x7000_0000);
+        m.demand_data(0, va, false, 10_000).unwrap();
+        for k in 1..=4u64 {
+            m.demand_data(
+                0,
+                VirtAddr::new(va.raw() + ((k * 16) << 12)),
+                false,
+                k * 10_000,
+            )
+            .unwrap();
+        }
+        assert!(!m.core(0).dtlb.peek(va) && m.core(0).stlb.peek(va));
+        let fills = m.core(0).dtlb.stats.prefetch_fills;
+        let r = m
+            .issue_prefetch(0, va.offset(64), false, 100_000, true)
+            .unwrap();
+        assert_eq!(r.translation, TranslationOutcome::StlbHit);
+        assert!(m.core(0).dtlb.peek(va), "dTLB refilled");
+        assert_eq!(m.core(0).dtlb.stats.prefetch_fills, fills + 1);
+    }
+
+    /// Model choice: walker reads are neutral at L1D but count as prefetch
+    /// accesses at L2C and LLC, and fill there as demand blocks.
+    #[test]
+    fn walker_reads_count_as_prefetch_accesses_below_l1d() {
+        let mut m = sys();
+        m.demand_data(0, VirtAddr::new(0x6000_0000), false, 0)
+            .unwrap();
+        assert_eq!(m.core(0).walk_stats.memory_refs, 5);
+        let c = m.core(0);
+        assert_eq!(c.l1d.stats.demand_accesses, 1, "the data access only");
+        assert_eq!(c.l1d.stats.prefetch_accesses, 0);
+        assert_eq!(c.l1d.occupancy(), 6, "5 PTE lines + the data line");
+        for s in [&c.l2c.stats, &m.llc.stats] {
+            assert_eq!(s.demand_accesses, 1);
+            assert_eq!(s.prefetch_accesses, 5, "one per PTE reference");
+            assert_eq!(s.prefetch_hits, 0);
+            assert_eq!(s.prefetch_fills, 0, "PTE lines fill as demand");
+        }
+        assert_eq!(c.l2c.occupancy(), 6);
+        assert_eq!(m.llc.occupancy(), 6);
+    }
+
+    /// A redundant prefetch of a resident line must not look up the MSHR:
+    /// prefetches run at translation-ready time, later than the next
+    /// demand's dispatch, and a lookup there would expire the demand's
+    /// in-flight fill early.
+    #[test]
+    fn redundant_prefetch_does_not_expire_inflight_fills() {
+        let mut m = sys();
+        let va = VirtAddr::new(0x3100_0000);
+        let d = m.demand_data(0, va, false, 0).unwrap();
+        assert!(!d.l1d_hit);
+        let ready = d.ready;
+        let r = m.issue_prefetch(0, va, false, ready + 1_000, true).unwrap();
+        assert!(r.redundant);
+        let late = m.demand_data(0, va, false, ready - 10).unwrap();
+        assert!(late.l1d_hit);
+        assert_eq!(late.ready, ready, "the fill is still in flight");
+    }
+
     #[test]
     fn store_miss_write_allocates_dirty() {
         let mut m = sys();
