@@ -16,7 +16,7 @@
 //!    back to the exact weights that produced each decision;
 //! 4. [`threshold`] — the epoch-based **adaptive thresholding** scheme.
 //!
-//! [`dripper`] instantiates the framework as the paper's DRIPPER prototype
+//! [`dripper`](mod@dripper) instantiates the framework as the paper's DRIPPER prototype
 //! (Table II) and as every comparison scheme of Fig. 9.
 //!
 //! # Example: DRIPPER learns from false negatives

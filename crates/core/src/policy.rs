@@ -135,18 +135,12 @@ impl PgcPolicy for DiscardPtw {
 pub struct FilterPolicy {
     name: &'static str,
     filter: PageCrossFilter,
-    /// Issue decisions pass the TLB-walk permission through.
-    allow_walk: bool,
 }
 
 impl FilterPolicy {
     /// Wraps a filter under a report name.
     pub fn new(name: &'static str, filter: PageCrossFilter) -> Self {
-        Self {
-            name,
-            filter,
-            allow_walk: true,
-        }
+        Self { name, filter }
     }
 
     /// Access to the wrapped filter (stats, threshold).
@@ -167,9 +161,7 @@ impl PgcPolicy for FilterPolicy {
         snap: &SystemSnapshot,
     ) -> PolicyAction {
         match self.filter.decide(cand, ctx, snap) {
-            Decision::Issue => PolicyAction::Issue {
-                allow_walk: self.allow_walk,
-            },
+            Decision::Issue => PolicyAction::Issue { allow_walk: true },
             Decision::Discard => PolicyAction::Discard,
         }
     }

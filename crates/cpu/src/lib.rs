@@ -22,7 +22,7 @@ pub use config::{BoundaryMode, CoreConfig};
 pub use pagecross_os::{Os, OsConfig};
 pub use pagecross_telemetry::{PhaseTimings, TelemetryConfig, TelemetryRun};
 pub use report::{MixReport, Report};
-pub use trace::{FnTrace, Instr, Op, TraceFactory, TraceSource};
+pub use trace::{Instr, Op, TraceFactory, TraceSource};
 
 #[cfg(test)]
 mod tests {

@@ -58,33 +58,3 @@ pub trait TraceFactory {
     /// Builds a fresh stream (deterministic for a given factory).
     fn build(&self) -> Box<dyn TraceSource>;
 }
-
-/// A trivial trace source driven by a closure (tests, microbenches).
-pub struct FnTrace<F: FnMut() -> Instr>(pub F);
-
-impl<F: FnMut() -> Instr> TraceSource for FnTrace<F> {
-    fn next_instr(&mut self) -> Instr {
-        (self.0)()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fn_trace_yields() {
-        let mut i = 0u64;
-        let mut t = FnTrace(move || {
-            i += 1;
-            Instr {
-                pc: 0x400000 + i * 4,
-                op: Op::Alu,
-            }
-        });
-        let a = t.next_instr();
-        let b = t.next_instr();
-        assert_ne!(a.pc, b.pc);
-        assert_eq!(a.op, Op::Alu);
-    }
-}

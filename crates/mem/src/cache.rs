@@ -195,12 +195,6 @@ impl Cache {
         }
     }
 
-    /// Touches a line on behalf of a prefetch probe (no demand statistics,
-    /// no LRU update). Returns presence.
-    pub fn prefetch_probe(&self, line: LineAddr) -> bool {
-        self.probe(line)
-    }
-
     /// Performs a prefetch lookup: counted under the prefetch statistics
     /// (never demand), refreshing LRU on a hit so prefetch traffic keeps
     /// resident lines warm. Misses are left for the owner to fill (or not);

@@ -7,8 +7,13 @@
 //! Fills propagate back up the chain (fill-path inclusive, like ChampSim's
 //! default), and L1D evictions are reported to the caller so the page-cross
 //! filter's pUB training can observe useless-PCB evictions.
+//!
+//! Every request takes one of three private steps: `translate` walks the
+//! TLB chain (and the page table), `read` serves a request that needs the
+//! data at one level and recurses into the level below on a miss, and
+//! `prefetch_into` issues a fire-and-forget prefetch fill at one level.
 
-use crate::cache::{Cache, Eviction, FillKind};
+use crate::cache::{Cache, Eviction, FillKind, Lookup};
 use crate::config::MemConfig;
 use crate::dram::Dram;
 use crate::mshr::Mshr;
@@ -28,12 +33,92 @@ enum Traffic {
     Demand { is_store: bool },
     /// Instruction fetch: demand on the L1I/L2/LLC path.
     Fetch,
-    /// Page-walk reference: occupies caches and bandwidth, no demand stats.
+    /// Page-walk reference: neutral at L1D, prefetch traffic below it.
     Walk,
     /// L1D prefetch fill fetch: no demand stats below L1D.
     PrefetchL1 { page_cross: bool },
-    /// L2C prefetch fill fetch.
+    /// L1I or L2C prefetch fill fetch.
     PrefetchL2,
+}
+
+impl Traffic {
+    /// Demand and fetch traffic; MSHR entries they allocate count toward
+    /// the demand occupancy.
+    fn is_demand(self) -> bool {
+        matches!(self, Traffic::Demand { .. } | Traffic::Fetch)
+    }
+
+    /// How a block this traffic brings in is installed.
+    fn fill_kind(self) -> FillKind {
+        match self {
+            Traffic::PrefetchL1 { page_cross: true } => FillKind::PrefetchPageCross,
+            Traffic::PrefetchL1 { .. } | Traffic::PrefetchL2 => FillKind::PrefetchInPage,
+            _ => FillKind::Demand,
+        }
+    }
+}
+
+/// One cache level of the hierarchy: its cache, MSHR file and latency.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tier {
+    L1i,
+    L1d,
+    L2c,
+    Llc,
+}
+
+impl Tier {
+    /// The level a miss here continues to; `None` is DRAM.
+    fn below(self) -> Option<Tier> {
+        match self {
+            Tier::L1i | Tier::L1d => Some(Tier::L2c),
+            Tier::L2c => Some(Tier::Llc),
+            Tier::Llc => None,
+        }
+    }
+
+    /// L1I and L1D: the levels whose hits wait for an in-flight fill.
+    fn is_first_level(self) -> bool {
+        matches!(self, Tier::L1i | Tier::L1d)
+    }
+}
+
+/// What a [`MemorySystem::read`] found at its level.
+struct Served {
+    /// Cycle the data is available at this level.
+    ready: u64,
+    /// This level's lookup (hit, first hit on a prefetch, PCB).
+    lookup: Lookup,
+    /// The level below's hit flag, when this level missed and filled.
+    below_hit: Option<bool>,
+    /// The block this level's fill evicted.
+    eviction: Option<Eviction>,
+}
+
+/// Who asks [`MemorySystem::translate`] for a translation: decides the
+/// first-level TLB, the statistics, the refills and whether it may walk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Who {
+    /// A demand load or store: dTLB -> sTLB -> walk.
+    Data,
+    /// An instruction fetch: iTLB -> sTLB -> walk; the walk also fills the
+    /// iTLB.
+    Instr,
+    /// An L1D prefetch: prefetch probes of the dTLB and sTLB, then a
+    /// speculative walk when `allow_walk` is set.
+    Prefetch { allow_walk: bool },
+    /// An L1I prefetch: prefetch probes of the iTLB and sTLB; it never
+    /// walks and never refills the iTLB.
+    InstrPrefetch,
+}
+
+/// A translation and the level it was found at.
+struct Translated {
+    /// Where the translation was found.
+    found: TranslationOutcome,
+    /// The translation and its ready cycle; `None` when it needed a walk
+    /// the requester may not start.
+    resolved: Option<(Translation, u64)>,
 }
 
 /// Result of a demand data access.
@@ -73,7 +158,7 @@ pub struct PrefetchIssueResult {
     pub redundant: bool,
     /// A speculative page walk was performed.
     pub walked: bool,
-    /// TLB state encountered for the target page.
+    /// The TLB level the target's translation was found at.
     pub translation: TranslationOutcome,
     /// Physical line fetched (when issued): pUB key.
     pub paddr: Option<PhysAddr>,
@@ -199,17 +284,33 @@ impl MemorySystem {
         }
     }
 
-    fn push_eviction_event(&mut self, core: usize, cycle: u64, ev: &Eviction) {
-        self.push_event(
-            core,
-            cycle,
-            TraceEvent::Evict {
+    /// Records an L1D fill of `line` and the eviction it caused.
+    fn push_fill_events(
+        &mut self,
+        core: usize,
+        cycle: u64,
+        line: LineAddr,
+        kind: FillKind,
+        eviction: &Option<Eviction>,
+    ) {
+        let Some(ring) = &mut self.events else {
+            return;
+        };
+        let fill = TraceEvent::Fill {
+            line: line.raw(),
+            prefetch: kind.is_prefetch(),
+            page_cross: kind == FillKind::PrefetchPageCross,
+        };
+        ring.push(cycle, core as u32, fill);
+        if let Some(ev) = eviction {
+            let evict = TraceEvent::Evict {
                 line: ev.line.raw(),
                 pcb: ev.pcb,
                 dirty: ev.dirty,
                 served_hits: ev.hits > 0,
-            },
-        );
+            };
+            ring.push(cycle, core as u32, evict);
+        }
     }
 
     /// The configuration in force.
@@ -222,110 +323,191 @@ impl MemorySystem {
         &self.cores[core]
     }
 
-    /// Mutable view of one core's private structures (tests/ablation).
-    pub fn core_mut(&mut self, core: usize) -> &mut CoreMem {
-        &mut self.cores[core]
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Current L1D MSHR occupancy for a core (snapshot input).
-    pub fn l1d_mshr_occupancy(&mut self, core: usize, cycle: u64) -> u32 {
-        self.cores[core].mshr_l1d.occupancy(cycle)
-    }
-
     /// Demand-only L1D MSHR occupancy (adaptive-thresholding input).
     pub fn l1d_demand_mshr_occupancy(&mut self, core: usize, cycle: u64) -> u32 {
         self.cores[core].mshr_l1d.demand_occupancy(cycle)
     }
 
-    // ----- internal fetch chain -------------------------------------------------
+    // ----- the request path ------------------------------------------------------
 
-    /// Fetches a physical line through LLC -> DRAM, starting at `cycle`.
-    /// Returns the data-ready cycle. Fills the LLC.
-    fn fetch_from_llc(&mut self, line: LineAddr, cycle: u64, traffic: Traffic) -> u64 {
-        let llc_lat = self.cfg.llc.latency;
-        let hit = match traffic {
-            Traffic::Demand { .. } | Traffic::Fetch => self.llc.demand_access(line, false).hit,
-            // Prefetch traffic keeps LRU warm without touching demand stats.
-            _ => self.llc.prefetch_access(line),
-        };
-        if hit {
-            return cycle + llc_lat;
+    /// The cache, MSHR file and latency of `tier` (for `core`'s private
+    /// levels).
+    fn level(&mut self, core: usize, tier: Tier) -> (&mut Cache, &mut Mshr, u64) {
+        let c = &mut self.cores[core];
+        match tier {
+            Tier::L1i => (&mut c.l1i, &mut c.mshr_l1i, self.cfg.l1i.latency),
+            Tier::L1d => (&mut c.l1d, &mut c.mshr_l1d, self.cfg.l1d.latency),
+            Tier::L2c => (&mut c.l2c, &mut c.mshr_l2c, self.cfg.l2c.latency),
+            Tier::Llc => (&mut self.llc, &mut self.llc_mshr, self.cfg.llc.latency),
         }
-        if let Some(t) = self.llc_mshr.lookup(line, cycle) {
-            return t.max(cycle + llc_lat);
-        }
-        let dram_ready = self.dram.access(line, cycle + llc_lat);
-        let ready = self.llc_mshr.allocate(line, cycle, dram_ready);
-        let fill_kind = match traffic {
-            Traffic::PrefetchL1 { page_cross: true } => FillKind::PrefetchPageCross,
-            Traffic::PrefetchL1 { .. } | Traffic::PrefetchL2 => FillKind::PrefetchInPage,
-            _ => FillKind::Demand,
-        };
-        self.llc.fill(line, fill_kind, false);
-        ready
     }
 
-    /// Fetches a physical line through L2C -> LLC -> DRAM for `core`.
-    /// Returns the data-ready cycle. Fills L2C (and below).
-    fn fetch_from_l2(&mut self, core: usize, line: LineAddr, cycle: u64, traffic: Traffic) -> u64 {
-        let l2_lat = self.cfg.l2c.latency;
-        let hit = {
-            let c = &mut self.cores[core];
-            match traffic {
-                Traffic::Demand { .. } | Traffic::Fetch => c.l2c.demand_access(line, false).hit,
-                // Prefetch traffic keeps LRU warm without touching demand stats.
-                _ => c.l2c.prefetch_access(line),
+    /// Serves a read of `line` at `tier` starting at `cycle`: a hit, a
+    /// merge into an in-flight miss, or a miss that reads the level below
+    /// (DRAM under the LLC) after this level's latency and fills here.
+    fn read(
+        &mut self,
+        core: usize,
+        tier: Tier,
+        line: LineAddr,
+        cycle: u64,
+        traffic: Traffic,
+    ) -> Served {
+        let first_level = tier.is_first_level();
+        let dirty = first_level && traffic == Traffic::Demand { is_store: true };
+        let (cache, mshr, lat) = self.level(core, tier);
+        let lookup = match traffic {
+            Traffic::Demand { .. } | Traffic::Fetch => cache.demand_access(line, dirty),
+            // Walker reads leave no statistics at L1D; below it, they and
+            // prefetch fetches keep LRU warm under the prefetch counters.
+            _ => Lookup {
+                hit: if first_level {
+                    cache.probe(line)
+                } else {
+                    cache.prefetch_access(line)
+                },
+                first_hit_on_prefetch: false,
+                pcb: false,
+            },
+        };
+        // A first-level hit may be a block still in flight (fills are
+        // installed when the miss is issued): its data is usable once the
+        // outstanding MSHR entry completes. Lower-level hits do not wait.
+        let inflight = if lookup.hit && !first_level {
+            None
+        } else {
+            mshr.lookup(line, cycle)
+        };
+        if lookup.hit || inflight.is_some() {
+            return Served {
+                ready: inflight.map_or(cycle + lat, |t| t.max(cycle + lat)),
+                lookup,
+                below_hit: None,
+                eviction: None,
+            };
+        }
+        let (below, below_hit) = self.read_below(core, tier, line, cycle + lat, traffic);
+        let (cache, mshr, _) = self.level(core, tier);
+        let ready = mshr.allocate_kind(line, cycle, below, traffic.is_demand());
+        let eviction = cache.fill(line, traffic.fill_kind(), dirty);
+        Served {
+            ready,
+            lookup,
+            below_hit: Some(below_hit),
+            eviction,
+        }
+    }
+
+    /// Reads `line` from the level below `tier` at `cycle`. Returns the
+    /// ready cycle and that level's hit flag (`false` for DRAM).
+    fn read_below(
+        &mut self,
+        core: usize,
+        tier: Tier,
+        line: LineAddr,
+        cycle: u64,
+        traffic: Traffic,
+    ) -> (u64, bool) {
+        match tier.below() {
+            Some(next) => {
+                let r = self.read(core, next, line, cycle, traffic);
+                (r.ready, r.lookup.hit)
             }
-        };
-        if hit {
-            return cycle + l2_lat;
+            None => (self.dram.access(line, cycle), false),
         }
-        if let Some(t) = self.cores[core].mshr_l2c.lookup(line, cycle) {
-            return t.max(cycle + l2_lat);
-        }
-        let below = self.fetch_from_llc(line, cycle + l2_lat, traffic);
-        let ready = self.cores[core].mshr_l2c.allocate(line, cycle, below);
-        let fill_kind = match traffic {
-            Traffic::PrefetchL1 { page_cross: true } => FillKind::PrefetchPageCross,
-            Traffic::PrefetchL1 { .. } | Traffic::PrefetchL2 => FillKind::PrefetchInPage,
-            _ => FillKind::Demand,
-        };
-        self.cores[core].l2c.fill(line, fill_kind, false);
-        ready
     }
 
-    // ----- translation ----------------------------------------------------------
+    /// Issues a prefetch of `line` into `tier` at `cycle`; the fetch from
+    /// the level below starts at `below_at`. Returns `None` when the line
+    /// is resident or in flight, else the eviction the fill caused.
+    ///
+    /// Residency is probed first, and the MSHR is looked up only when the
+    /// line is absent: a lookup expires entries, and prefetches run at
+    /// translation-ready time, later than the next demand's dispatch.
+    fn prefetch_into(
+        &mut self,
+        core: usize,
+        tier: Tier,
+        line: LineAddr,
+        cycle: u64,
+        below_at: u64,
+        traffic: Traffic,
+    ) -> Option<Option<Eviction>> {
+        let (cache, mshr, _) = self.level(core, tier);
+        if cache.probe(line) || mshr.lookup(line, cycle).is_some() {
+            return None;
+        }
+        let (below, _) = self.read_below(core, tier, line, below_at, traffic);
+        let (cache, mshr, _) = self.level(core, tier);
+        mshr.allocate_kind(line, cycle, below, false);
+        Some(cache.fill(line, traffic.fill_kind(), false))
+    }
 
-    /// Translates `va` on the demand path: dTLB -> sTLB -> page walk, with
-    /// walk references played through the data cache hierarchy.
-    /// Returns `(translation, ready_cycle, dtlb_hit, stlb_hit, walked)`.
-    fn translate_demand(
+    /// Translates `va` for `who` starting at `cycle`: the first-level TLB,
+    /// then the sTLB, then a page walk whose references are played through
+    /// the data cache hierarchy.
+    fn translate(
         &mut self,
         core: usize,
         va: VirtAddr,
         cycle: u64,
-    ) -> Result<(Translation, u64, bool, bool, bool), OomError> {
-        let dtlb_lat = self.cfg.dtlb.latency;
-        let stlb_lat = self.cfg.stlb.latency;
-        if let Some(t) = self.cores[core].dtlb.lookup(va) {
-            return Ok((t, cycle + dtlb_lat, true, false, false));
+        who: Who,
+    ) -> Result<Translated, OomError> {
+        let instr = matches!(who, Who::Instr | Who::InstrPrefetch);
+        let demand = matches!(who, Who::Data | Who::Instr);
+        let first_lat = if instr {
+            self.cfg.itlb.latency
+        } else {
+            self.cfg.dtlb.latency
+        };
+        let c = &mut self.cores[core];
+        let first = if instr { &mut c.itlb } else { &mut c.dtlb };
+        let probe = |tlb: &mut Tlb| {
+            if demand {
+                tlb.lookup(va)
+            } else {
+                tlb.prefetch_probe(va)
+            }
+        };
+        if let Some(t) = probe(first) {
+            return Ok(Translated {
+                found: TranslationOutcome::DtlbHit,
+                resolved: Some((t, cycle + first_lat)),
+            });
         }
-        if let Some(t) = self.cores[core].stlb.lookup(va) {
-            self.cores[core].dtlb.fill(t, false);
-            return Ok((t, cycle + dtlb_lat + stlb_lat, false, true, false));
+        let walk_at = cycle + first_lat + self.cfg.stlb.latency;
+        if let Some(t) = probe(&mut c.stlb) {
+            if who != Who::InstrPrefetch {
+                first.fill(t, !demand);
+            }
+            return Ok(Translated {
+                found: TranslationOutcome::StlbHit,
+                resolved: Some((t, walk_at)),
+            });
         }
-        let t0 = cycle + dtlb_lat + stlb_lat;
-        let (t, ready) = self.do_walk(core, va, t0, false)?;
-        Ok((t, ready, false, false, true))
+        let may_walk = match who {
+            Who::Data | Who::Instr => true,
+            Who::Prefetch { allow_walk } => allow_walk,
+            Who::InstrPrefetch => false,
+        };
+        let resolved = if may_walk {
+            let (t, ready) = self.do_walk(core, va, walk_at, !demand)?;
+            if instr {
+                self.cores[core].itlb.fill(t, false);
+            }
+            Some((t, ready))
+        } else {
+            None
+        };
+        Ok(Translated {
+            found: TranslationOutcome::RequiresWalk,
+            resolved,
+        })
     }
 
     /// Performs a page walk starting at `cycle`, charging PSC latency plus
-    /// one pointer-chased cache access per remaining level. Fills both TLBs.
+    /// one pointer-chased L1D read per remaining level. Fills the sTLB and
+    /// the dTLB.
     fn do_walk(
         &mut self,
         core: usize,
@@ -351,7 +533,12 @@ impl MemorySystem {
         }
         let mut t = cycle + self.cfg.psc_latency;
         for pte in &plan.refs {
-            t = self.walk_ref(core, pte.line(), t);
+            // PTE lines fill the L1D (walker goes through L1D, like
+            // ChampSim); this is part of the pollution cost of speculative
+            // walks.
+            t = self
+                .read(core, Tier::L1d, pte.line(), t, Traffic::Walk)
+                .ready;
         }
         if self.events_enabled() {
             self.push_event(
@@ -372,25 +559,6 @@ impl MemorySystem {
         Ok((tr, t))
     }
 
-    /// One walker reference through the L1D path (neutral statistics).
-    fn walk_ref(&mut self, core: usize, line: LineAddr, cycle: u64) -> u64 {
-        let l1d_lat = self.cfg.l1d.latency;
-        if let Some(t) = self.cores[core].mshr_l1d.lookup(line, cycle) {
-            return t.max(cycle + l1d_lat);
-        }
-        if self.cores[core].l1d.probe(line) {
-            return cycle + l1d_lat;
-        }
-        let below = self.fetch_from_l2(core, line, cycle + l1d_lat, Traffic::Walk);
-        let ready = self.cores[core]
-            .mshr_l1d
-            .allocate_kind(line, cycle, below, false);
-        // PTE lines fill the L1D (walker goes through L1D, like ChampSim);
-        // this is part of the pollution cost of speculative walks.
-        self.cores[core].l1d.fill(line, FillKind::Demand, false);
-        ready
-    }
-
     // ----- public access paths ---------------------------------------------------
 
     /// A demand load or store from `core` to virtual address `va`.
@@ -401,84 +569,38 @@ impl MemorySystem {
         is_store: bool,
         cycle: u64,
     ) -> Result<DemandDataResult, OomError> {
-        let (tr, trans_ready, dtlb_hit, stlb_hit, walked) =
-            self.translate_demand(core, va, cycle)?;
+        let t = self.translate(core, va, cycle, Who::Data)?;
+        let (tr, trans_ready) = t.resolved.expect("a demand translation may walk");
         let pa = PhysAddr::new(tr.apply(va));
-        let line = pa.line();
-        let l1d_lat = self.cfg.l1d.latency;
-
         // VIPT: L1D index proceeds in parallel with the dTLB on a dTLB hit,
         // so the L1D access effectively starts at `cycle`; on longer
         // translations it starts when the translation is ready.
-        let start = if dtlb_hit { cycle } else { trans_ready };
-
-        let lookup = self.cores[core].l1d.demand_access(line, is_store);
-        if lookup.hit {
-            // The block may be structurally present but still in flight
-            // (fills are installed when the miss is issued); data is only
-            // usable once the outstanding MSHR entry completes.
-            let inflight = self.cores[core].mshr_l1d.lookup(line, start);
-            let ready = inflight.map_or(start + l1d_lat, |t| t.max(start + l1d_lat));
-            return Ok(DemandDataResult {
-                ready,
-                l1d_hit: true,
-                first_hit_on_prefetch: lookup.first_hit_on_prefetch,
-                hit_pcb: lookup.pcb,
-                paddr: pa,
-                l1d_eviction: None,
-                dtlb_hit,
-                stlb_hit,
-                walked,
-                l2_access: None,
-                page_size: tr.size,
-            });
-        }
-
-        // Miss path.
-        if let Some(t) = self.cores[core].mshr_l1d.lookup(line, start) {
-            return Ok(DemandDataResult {
-                ready: t.max(start + l1d_lat),
-                l1d_hit: false,
-                first_hit_on_prefetch: false,
-                hit_pcb: false,
-                paddr: pa,
-                l1d_eviction: None,
-                dtlb_hit,
-                stlb_hit,
-                walked,
-                l2_access: None,
-                page_size: tr.size,
-            });
-        }
-        let l2_hit_probe = self.cores[core].l2c.probe(line);
-        let below = self.fetch_from_l2(core, line, start + l1d_lat, Traffic::Demand { is_store });
-        let ready = self.cores[core].mshr_l1d.allocate(line, start, below);
-        let eviction = self.cores[core].l1d.fill(line, FillKind::Demand, is_store);
-        if self.events_enabled() {
-            self.push_event(
-                core,
-                start,
-                TraceEvent::Fill {
-                    line: line.raw(),
-                    prefetch: false,
-                    page_cross: false,
-                },
-            );
-            if let Some(ev) = &eviction {
-                self.push_eviction_event(core, start, ev);
-            }
+        let start = if t.found == TranslationOutcome::DtlbHit {
+            cycle
+        } else {
+            trans_ready
+        };
+        let r = self.read(
+            core,
+            Tier::L1d,
+            pa.line(),
+            start,
+            Traffic::Demand { is_store },
+        );
+        if r.below_hit.is_some() {
+            self.push_fill_events(core, start, pa.line(), FillKind::Demand, &r.eviction);
         }
         Ok(DemandDataResult {
-            ready,
-            l1d_hit: false,
-            first_hit_on_prefetch: false,
-            hit_pcb: false,
+            ready: r.ready,
+            l1d_hit: r.lookup.hit,
+            first_hit_on_prefetch: r.lookup.first_hit_on_prefetch,
+            hit_pcb: r.lookup.pcb,
             paddr: pa,
-            l1d_eviction: eviction,
-            dtlb_hit,
-            stlb_hit,
-            walked,
-            l2_access: Some((pa, l2_hit_probe)),
+            l1d_eviction: r.eviction,
+            dtlb_hit: t.found == TranslationOutcome::DtlbHit,
+            stlb_hit: t.found == TranslationOutcome::StlbHit,
+            walked: t.found == TranslationOutcome::RequiresWalk,
+            l2_access: r.below_hit.map(|hit| (pa, hit)),
             page_size: tr.size,
         })
     }
@@ -490,58 +612,19 @@ impl MemorySystem {
         va: VirtAddr,
         cycle: u64,
     ) -> Result<FetchResult, OomError> {
-        // iTLB -> sTLB -> walk.
-        let itlb_lat = self.cfg.itlb.latency;
-        let stlb_lat = self.cfg.stlb.latency;
-        let (tr, trans_ready, itlb_hit) = if let Some(t) = self.cores[core].itlb.lookup(va) {
-            (t, cycle + itlb_lat, true)
-        } else if let Some(t) = self.cores[core].stlb.lookup(va) {
-            self.cores[core].itlb.fill(t, false);
-            (t, cycle + itlb_lat + stlb_lat, false)
+        let t = self.translate(core, va, cycle, Who::Instr)?;
+        let (tr, trans_ready) = t.resolved.expect("an instruction translation may walk");
+        let line = PhysAddr::new(tr.apply(va)).line();
+        let start = if t.found == TranslationOutcome::DtlbHit {
+            cycle
         } else {
-            let (t, ready) = self.do_walk(core, va, cycle + itlb_lat + stlb_lat, false)?;
-            self.cores[core].itlb.fill(t, false);
-            (t, ready, false)
+            trans_ready
         };
-        let pa = PhysAddr::new(tr.apply(va));
-        let line = pa.line();
-        let l1i_lat = self.cfg.l1i.latency;
-        let start = if itlb_hit { cycle } else { trans_ready };
-        let lookup = self.cores[core].l1i.demand_access(line, false);
-        if lookup.hit {
-            let inflight = self.cores[core].mshr_l1i.lookup(line, start);
-            let ready = inflight.map_or(start + l1i_lat, |t| t.max(start + l1i_lat));
-            return Ok(FetchResult {
-                ready,
-                l1i_hit: true,
-            });
-        }
-        if let Some(t) = self.cores[core].mshr_l1i.lookup(line, start) {
-            return Ok(FetchResult {
-                ready: t.max(start + l1i_lat),
-                l1i_hit: false,
-            });
-        }
-        let below = self.fetch_from_l2(core, line, start + l1i_lat, Traffic::Fetch);
-        let ready = self.cores[core].mshr_l1i.allocate(line, start, below);
-        self.cores[core].l1i.fill(line, FillKind::Demand, false);
+        let r = self.read(core, Tier::L1i, line, start, Traffic::Fetch);
         Ok(FetchResult {
-            ready,
-            l1i_hit: lookup.hit,
+            ready: r.ready,
+            l1i_hit: r.lookup.hit,
         })
-    }
-
-    /// Probes the TLB hierarchy for a prefetch target without side effects
-    /// beyond prefetch-probe statistics. Used by the `Discard PTW` policy
-    /// and by DRIPPER's decision plumbing.
-    pub fn probe_translation(&mut self, core: usize, va: VirtAddr) -> TranslationOutcome {
-        if self.cores[core].dtlb.peek(va) {
-            TranslationOutcome::DtlbHit
-        } else if self.cores[core].stlb.peek(va) {
-            TranslationOutcome::StlbHit
-        } else {
-            TranslationOutcome::RequiresWalk
-        }
     }
 
     /// Issues an L1D prefetch for virtual address `va` on behalf of `core`.
@@ -559,86 +642,31 @@ impl MemorySystem {
         cycle: u64,
         allow_walk: bool,
     ) -> Result<PrefetchIssueResult, OomError> {
-        let outcome = self.probe_translation(core, va);
-        let (tr, t_ready, walked) = match outcome {
-            TranslationOutcome::DtlbHit => {
-                let t = self.cores[core].dtlb.prefetch_probe(va).expect("peeked");
-                (t, cycle + self.cfg.dtlb.latency, false)
-            }
-            TranslationOutcome::StlbHit => {
-                self.cores[core].dtlb.prefetch_probe(va);
-                let t = self.cores[core].stlb.prefetch_probe(va).expect("peeked");
-                self.cores[core].dtlb.fill(t, true);
-                (
-                    t,
-                    cycle + self.cfg.dtlb.latency + self.cfg.stlb.latency,
-                    false,
-                )
-            }
-            TranslationOutcome::RequiresWalk => {
-                self.cores[core].dtlb.prefetch_probe(va);
-                self.cores[core].stlb.prefetch_probe(va);
-                if !allow_walk {
-                    return Ok(PrefetchIssueResult {
-                        issued: false,
-                        redundant: false,
-                        walked: false,
-                        translation: outcome,
-                        paddr: None,
-                        l1d_eviction: None,
-                    });
-                }
-                let t0 = cycle + self.cfg.dtlb.latency + self.cfg.stlb.latency;
-                let (t, ready) = self.do_walk(core, va, t0, true)?;
-                (t, ready, true)
-            }
+        let t = self.translate(core, va, cycle, Who::Prefetch { allow_walk })?;
+        let mut r = PrefetchIssueResult {
+            issued: false,
+            redundant: false,
+            walked: false,
+            translation: t.found,
+            paddr: None,
+            l1d_eviction: None,
+        };
+        let Some((tr, t_ready)) = t.resolved else {
+            return Ok(r);
         };
         let pa = PhysAddr::new(tr.apply(va));
-        let line = pa.line();
-        if self.cores[core].l1d.probe(line)
-            || self.cores[core].mshr_l1d.lookup(line, t_ready).is_some()
-        {
-            return Ok(PrefetchIssueResult {
-                issued: false,
-                redundant: true,
-                walked,
-                translation: outcome,
-                paddr: Some(pa),
-                l1d_eviction: None,
-            });
-        }
-        let below = self.fetch_from_l2(core, line, t_ready, Traffic::PrefetchL1 { page_cross });
-        self.cores[core]
-            .mshr_l1d
-            .allocate_kind(line, t_ready, below, false);
-        let kind = if page_cross {
-            FillKind::PrefetchPageCross
-        } else {
-            FillKind::PrefetchInPage
-        };
-        let eviction = self.cores[core].l1d.fill(line, kind, false);
-        if self.events_enabled() {
-            self.push_event(
-                core,
-                t_ready,
-                TraceEvent::Fill {
-                    line: line.raw(),
-                    prefetch: true,
-                    page_cross,
-                },
-            );
-            if let Some(ev) = &eviction {
-                self.push_eviction_event(core, t_ready, ev);
+        r.walked = t.found == TranslationOutcome::RequiresWalk;
+        r.paddr = Some(pa);
+        let traffic = Traffic::PrefetchL1 { page_cross };
+        match self.prefetch_into(core, Tier::L1d, pa.line(), t_ready, t_ready, traffic) {
+            None => r.redundant = true,
+            Some(eviction) => {
+                self.push_fill_events(core, t_ready, pa.line(), traffic.fill_kind(), &eviction);
+                r.issued = true;
+                r.l1d_eviction = eviction;
             }
         }
-        Ok(PrefetchIssueResult {
-            issued: true,
-            redundant: false,
-            walked,
-            translation: outcome,
-            paddr: Some(pa),
-            l1d_eviction: eviction,
-        })
+        Ok(r)
     }
 
     /// Issues an L1I instruction prefetch for virtual address `va`.
@@ -647,50 +675,33 @@ impl MemorySystem {
     /// translation is not resident in the iTLB/sTLB the prefetch is
     /// dropped (returns `false`).
     pub fn issue_l1i_prefetch(&mut self, core: usize, va: VirtAddr, cycle: u64) -> bool {
-        let tr = if let Some(t) = self.cores[core].itlb.prefetch_probe(va) {
-            t
-        } else if let Some(t) = self.cores[core].stlb.prefetch_probe(va) {
-            t
-        } else {
+        // Without a walk the translation cannot fail for lack of frames.
+        let Ok(Translated {
+            resolved: Some((tr, _)),
+            ..
+        }) = self.translate(core, va, cycle, Who::InstrPrefetch)
+        else {
             return false;
         };
-        let pa = PhysAddr::new(tr.apply(va));
-        let line = pa.line();
-        if self.cores[core].l1i.probe(line)
-            || self.cores[core].mshr_l1i.lookup(line, cycle).is_some()
-        {
-            return false;
-        }
-        let below = self.fetch_from_l2(
-            core,
-            line,
-            cycle + self.cfg.l1i.latency,
-            Traffic::PrefetchL2,
-        );
-        self.cores[core]
-            .mshr_l1i
-            .allocate_kind(line, cycle, below, false);
-        self.cores[core]
-            .l1i
-            .fill(line, FillKind::PrefetchInPage, false);
-        true
+        let line = PhysAddr::new(tr.apply(va)).line();
+        let below_at = cycle + self.cfg.l1i.latency;
+        self.prefetch_into(core, Tier::L1i, line, cycle, below_at, Traffic::PrefetchL2)
+            .is_some()
     }
 
     /// Issues an L2C prefetch for a physical line (L2C prefetchers operate
     /// in the physical address space and never cross physical pages, §II-A2).
     pub fn issue_l2_prefetch(&mut self, core: usize, pa: PhysAddr, cycle: u64) -> bool {
-        let line = pa.line();
-        if self.cores[core].l2c.probe(line)
-            || self.cores[core].mshr_l2c.lookup(line, cycle).is_some()
-        {
-            return false;
-        }
-        let below = self.fetch_from_llc(line, cycle + self.cfg.l2c.latency, Traffic::PrefetchL2);
-        self.cores[core].mshr_l2c.allocate(line, cycle, below);
-        self.cores[core]
-            .l2c
-            .fill(line, FillKind::PrefetchInPage, false);
-        true
+        let below_at = cycle + self.cfg.l2c.latency;
+        self.prefetch_into(
+            core,
+            Tier::L2c,
+            pa.line(),
+            cycle,
+            below_at,
+            Traffic::PrefetchL2,
+        )
+        .is_some()
     }
 
     /// Clears every statistics counter (end of warm-up) without touching
@@ -851,11 +862,8 @@ mod tests {
         let trig = VirtAddr::new(0x4000_0FC0); // last line of its page
         m.demand_data(0, trig, false, 0).unwrap();
         let tgt = trig.offset(64); // next page, cold TLB
-        assert_eq!(
-            m.probe_translation(0, tgt),
-            TranslationOutcome::RequiresWalk
-        );
         let r = m.issue_prefetch(0, tgt, true, 1_000, true).unwrap();
+        assert_eq!(r.translation, TranslationOutcome::RequiresWalk);
         assert!(r.issued && r.walked);
         assert_eq!(m.core(0).walk_stats.prefetch_walks, 1);
         // The walk filled the TLBs: a demand access to that page now needs no walk.

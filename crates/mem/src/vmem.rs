@@ -179,11 +179,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Number of per-core slices.
-    pub fn num_cores(&self) -> u32 {
-        self.per_core.len() as u32
-    }
-
     /// Total 4 KB data frames across all cores.
     pub fn total_4k_frames(&self) -> u64 {
         self.total_4k_frames

@@ -12,9 +12,11 @@
 //!   tried depth-first and the first still-failing candidate is adopted,
 //!   until no candidate fails or the step budget runs out.
 //!
-//! Properties return `Result<(), String>` (use [`prop_assert!`] /
-//! [`prop_assert_eq!`]); panics inside the device under test propagate
-//! unchanged so internal assertion failures are still loud.
+//! Properties return `Result<(), String>` (use
+//! [`prop_assert!`](crate::prop_assert) /
+//! [`prop_assert_eq!`](crate::prop_assert_eq)); panics inside the device
+//! under test propagate unchanged so internal assertion failures are still
+//! loud.
 //!
 //! # Example
 //!
@@ -301,7 +303,8 @@ macro_rules! prop_assert {
     };
 }
 
-/// Asserts equality inside a property; see [`prop_assert!`].
+/// Asserts equality inside a property; see
+/// [`prop_assert!`](crate::prop_assert).
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr) => {{
