@@ -16,8 +16,8 @@
 //!    back to the exact weights that produced each decision;
 //! 4. [`threshold`] — the epoch-based **adaptive thresholding** scheme.
 //!
-//! [`dripper`](mod@dripper) instantiates the framework as the paper's DRIPPER prototype
-//! (Table II) and as every comparison scheme of Fig. 9.
+//! [`dripper`](mod@dripper) instantiates the framework as the paper's
+//! DRIPPER prototype (Table II) and as every comparison scheme of Fig. 9.
 //!
 //! # Example: DRIPPER learns from false negatives
 //!

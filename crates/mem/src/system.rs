@@ -8,9 +8,9 @@
 //! default), and L1D evictions are reported to the caller so the page-cross
 //! filter's pUB training can observe useless-PCB evictions.
 //!
-//! Every request takes one of three private steps: `translate` walks the
-//! TLB chain (and the page table), `read` serves a request that needs the
-//! data at one level and recurses into the level below on a miss, and
+//! Every request takes three private steps: `translate` walks the TLB
+//! chain (and the page table), `read` serves a request that needs the data
+//! at one level (and, on a miss, `read_below` the level under it), and
 //! `prefetch_into` issues a fire-and-forget prefetch fill at one level.
 
 use crate::cache::{Cache, Eviction, FillKind, Lookup};
@@ -110,15 +110,6 @@ enum Who {
     /// An L1I prefetch: prefetch probes of the iTLB and sTLB; it never
     /// walks and never refills the iTLB.
     InstrPrefetch,
-}
-
-/// A translation and the level it was found at.
-struct Translated {
-    /// Where the translation was found.
-    found: TranslationOutcome,
-    /// The translation and its ready cycle; `None` when it needed a walk
-    /// the requester may not start.
-    resolved: Option<(Translation, u64)>,
 }
 
 /// Result of a demand data access.
@@ -344,7 +335,12 @@ impl MemorySystem {
 
     /// Serves a read of `line` at `tier` starting at `cycle`: a hit, a
     /// merge into an in-flight miss, or a miss that reads the level below
-    /// (DRAM under the LLC) after this level's latency and fills here.
+    /// after this level's latency and fills here.
+    ///
+    /// Always inlined, with `read_below` out of line: the hit path and the
+    /// fill then keep `Served` in registers instead of copying it through
+    /// the stack, which stalls store forwarding on every request.
+    #[inline(always)]
     fn read(
         &mut self,
         core: usize,
@@ -389,17 +385,17 @@ impl MemorySystem {
         let (below, below_hit) = self.read_below(core, tier, line, cycle + lat, traffic);
         let (cache, mshr, _) = self.level(core, tier);
         let ready = mshr.allocate_kind(line, cycle, below, traffic.is_demand());
-        let eviction = cache.fill(line, traffic.fill_kind(), dirty);
         Served {
             ready,
             lookup,
             below_hit: Some(below_hit),
-            eviction,
+            eviction: cache.fill(line, traffic.fill_kind(), dirty),
         }
     }
 
-    /// Reads `line` from the level below `tier` at `cycle`. Returns the
-    /// ready cycle and that level's hit flag (`false` for DRAM).
+    /// Reads `line` from the level below `tier` (DRAM under the LLC) at
+    /// `cycle`. Returns the ready cycle and that level's hit flag.
+    #[inline(never)]
     fn read_below(
         &mut self,
         core: usize,
@@ -424,6 +420,10 @@ impl MemorySystem {
     /// Residency is probed first, and the MSHR is looked up only when the
     /// line is absent: a lookup expires entries, and prefetches run at
     /// translation-ready time, later than the next demand's dispatch.
+    ///
+    /// Always inlined, like `read`: most prefetches are redundant, and out
+    /// of line the nested `Option` result goes through the stack.
+    #[inline(always)]
     fn prefetch_into(
         &mut self,
         core: usize,
@@ -445,21 +445,23 @@ impl MemorySystem {
 
     /// Translates `va` for `who` starting at `cycle`: the first-level TLB,
     /// then the sTLB, then a page walk whose references are played through
-    /// the data cache hierarchy.
+    /// the data cache hierarchy. Returns where the translation was found
+    /// and, unless it needs a walk `who` may not start, the translation
+    /// and its ready cycle.
+    ///
+    /// Always inlined: out of line, the returned translation is copied
+    /// through the stack, which stalls store forwarding on every TLB hit.
+    #[inline(always)]
     fn translate(
         &mut self,
         core: usize,
         va: VirtAddr,
         cycle: u64,
         who: Who,
-    ) -> Result<Translated, OomError> {
+    ) -> Result<(TranslationOutcome, Option<(Translation, u64)>), OomError> {
         let instr = matches!(who, Who::Instr | Who::InstrPrefetch);
         let demand = matches!(who, Who::Data | Who::Instr);
-        let first_lat = if instr {
-            self.cfg.itlb.latency
-        } else {
-            self.cfg.dtlb.latency
-        };
+        let first_lat = if instr { self.cfg.itlb } else { self.cfg.dtlb }.latency;
         let c = &mut self.cores[core];
         let first = if instr { &mut c.itlb } else { &mut c.dtlb };
         let probe = |tlb: &mut Tlb| {
@@ -470,39 +472,28 @@ impl MemorySystem {
             }
         };
         if let Some(t) = probe(first) {
-            return Ok(Translated {
-                found: TranslationOutcome::DtlbHit,
-                resolved: Some((t, cycle + first_lat)),
-            });
+            return Ok((TranslationOutcome::DtlbHit, Some((t, cycle + first_lat))));
         }
         let walk_at = cycle + first_lat + self.cfg.stlb.latency;
         if let Some(t) = probe(&mut c.stlb) {
             if who != Who::InstrPrefetch {
                 first.fill(t, !demand);
             }
-            return Ok(Translated {
-                found: TranslationOutcome::StlbHit,
-                resolved: Some((t, walk_at)),
-            });
+            return Ok((TranslationOutcome::StlbHit, Some((t, walk_at))));
         }
         let may_walk = match who {
             Who::Data | Who::Instr => true,
             Who::Prefetch { allow_walk } => allow_walk,
             Who::InstrPrefetch => false,
         };
-        let resolved = if may_walk {
-            let (t, ready) = self.do_walk(core, va, walk_at, !demand)?;
-            if instr {
-                self.cores[core].itlb.fill(t, false);
-            }
-            Some((t, ready))
-        } else {
-            None
-        };
-        Ok(Translated {
-            found: TranslationOutcome::RequiresWalk,
-            resolved,
-        })
+        if !may_walk {
+            return Ok((TranslationOutcome::RequiresWalk, None));
+        }
+        let (t, ready) = self.do_walk(core, va, walk_at, !demand)?;
+        if instr {
+            self.cores[core].itlb.fill(t, false);
+        }
+        Ok((TranslationOutcome::RequiresWalk, Some((t, ready))))
     }
 
     /// Performs a page walk starting at `cycle`, charging PSC latency plus
@@ -569,40 +560,36 @@ impl MemorySystem {
         is_store: bool,
         cycle: u64,
     ) -> Result<DemandDataResult, OomError> {
-        let t = self.translate(core, va, cycle, Who::Data)?;
-        let (tr, trans_ready) = t.resolved.expect("a demand translation may walk");
+        let (found, resolved) = self.translate(core, va, cycle, Who::Data)?;
+        let (tr, trans_ready) = resolved.expect("a demand translation may walk");
         let pa = PhysAddr::new(tr.apply(va));
+        let line = pa.line();
         // VIPT: L1D index proceeds in parallel with the dTLB on a dTLB hit,
         // so the L1D access effectively starts at `cycle`; on longer
         // translations it starts when the translation is ready.
-        let start = if t.found == TranslationOutcome::DtlbHit {
-            cycle
-        } else {
-            trans_ready
-        };
-        let r = self.read(
-            core,
-            Tier::L1d,
-            pa.line(),
-            start,
-            Traffic::Demand { is_store },
-        );
-        if r.below_hit.is_some() {
-            self.push_fill_events(core, start, pa.line(), FillKind::Demand, &r.eviction);
-        }
-        Ok(DemandDataResult {
+        let dtlb_hit = found == TranslationOutcome::DtlbHit;
+        let start = if dtlb_hit { cycle } else { trans_ready };
+        let r = self.read(core, Tier::L1d, line, start, Traffic::Demand { is_store });
+        let mut d = DemandDataResult {
             ready: r.ready,
             l1d_hit: r.lookup.hit,
             first_hit_on_prefetch: r.lookup.first_hit_on_prefetch,
             hit_pcb: r.lookup.pcb,
             paddr: pa,
-            l1d_eviction: r.eviction,
-            dtlb_hit: t.found == TranslationOutcome::DtlbHit,
-            stlb_hit: t.found == TranslationOutcome::StlbHit,
-            walked: t.found == TranslationOutcome::RequiresWalk,
-            l2_access: r.below_hit.map(|hit| (pa, hit)),
+            l1d_eviction: None,
+            dtlb_hit,
+            stlb_hit: found == TranslationOutcome::StlbHit,
+            walked: found == TranslationOutcome::RequiresWalk,
+            l2_access: None,
             page_size: tr.size,
-        })
+        };
+        // Only a miss reaches the L2C, fills the L1D and may evict.
+        if let Some(l2_hit) = r.below_hit {
+            self.push_fill_events(core, start, line, FillKind::Demand, &r.eviction);
+            d.l2_access = Some((pa, l2_hit));
+            d.l1d_eviction = r.eviction;
+        }
+        Ok(d)
     }
 
     /// An instruction fetch from `core` at virtual address `va`.
@@ -612,14 +599,11 @@ impl MemorySystem {
         va: VirtAddr,
         cycle: u64,
     ) -> Result<FetchResult, OomError> {
-        let t = self.translate(core, va, cycle, Who::Instr)?;
-        let (tr, trans_ready) = t.resolved.expect("an instruction translation may walk");
+        let (found, resolved) = self.translate(core, va, cycle, Who::Instr)?;
+        let (tr, trans_ready) = resolved.expect("an instruction translation may walk");
         let line = PhysAddr::new(tr.apply(va)).line();
-        let start = if t.found == TranslationOutcome::DtlbHit {
-            cycle
-        } else {
-            trans_ready
-        };
+        let itlb_hit = found == TranslationOutcome::DtlbHit;
+        let start = if itlb_hit { cycle } else { trans_ready };
         let r = self.read(core, Tier::L1i, line, start, Traffic::Fetch);
         Ok(FetchResult {
             ready: r.ready,
@@ -642,26 +626,27 @@ impl MemorySystem {
         cycle: u64,
         allow_walk: bool,
     ) -> Result<PrefetchIssueResult, OomError> {
-        let t = self.translate(core, va, cycle, Who::Prefetch { allow_walk })?;
+        let (found, resolved) = self.translate(core, va, cycle, Who::Prefetch { allow_walk })?;
         let mut r = PrefetchIssueResult {
             issued: false,
             redundant: false,
             walked: false,
-            translation: t.found,
+            translation: found,
             paddr: None,
             l1d_eviction: None,
         };
-        let Some((tr, t_ready)) = t.resolved else {
+        let Some((tr, t_ready)) = resolved else {
             return Ok(r);
         };
         let pa = PhysAddr::new(tr.apply(va));
-        r.walked = t.found == TranslationOutcome::RequiresWalk;
+        let line = pa.line();
+        r.walked = found == TranslationOutcome::RequiresWalk;
         r.paddr = Some(pa);
         let traffic = Traffic::PrefetchL1 { page_cross };
-        match self.prefetch_into(core, Tier::L1d, pa.line(), t_ready, t_ready, traffic) {
+        match self.prefetch_into(core, Tier::L1d, line, t_ready, t_ready, traffic) {
             None => r.redundant = true,
             Some(eviction) => {
-                self.push_fill_events(core, t_ready, pa.line(), traffic.fill_kind(), &eviction);
+                self.push_fill_events(core, t_ready, line, traffic.fill_kind(), &eviction);
                 r.issued = true;
                 r.l1d_eviction = eviction;
             }
@@ -676,11 +661,7 @@ impl MemorySystem {
     /// dropped (returns `false`).
     pub fn issue_l1i_prefetch(&mut self, core: usize, va: VirtAddr, cycle: u64) -> bool {
         // Without a walk the translation cannot fail for lack of frames.
-        let Ok(Translated {
-            resolved: Some((tr, _)),
-            ..
-        }) = self.translate(core, va, cycle, Who::InstrPrefetch)
-        else {
+        let Ok((_, Some((tr, _)))) = self.translate(core, va, cycle, Who::InstrPrefetch) else {
             return false;
         };
         let line = PhysAddr::new(tr.apply(va)).line();

@@ -19,8 +19,7 @@
 //!   cumulative counters exactly, which is how the JSONL stream is
 //!   reconciled against the run's final `Report`.
 //! * [`EventRing`] — bounded, sampling-gated buffer of structured
-//!   [`TimedEvent`]s (fills, evictions, page
-//!   walks, policy decisions).
+//!   [`TimedEvent`]s (fills, evictions, page walks, policy decisions).
 //! * [`json`] — JSONL emission plus a hand-rolled validator (no external
 //!   JSON dependency anywhere in the workspace).
 //! * [`chrome`] — Chrome trace-event JSON export, viewable in Perfetto.
