@@ -212,8 +212,8 @@ pub fn run_one_timed<S: Subject + ?Sized>(
         (warm as f64 * cfg.warmup_scale) as u64,
         (measure as f64 * cfg.measure_scale) as u64,
     );
-    let (report, phases, error) = match builder.try_run_workload_timed(factory) {
-        Ok((report, phases)) => (report, phases, None),
+    let (report, phases, error) = match builder.try_run_workload_with(factory, None) {
+        Ok((report, phases, _)) => (report, phases, None),
         Err(e) => (
             Report::default(),
             PhaseTimings::default(),
@@ -524,9 +524,50 @@ pub fn ipcs_of(results: &[WorkloadResult], scheme: &str) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use pagecross_cpu::{Instr, Op, TraceSource};
     use pagecross_workloads::{suite, SuiteId};
+
+    /// Every instruction lives on its own 4 KB code page; code pages are
+    /// pinned by the OS model, so a 64 MB machine runs out of frames with
+    /// nothing left to reclaim partway through a run.
+    pub(crate) struct CodeBomb;
+
+    struct BombSrc {
+        i: u64,
+    }
+
+    impl TraceSource for BombSrc {
+        fn next_instr(&mut self) -> Instr {
+            self.i += 1;
+            Instr {
+                pc: 0x100_0000 + self.i * 4096,
+                op: Op::Alu,
+            }
+        }
+    }
+
+    impl TraceFactory for CodeBomb {
+        fn name(&self) -> &str {
+            "code-bomb"
+        }
+        fn build(&self) -> Box<dyn TraceSource> {
+            Box::new(BombSrc { i: 0 })
+        }
+    }
+
+    impl Subject for CodeBomb {
+        fn factory(&self) -> &dyn TraceFactory {
+            self
+        }
+        fn suite_label(&self) -> &'static str {
+            "synthetic"
+        }
+        fn lengths(&self) -> (u64, u64) {
+            (100, 12_000)
+        }
+    }
 
     fn tiny_cfg() -> CampaignConfig {
         // Very short runs: these tests exercise orchestration, not fidelity.
@@ -668,44 +709,6 @@ mod tests {
 
     #[test]
     fn an_oom_cell_fails_alone_and_the_rest_of_the_grid_merges() {
-        use pagecross_cpu::{Instr, Op, TraceSource};
-
-        // Every instruction lives on its own 4 KB code page; code pages are
-        // pinned by the OS model, so a 64 MB machine runs out of frames
-        // with nothing left to reclaim partway through the run.
-        struct CodeBomb;
-        struct BombSrc {
-            i: u64,
-        }
-        impl TraceSource for BombSrc {
-            fn next_instr(&mut self) -> Instr {
-                self.i += 1;
-                Instr {
-                    pc: 0x100_0000 + self.i * 4096,
-                    op: Op::Alu,
-                }
-            }
-        }
-        impl TraceFactory for CodeBomb {
-            fn name(&self) -> &str {
-                "code-bomb"
-            }
-            fn build(&self) -> Box<dyn TraceSource> {
-                Box::new(BombSrc { i: 0 })
-            }
-        }
-        impl Subject for CodeBomb {
-            fn factory(&self) -> &dyn TraceFactory {
-                self
-            }
-            fn suite_label(&self) -> &'static str {
-                "synthetic"
-            }
-            fn lengths(&self) -> (u64, u64) {
-                (100, 12_000)
-            }
-        }
-
         let mut strained = Scheme::new("os-64M", PrefetcherKind::None, PgcPolicyKind::DiscardPgc);
         strained.os = Some(OsConfig {
             phys_mem_bytes: 64 << 20,

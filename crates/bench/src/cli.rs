@@ -250,6 +250,18 @@ fn parse_count(kv: &Flags, key: &str) -> Result<u64, CliError> {
     })
 }
 
+/// Parses a fraction flag, which must lie in [0, 1] (absent = `None`).
+fn parse_fraction(kv: &Flags, key: &str) -> Result<Option<f64>, CliError> {
+    kv.get(key)
+        .map(|p| {
+            p.parse::<f64>()
+                .ok()
+                .filter(|f| (0.0..=1.0).contains(f))
+                .ok_or_else(|| CliError(format!("--{key} expects a fraction in [0, 1], got '{p}'")))
+        })
+        .transpose()
+}
+
 /// Parses the flags of `run` and `replay`. They differ only in the flag
 /// naming the source: `--workload <name>` or `--trace <path>`.
 fn parse_sim(kv: &Flags, cmd: &str, source: &str, what: &str) -> Result<SimArgs, CliError> {
@@ -269,10 +281,8 @@ fn parse_sim(kv: &Flags, cmd: &str, source: &str, what: &str) -> Result<SimArgs,
     if let Some(p) = kv.get("l2") {
         a.l2 = parse_l2(p)?;
     }
-    if let Some(p) = kv.get("huge") {
-        a.huge_fraction = p
-            .parse()
-            .map_err(|_| CliError(format!("--huge expects a fraction, got '{p}'")))?;
+    if let Some(f) = parse_fraction(kv, "huge")? {
+        a.huge_fraction = f;
     }
     a.warmup = parse_count(kv, "warmup")?;
     a.instructions = parse_count(kv, "instructions")?;
@@ -317,12 +327,8 @@ fn parse_os_flags(kv: &Flags, os: &mut OsArgs) -> Result<(), CliError> {
             ))
         })?;
     }
-    if let Some(p) = kv.get("thp") {
-        os.thp = p
-            .parse::<f64>()
-            .ok()
-            .filter(|t| (0.0..=1.0).contains(t))
-            .ok_or_else(|| CliError(format!("--thp expects a fraction in [0, 1], got '{p}'")))?;
+    if let Some(f) = parse_fraction(kv, "thp")? {
+        os.thp = f;
     }
     if let Some(p) = kv.get("fault-ns") {
         os.fault_ns =
@@ -617,18 +623,15 @@ fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliErro
     );
     let w = subject.factory();
     let (out, trace) = (a.telemetry_out.as_deref(), a.telemetry_trace.as_deref());
+    let tcfg = (out.is_some() || trace.is_some()).then(|| TelemetryConfig {
+        interval: a.telemetry_interval,
+        events: trace.is_some(),
+    });
+    let (report, _, telemetry) = builder
+        .try_run_workload_with(w, tcfg.as_ref())
+        .map_err(|e| CliError(format!("simulation aborted: {e}")))?;
     let mut lines = Vec::new();
-    let report = if out.is_none() && trace.is_none() {
-        builder
-            .try_run_workload(w)
-            .map_err(|e| CliError(format!("simulation aborted: {e}")))?
-    } else {
-        let tcfg = TelemetryConfig {
-            interval: a.telemetry_interval,
-            events: trace.is_some(),
-            ..TelemetryConfig::default()
-        };
-        let (report, telemetry) = builder.run_workload_with_telemetry(w, &tcfg);
+    if let Some(telemetry) = telemetry {
         if let Some(path) = out {
             let mut text = String::new();
             for rec in &telemetry.intervals {
@@ -651,8 +654,7 @@ fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliErro
                 telemetry.events_seen
             ));
         }
-        report
-    };
+    }
     print_report(&report);
     for line in &lines {
         println!("{line}");
@@ -1021,6 +1023,8 @@ mod tests {
             "--policy nope",
             "--l2 nope",
             "--huge half",
+            "--huge 7",
+            "--huge -3",
             "--warmup x",
             "--instructions -1",
             "--telemetry-interval 0",
@@ -1130,6 +1134,14 @@ mod tests {
                 "campaign does not take flag '--telemetry-out'",
             ),
             ("help --suite gap", "help does not take flag '--suite'"),
+            (
+                "run --workload gap.s00 --huge 7",
+                "--huge expects a fraction in [0, 1], got '7'",
+            ),
+            (
+                "replay --trace t.pct --huge -3",
+                "--huge expects a fraction in [0, 1], got '-3'",
+            ),
             (
                 "run --workload gap.s00 --warmup 1 --warmup 2",
                 "flag '--warmup' given more than once",
@@ -1322,6 +1334,24 @@ mod tests {
             trace_dir: Some(dir.to_string_lossy().into_owned()),
         });
         assert_eq!(code, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Running out of physical frames is a clean exit-2 error with
+    /// telemetry on, as it is with telemetry off.
+    #[test]
+    fn out_of_memory_with_telemetry_exits_2() {
+        let dir = std::env::temp_dir().join(format!("pct-oom-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("code-bomb.pct");
+        pagecross_trace::record(&crate::campaign::tests::CodeBomb, 36_000, 1, &trace).unwrap();
+        let args = parse(&argv(&format!(
+            "replay --trace {} --os on --phys-mem 64M --telemetry-out {}",
+            trace.display(),
+            dir.join("x.jsonl").display()
+        )))
+        .unwrap();
+        assert_eq!(execute(args), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

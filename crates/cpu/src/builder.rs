@@ -480,18 +480,6 @@ impl SimulationBuilder {
         })
     }
 
-    /// Runs `workload` on one core and reports it with the run's phase
-    /// timings and telemetry.
-    fn try_run_single(
-        &self,
-        workload: &dyn TraceFactory,
-        tcfg: Option<&TelemetryConfig>,
-    ) -> Result<(Report, PhaseTimings, Option<TelemetryRun>), OomError> {
-        let f = self.simulate(&[workload], tcfg)?;
-        let report = self.collect_report(workload.name(), &f.engines[0], &f.mem);
-        Ok((report, f.timings, f.telemetry))
-    }
-
     /// Runs a single workload on a single core.
     pub fn run_workload(&self, workload: &dyn TraceFactory) -> Report {
         self.try_run_workload(workload)
@@ -502,30 +490,21 @@ impl SimulationBuilder {
     /// error instead of panicking (campaign cells use this so one OOM cell
     /// doesn't sink the whole grid).
     pub fn try_run_workload(&self, workload: &dyn TraceFactory) -> Result<Report, OomError> {
-        Ok(self.try_run_single(workload, None)?.0)
+        Ok(self.try_run_workload_with(workload, None)?.0)
     }
 
-    /// Runs a single workload with telemetry collection.
-    pub fn run_workload_with_telemetry(
+    /// Runs `workload` on one core and reports it with the run's
+    /// wall-clock phase timings and, when `tcfg` is given, its telemetry
+    /// (`Some` exactly when `tcfg` is). Physical-memory exhaustion is an
+    /// error, telemetry on or off.
+    pub fn try_run_workload_with(
         &self,
         workload: &dyn TraceFactory,
-        cfg: &TelemetryConfig,
-    ) -> (Report, TelemetryRun) {
-        let (report, _, telemetry) = self
-            .try_run_single(workload, Some(cfg))
-            .expect("out of physical memory");
-        (report, telemetry.expect("sampler was attached"))
-    }
-
-    /// Runs a single workload, also returning wall-clock phase timings.
-    /// Campaign cells use this so one out-of-memory cell surfaces as a
-    /// per-cell failure instead of sinking the whole grid.
-    pub fn try_run_workload_timed(
-        &self,
-        workload: &dyn TraceFactory,
-    ) -> Result<(Report, PhaseTimings), OomError> {
-        let (report, timings, _) = self.try_run_single(workload, None)?;
-        Ok((report, timings))
+        tcfg: Option<&TelemetryConfig>,
+    ) -> Result<(Report, PhaseTimings, Option<TelemetryRun>), OomError> {
+        let f = self.simulate(&[workload], tcfg)?;
+        let report = self.collect_report(workload.name(), &f.engines[0], &f.mem);
+        Ok((report, f.timings, f.telemetry))
     }
 
     /// Runs an `n`-core mix (§IV-A2): cores advance in rough cycle

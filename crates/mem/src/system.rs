@@ -987,7 +987,7 @@ mod tests {
                 page_cross: false,
             },
         );
-        m.attach_events(EventRing::new(1024, 1));
+        m.attach_events(EventRing::new(1024));
         assert!(m.events_enabled());
 
         let va = VirtAddr::new(0xC000_0000);

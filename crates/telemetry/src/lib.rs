@@ -18,7 +18,7 @@
 //!   telescope: summed over all intervals they reproduce the final
 //!   cumulative counters exactly, which is how the JSONL stream is
 //!   reconciled against the run's final `Report`.
-//! * [`EventRing`] — bounded, sampling-gated buffer of structured
+//! * [`EventRing`] — bounded buffer of the most recent structured
 //!   [`TimedEvent`]s (fills, evictions, page walks, policy decisions).
 //! * [`json`] — JSONL emission plus a hand-rolled validator (no external
 //!   JSON dependency anywhere in the workspace).

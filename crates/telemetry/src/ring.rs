@@ -1,51 +1,36 @@
-//! Bounded, sampling-gated buffer for structured trace events.
+//! Bounded buffer for structured trace events.
 
 use pagecross_types::{TimedEvent, TraceEvent};
 use std::collections::VecDeque;
 
-/// A ring buffer of [`TimedEvent`]s with 1-in-N sampling.
+/// A ring buffer of the most recent [`TimedEvent`]s.
 ///
-/// `sample = 1` records every offered event; `sample = N` keeps every Nth.
 /// When the buffer is full the oldest event is dropped, so the ring always
-/// holds the most recent window of activity. `seen`/`kept`/`dropped`
-/// counters let exporters report how much of the stream survived.
+/// holds the most recent window of activity. The `seen` counter lets
+/// exporters report how much of the stream survived.
 #[derive(Clone, Debug)]
 pub struct EventRing {
     buf: VecDeque<TimedEvent>,
     capacity: usize,
-    sample: u64,
-    /// Events offered to the ring (before sampling).
+    /// Events offered to the ring.
     seen: u64,
-    /// Events discarded by the sampling gate.
-    sampled_out: u64,
-    /// Events evicted because the ring was full.
-    overwritten: u64,
 }
 
 impl EventRing {
-    /// Creates a ring holding at most `capacity` events, keeping one in
-    /// every `sample` offered events (`sample` is clamped to ≥ 1).
-    pub fn new(capacity: usize, sample: u64) -> Self {
+    /// Creates a ring holding at most `capacity` events (clamped to ≥ 1).
+    pub fn new(capacity: usize) -> Self {
         Self {
             buf: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
-            sample: sample.max(1),
             seen: 0,
-            sampled_out: 0,
-            overwritten: 0,
         }
     }
 
-    /// Offers an event; the sampling gate and capacity decide its fate.
+    /// Offers an event, evicting the oldest one when the ring is full.
     pub fn push(&mut self, cycle: u64, core: u32, event: TraceEvent) {
         self.seen += 1;
-        if self.sample > 1 && self.seen % self.sample != 1 {
-            self.sampled_out += 1;
-            return;
-        }
         if self.buf.len() >= self.capacity {
             self.buf.pop_front();
-            self.overwritten += 1;
         }
         self.buf.push_back(TimedEvent { cycle, core, event });
     }
@@ -65,19 +50,9 @@ impl EventRing {
         self.buf.is_empty()
     }
 
-    /// Events offered (before the sampling gate).
+    /// Events offered, kept or not.
     pub fn seen(&self) -> u64 {
         self.seen
-    }
-
-    /// Events discarded by the sampling gate.
-    pub fn sampled_out(&self) -> u64 {
-        self.sampled_out
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
     }
 
     /// Drains the ring into a `Vec`, oldest first.
@@ -100,39 +75,19 @@ mod tests {
 
     #[test]
     fn keeps_most_recent_when_full() {
-        let mut r = EventRing::new(3, 1);
+        let mut r = EventRing::new(3);
         for i in 0..5 {
             r.push(i, 0, ev(i));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.seen(), 5);
-        assert_eq!(r.overwritten(), 2);
         let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
     }
 
     #[test]
-    fn sampling_keeps_one_in_n() {
-        let mut r = EventRing::new(100, 4);
-        for i in 0..16 {
-            r.push(i, 0, ev(i));
-        }
-        assert_eq!(r.len(), 4, "every 4th of 16");
-        assert_eq!(r.sampled_out(), 12);
-        // The first offered event is always kept (seen % sample == 1).
-        assert_eq!(r.events().next().unwrap().cycle, 0);
-    }
-
-    #[test]
-    fn zero_sample_clamps_to_one() {
-        let mut r = EventRing::new(8, 0);
-        r.push(1, 0, ev(1));
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
     fn into_events_preserves_order() {
-        let mut r = EventRing::new(4, 1);
+        let mut r = EventRing::new(4);
         for i in 0..4 {
             r.push(i, 1, ev(i));
         }

@@ -11,19 +11,16 @@ pub struct TelemetryConfig {
     pub interval: u64,
     /// Whether to record structured trace events.
     pub events: bool,
-    /// Event-ring capacity (most recent events kept).
-    pub event_capacity: usize,
-    /// Keep one in every N offered events.
-    pub event_sample: u64,
 }
+
+/// Event-ring capacity: the most recent events a traced run keeps.
+const EVENT_CAPACITY: usize = 65_536;
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             interval: 10_000,
             events: false,
-            event_capacity: 65_536,
-            event_sample: 1,
         }
     }
 }
@@ -32,7 +29,7 @@ impl TelemetryConfig {
     /// Builds the event ring this config describes (when events are on).
     pub fn make_ring(&self) -> Option<EventRing> {
         if self.events {
-            Some(EventRing::new(self.event_capacity, self.event_sample))
+            Some(EventRing::new(EVENT_CAPACITY))
         } else {
             None
         }
@@ -46,7 +43,7 @@ pub struct TelemetryRun {
     pub intervals: Vec<IntervalRecord>,
     /// Structured trace events (empty unless event tracing was on).
     pub events: Vec<TimedEvent>,
-    /// Events offered to the ring before sampling/eviction (0 when off).
+    /// Events offered to the ring before eviction (0 when off).
     pub events_seen: u64,
 }
 

@@ -30,8 +30,8 @@ pub const CHUNK_TAG: u8 = 0xC1;
 /// Frame tag of the end-of-stream marker.
 pub const END_TAG: u8 = 0xE5;
 
-/// Records per chunk written by [`crate::TraceWriter`] (decode granularity
-/// of the streaming reader's double buffer).
+/// Records per chunk written by [`crate::TraceWriter`]; a reader decodes
+/// one chunk at a time.
 pub const CHUNK_RECORDS: usize = 4096;
 
 /// Upper bound a reader accepts for one chunk's payload, guarding against

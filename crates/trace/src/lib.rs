@@ -19,19 +19,13 @@
 //! detected, never silently replayed. See `DESIGN.md` §9 for the full byte
 //! layout.
 //!
-//! # Reading modes
+//! # Reading
 //!
-//! * [`StreamingSource`] decodes on a background `std::thread` into a
-//!   double-buffered channel so decode overlaps simulation. It is what
-//!   [`TraceReplay`] builds on a machine with two or more hardware threads.
-//! * [`BlockingSource`] decodes chunks inline on the simulation thread. It
-//!   is what [`TraceReplay`] builds on a single-core machine, where a
-//!   decoder thread has nothing to overlap with, or after
-//!   [`TraceReplay::blocking`].
-//!
-//! Both rewind to the first chunk when the file is exhausted, preserving
-//! the infinite-stream `TraceSource` contract (like ChampSim's trace
-//! repeat).
+//! [`TraceReplay`] builds a [`BlockingSource`], which decodes chunks inline
+//! on the simulation thread and rewinds to the first chunk when the file
+//! is exhausted, preserving the infinite-stream `TraceSource` contract
+//! (like ChampSim's trace repeat). [`TraceReader::open`] is the one place
+//! that rejects an empty or unfinished recording.
 //!
 //! # Example
 //!
@@ -72,7 +66,7 @@ pub mod writer;
 
 pub use format::TraceMeta;
 pub use reader::{read_all, verify_file, TraceReader};
-pub use replay::{BlockingSource, StreamingSource, TraceReplay};
+pub use replay::{BlockingSource, TraceReplay};
 pub use writer::{record, TraceWriter};
 
 /// Errors of the trace subsystem. Every variant carries enough context for
@@ -105,8 +99,6 @@ pub enum TraceError {
         /// Count observed.
         actual: u64,
     },
-    /// The trace holds no instructions (replay would spin forever).
-    Empty,
 }
 
 impl std::fmt::Display for TraceError {
@@ -136,7 +128,6 @@ impl std::fmt::Display for TraceError {
                     "trace record-count mismatch: expected {expected}, found {actual}"
                 )
             }
-            TraceError::Empty => write!(f, "trace contains no instructions"),
         }
     }
 }

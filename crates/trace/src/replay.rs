@@ -1,28 +1,16 @@
 //! Replay: recorded traces as drop-in [`TraceFactory`] implementations.
 //!
-//! [`TraceReplay::build`] hands the engine a [`StreamingSource`] by
-//! default: chunks are decoded on a background `std::thread` and passed
-//! through a bounded two-slot channel, so the decode of chunk *n+1* (and
-//! *n+2*) overlaps the simulation of chunk *n* — the double-buffering the
-//! paper's ChampSim methodology gets from its gzip pipe. Overlap needs a
-//! second hardware thread, so on a single-core machine (or after
-//! [`TraceReplay::blocking`]) `build` hands out the inline
-//! [`BlockingSource`] instead; a decoder thread there could only add
-//! context-switch cost on top of the same decode work.
+//! [`TraceReplay::build`] hands the engine a [`BlockingSource`], which
+//! decodes each chunk on the simulation thread when the previous one runs
+//! out.
 
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{sync_channel, Receiver};
 
 use pagecross_cpu::trace::{Instr, TraceFactory, TraceSource};
 
 use crate::format::TraceMeta;
 use crate::reader::TraceReader;
 use crate::TraceError;
-
-/// Batches buffered between the decoder thread and the consumer: one being
-/// consumed, one ready, one in decode — classic double buffering with a
-/// bounded channel.
-const STREAM_DEPTH: usize = 2;
 
 /// A recorded trace, openable as a workload.
 ///
@@ -35,30 +23,21 @@ const STREAM_DEPTH: usize = 2;
 pub struct TraceReplay {
     path: PathBuf,
     meta: TraceMeta,
-    streaming: bool,
 }
 
 impl TraceReplay {
-    /// Opens and validates `path` (header magic, version, CRC; non-empty).
-    /// The records themselves are decoded lazily at `build()` time.
+    /// Opens and validates `path` (header magic, version, CRC; a finished,
+    /// non-empty recording). The records themselves are decoded lazily at
+    /// `build()` time.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
         let path = path.as_ref().to_path_buf();
-        let reader = TraceReader::open(&path)?;
-        let meta = reader.meta().clone();
-        if meta.instr_count == 0 {
-            return Err(TraceError::Empty);
-        }
-        Ok(Self {
-            path,
-            meta,
-            streaming: true,
-        })
+        let meta = TraceReader::open(&path)?.meta().clone();
+        Ok(Self { path, meta })
     }
 
-    /// Switches `build()` to the inline (blocking) decoder on every
-    /// machine.
-    pub fn blocking(mut self) -> Self {
-        self.streaming = false;
+    /// Returns `self` unchanged: every replay decodes inline. Kept for
+    /// existing callers.
+    pub fn blocking(self) -> Self {
         self
     }
 
@@ -83,13 +62,9 @@ impl TraceFactory for TraceReplay {
         // environmental (file deleted/corrupted between open and build) and
         // the infallible TraceSource contract leaves panicking with a
         // descriptive message as the only honest option.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let source: Result<Box<dyn TraceSource>, TraceError> = if self.streaming && cores >= 2 {
-            StreamingSource::spawn(&self.path).map(|s| Box::new(s) as _)
-        } else {
-            BlockingSource::open(&self.path).map(|s| Box::new(s) as _)
-        };
-        source.unwrap_or_else(|e| panic!("replay of {}: {e}", self.path.display()))
+        let source = BlockingSource::open(&self.path)
+            .unwrap_or_else(|e| panic!("replay of {}: {e}", self.path.display()));
+        Box::new(source)
     }
 }
 
@@ -105,12 +80,8 @@ pub struct BlockingSource {
 impl BlockingSource {
     /// Opens `path` for inline replay.
     pub fn open(path: &Path) -> Result<Self, TraceError> {
-        let reader = TraceReader::open(path)?;
-        if reader.meta().instr_count == 0 {
-            return Err(TraceError::Empty);
-        }
         Ok(Self {
-            reader,
+            reader: TraceReader::open(path)?,
             path: path.to_path_buf(),
             chunk: Vec::new(),
             pos: 0,
@@ -137,84 +108,6 @@ impl BlockingSource {
 }
 
 impl TraceSource for BlockingSource {
-    fn next_instr(&mut self) -> Instr {
-        if self.pos >= self.chunk.len() {
-            self.refill();
-        }
-        let i = self.chunk[self.pos];
-        self.pos += 1;
-        i
-    }
-}
-
-/// Streaming decoder: chunks are decoded ahead of the consumer on a named
-/// background thread (`pct-decode`) and handed over through a bounded
-/// two-slot channel, so decode overlaps simulation.
-///
-/// The decoder thread exits when the source is dropped (the channel
-/// disconnects and `send` fails) or when it hits a decode error, which it
-/// forwards so the consumer can report it.
-pub struct StreamingSource {
-    rx: Receiver<Result<Vec<Instr>, TraceError>>,
-    path: PathBuf,
-    chunk: Vec<Instr>,
-    pos: usize,
-}
-
-impl StreamingSource {
-    /// Opens `path` and spawns its decoder thread.
-    pub fn spawn(path: &Path) -> Result<Self, TraceError> {
-        let mut reader = TraceReader::open(path)?;
-        if reader.meta().instr_count == 0 {
-            return Err(TraceError::Empty);
-        }
-        let (tx, rx) = sync_channel::<Result<Vec<Instr>, TraceError>>(STREAM_DEPTH);
-        std::thread::Builder::new()
-            .name("pct-decode".to_string())
-            .spawn(move || {
-                loop {
-                    let mut chunk = Vec::new();
-                    let msg = match reader.next_chunk(&mut chunk) {
-                        Ok(true) => Ok(chunk),
-                        Ok(false) => match reader.rewind() {
-                            Ok(()) => continue, // repeat from the first chunk
-                            Err(e) => Err(e),
-                        },
-                        Err(e) => Err(e),
-                    };
-                    let fatal = msg.is_err();
-                    // A send fails only when the consumer is gone — done
-                    // either way.
-                    if tx.send(msg).is_err() || fatal {
-                        return;
-                    }
-                }
-            })
-            .map_err(TraceError::Io)?;
-        Ok(Self {
-            rx,
-            path: path.to_path_buf(),
-            chunk: Vec::new(),
-            pos: 0,
-        })
-    }
-
-    fn refill(&mut self) {
-        match self.rx.recv() {
-            Ok(Ok(chunk)) => {
-                self.chunk = chunk;
-                self.pos = 0;
-            }
-            Ok(Err(e)) => panic!("replay of {}: {e}", self.path.display()),
-            Err(_) => panic!(
-                "replay of {}: decoder thread exited unexpectedly",
-                self.path.display()
-            ),
-        }
-    }
-}
-
-impl TraceSource for StreamingSource {
     fn next_instr(&mut self) -> Instr {
         if self.pos >= self.chunk.len() {
             self.refill();
@@ -311,52 +204,42 @@ mod tests {
         let replay = TraceReplay::open(&path).unwrap();
         assert_eq!(replay.meta().instr_count, n);
         let mut blocking = BlockingSource::open(&path).unwrap();
-        let mut streaming = StreamingSource::spawn(&path).unwrap();
         let mut direct = w.build();
-        // Read past the end of the recording: both sources must wrap to the
+        // Read past the end of the recording: the source must wrap to the
         // first record (direct reference: restart the generator).
         for i in 0..n {
-            let d = direct.next_instr();
-            assert_eq!(blocking.next_instr(), d, "blocking diverged at {i}");
-            assert_eq!(streaming.next_instr(), d, "streaming diverged at {i}");
+            assert_eq!(
+                blocking.next_instr(),
+                direct.next_instr(),
+                "diverged at {i}"
+            );
         }
         let mut direct = w.build();
         for i in 0..500 {
-            let d = direct.next_instr();
-            assert_eq!(blocking.next_instr(), d, "blocking wrap diverged at {i}");
-            assert_eq!(streaming.next_instr(), d, "streaming wrap diverged at {i}");
+            assert_eq!(
+                blocking.next_instr(),
+                direct.next_instr(),
+                "wrap diverged at {i}"
+            );
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn dropping_streaming_source_stops_decoder() {
-        let path = tmp("drop");
-        record(&RandomWorkload { seed: 3 }, 1_000, 3, &path).unwrap();
-        let mut s = StreamingSource::spawn(&path).unwrap();
-        let _ = s.next_instr();
-        drop(s);
-        // The decoder notices the closed channel and exits; nothing to
-        // assert beyond not hanging (the test harness would time out).
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn adaptive_build_matches_blocking_source() {
-        let path = tmp("adaptive");
+        let path = tmp("build");
         let w = RandomWorkload { seed: 41 };
         record(&w, 1_200, 41, &path).unwrap();
-        // Whichever source build() picks for this machine (streaming with
-        // two or more cores, inline otherwise), and with blocking() forced,
-        // the instruction stream is the same.
+        // build() and blocking().build() replay the same stream as a
+        // directly opened BlockingSource, past the wrap-around.
         let replay = TraceReplay::open(&path).unwrap();
-        let mut adaptive = replay.build();
+        let mut built = replay.build();
         let mut forced = replay.blocking().build();
         let mut reference = BlockingSource::open(&path).unwrap();
         for i in 0..2_400 {
             let want = reference.next_instr();
             assert_eq!(forced.next_instr(), want, "blocking() diverged at {i}");
-            assert_eq!(adaptive.next_instr(), want, "build() diverged at {i}");
+            assert_eq!(built.next_instr(), want, "build() diverged at {i}");
         }
         std::fs::remove_file(&path).ok();
     }

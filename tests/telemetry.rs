@@ -5,9 +5,11 @@
 
 use pagecross::cpu::trace::TraceFactory;
 use pagecross::cpu::{
-    CoreConfig, OsConfig, PgcPolicyKind, PrefetcherKind, SimulationBuilder, TelemetryConfig,
+    CoreConfig, OsConfig, PgcPolicyKind, PrefetcherKind, Report, SimulationBuilder, TelemetryConfig,
 };
-use pagecross::telemetry::{chrome_trace_json, interval_to_json, validate_jsonl};
+use pagecross::telemetry::{
+    chrome_trace_json, interval_to_json, validate_jsonl, TelemetryCounters, TelemetryRun,
+};
 use pagecross::workloads::{suite, SuiteId, Workload};
 
 /// The golden-test configurations: distinct suites, prefetchers and
@@ -35,6 +37,16 @@ const CASES: &[(SuiteId, usize, PrefetcherKind, PgcPolicyKind)] = &[
 
 fn workload(case: &(SuiteId, usize, PrefetcherKind, PgcPolicyKind)) -> &'static Workload {
     &suite(case.0).workloads()[case.1]
+}
+
+/// Runs `w` with telemetry collection; these runs never exhaust memory.
+fn run_with_telemetry(
+    b: SimulationBuilder,
+    w: &dyn TraceFactory,
+    cfg: &TelemetryConfig,
+) -> (Report, TelemetryRun) {
+    let (report, _, telemetry) = b.try_run_workload_with(w, Some(cfg)).expect("no OOM");
+    (report, telemetry.expect("telemetry was requested"))
 }
 
 fn builder(case: &(SuiteId, usize, PrefetcherKind, PgcPolicyKind)) -> SimulationBuilder {
@@ -84,7 +96,7 @@ fn jsonl_deltas_reconcile_with_final_report() {
             interval: 2_000,
             ..TelemetryConfig::default()
         };
-        let (r, telemetry) = builder(case).run_workload_with_telemetry(w, &cfg);
+        let (r, telemetry) = run_with_telemetry(builder(case), w, &cfg);
         let mut text = String::new();
         for rec in &telemetry.intervals {
             text.push_str(&interval_to_json(rec));
@@ -96,50 +108,39 @@ fn jsonl_deltas_reconcile_with_final_report() {
         assert_eq!(s.final_instructions, r.core.instructions, "{}", w.name());
         assert_eq!(s.final_cycles, r.core.cycles, "{}", w.name());
 
-        let t = &s.totals;
-        let tag = w.name();
-        assert_eq!(t.instructions, r.core.instructions, "{tag}: instructions");
-        assert_eq!(t.cycles, r.core.cycles, "{tag}: cycles");
-        assert_eq!(t.l1d_accesses, r.l1d.demand_accesses, "{tag}: l1d acc");
-        assert_eq!(t.l1d_misses, r.l1d.demand_misses, "{tag}: l1d miss");
-        assert_eq!(t.l1i_misses, r.l1i.demand_misses, "{tag}: l1i miss");
-        assert_eq!(t.l2c_misses, r.l2c.demand_misses, "{tag}: l2c miss");
-        assert_eq!(t.llc_accesses, r.llc.demand_accesses, "{tag}: llc acc");
-        assert_eq!(t.llc_misses, r.llc.demand_misses, "{tag}: llc miss");
-        assert_eq!(t.dtlb_misses, r.dtlb.misses, "{tag}: dtlb");
-        assert_eq!(t.stlb_misses, r.stlb.misses, "{tag}: stlb");
-        assert_eq!(t.demand_walks, r.walks.demand_walks, "{tag}: walks");
-        assert_eq!(t.prefetch_walks, r.walks.prefetch_walks, "{tag}: pf walks");
-        assert_eq!(t.candidates, r.prefetch.candidates, "{tag}: candidates");
-        assert_eq!(
-            t.pgc_candidates, r.prefetch.pgc_candidates,
-            "{tag}: pgc cand"
-        );
-        assert_eq!(t.pgc_issued, r.prefetch.pgc_issued, "{tag}: pgc issued");
-        assert_eq!(
-            t.pgc_discarded, r.prefetch.pgc_discarded,
-            "{tag}: pgc discarded"
-        );
-        assert_eq!(
-            t.inpage_issued, r.prefetch.inpage_issued,
-            "{tag}: in-page issued"
-        );
-        assert_eq!(t.prefetch_useful, r.l1d.prefetch_useful, "{tag}: pf useful");
-        assert_eq!(
-            t.prefetch_useless, r.l1d.prefetch_useless,
-            "{tag}: pf useless"
-        );
-        assert_eq!(t.pgc_useful, r.l1d.pgc_useful, "{tag}: pgc useful");
-        assert_eq!(t.pgc_useless, r.l1d.pgc_useless, "{tag}: pgc useless");
-        assert_eq!(
-            t.branch_mispredicts, r.core.branch_mispredicts,
-            "{tag}: mispredicts"
-        );
-        assert_eq!(t.os_minor_faults, r.os.minor_faults, "{tag}: os minor");
-        assert_eq!(t.os_major_faults, r.os.major_faults, "{tag}: os major");
-        assert_eq!(t.os_reclaims, r.os.reclaims, "{tag}: os reclaims");
-        assert_eq!(t.os_promotions, r.os.thp_promotions, "{tag}: os promote");
-        assert_eq!(t.os_shootdowns, r.os.shootdowns, "{tag}: os shootdowns");
+        // One literal, no `..Default::default()`: a new counter does not
+        // compile until it is mapped to its report field here.
+        let expected = TelemetryCounters {
+            instructions: r.core.instructions,
+            cycles: r.core.cycles,
+            l1d_accesses: r.l1d.demand_accesses,
+            l1d_misses: r.l1d.demand_misses,
+            l1i_misses: r.l1i.demand_misses,
+            l2c_misses: r.l2c.demand_misses,
+            llc_accesses: r.llc.demand_accesses,
+            llc_misses: r.llc.demand_misses,
+            dtlb_misses: r.dtlb.misses,
+            stlb_accesses: r.stlb.accesses,
+            stlb_misses: r.stlb.misses,
+            demand_walks: r.walks.demand_walks,
+            prefetch_walks: r.walks.prefetch_walks,
+            candidates: r.prefetch.candidates,
+            pgc_candidates: r.prefetch.pgc_candidates,
+            pgc_issued: r.prefetch.pgc_issued,
+            pgc_discarded: r.prefetch.pgc_discarded,
+            inpage_issued: r.prefetch.inpage_issued,
+            prefetch_useful: r.l1d.prefetch_useful,
+            prefetch_useless: r.l1d.prefetch_useless,
+            pgc_useful: r.l1d.pgc_useful,
+            pgc_useless: r.l1d.pgc_useless,
+            branch_mispredicts: r.core.branch_mispredicts,
+            os_minor_faults: r.os.minor_faults,
+            os_major_faults: r.os.major_faults,
+            os_reclaims: r.os.reclaims,
+            os_promotions: r.os.thp_promotions,
+            os_shootdowns: r.os.shootdowns,
+        };
+        assert_eq!(s.totals, expected, "{}", w.name());
     }
 }
 
@@ -159,7 +160,7 @@ fn jsonl_deltas_reconcile_with_os_model_enabled() {
         thp: 0.5,
         ..OsConfig::default()
     };
-    let (r, telemetry) = builder(case).os(os).run_workload_with_telemetry(w, &cfg);
+    let (r, telemetry) = run_with_telemetry(builder(case).os(os), w, &cfg);
     assert!(r.os.minor_faults > 0, "64 MB run must fault pages in");
     assert!(r.core.stalls.os_fault > 0, "faults must cost issue slots");
     let width = CoreConfig::default().issue_width;
@@ -192,9 +193,8 @@ fn chrome_trace_is_structurally_valid() {
     let cfg = TelemetryConfig {
         interval: 5_000,
         events: true,
-        ..TelemetryConfig::default()
     };
-    let (_, telemetry) = builder(case).run_workload_with_telemetry(workload(case), &cfg);
+    let (_, telemetry) = run_with_telemetry(builder(case), workload(case), &cfg);
     assert!(!telemetry.events.is_empty(), "gap.s00 must produce events");
     assert!(telemetry.events_seen >= telemetry.events.len() as u64);
 
@@ -221,9 +221,8 @@ fn telemetry_does_not_perturb_reports() {
         let cfg = TelemetryConfig {
             interval: 1_000,
             events: true,
-            ..TelemetryConfig::default()
         };
-        let (on, telemetry) = builder(case).run_workload_with_telemetry(w, &cfg);
+        let (on, telemetry) = run_with_telemetry(builder(case), w, &cfg);
         assert_eq!(
             off,
             on,
