@@ -1,4 +1,4 @@
-//! The `pagecross` command-line tool: run, compare and sweep simulations
+//! The `pagecross` command-line tool: run, compare and record simulations
 //! from the shell. See `pagecross help`.
 
 fn main() {

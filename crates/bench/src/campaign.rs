@@ -94,7 +94,7 @@ impl Subject for TraceReplay {
 }
 
 /// One scheme under comparison: prefetcher + policy (+ variants).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Scheme {
     /// Display label.
     pub label: String,

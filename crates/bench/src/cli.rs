@@ -7,21 +7,21 @@
 //!   simulation, full report;
 //! * `compare --workload <name> [--prefetcher p]` — Discard vs Permit vs
 //!   DRIPPER in one line;
-//! * `sweep --suite <id> [--prefetcher p] [--jobs n]` — the compare row for
-//!   every seen workload of a suite, computed on the parallel campaign
-//!   runner;
 //! * `campaign [--suite <id>] [--prefetcher p] [--jobs n] [--per-suite k]
-//!   [--trace-dir <dir>]` — a figure-style (workload × scheme) grid on the
-//!   worker pool, with per-experiment timing and the wall-clock/speedup
-//!   summary; with `--trace-dir`, the grid runs over every `.pct` trace in
-//!   a directory instead of the registry;
+//!   [--trace-dir <dir>]` — the compare row for every workload of a suite
+//!   (or of a representative cross-suite set), computed as one (workload ×
+//!   scheme) grid on the parallel campaign runner, then per-cell timing and
+//!   the wall-clock/speedup summary; `--trace-dir` runs the grid over every
+//!   `.pct` trace in a directory instead and excludes `--suite` and
+//!   `--per-suite`;
 //! * `record --workload <name> [--out <path>]` — serialize a workload's
 //!   instruction stream to a `.pct` trace file;
 //! * `replay --trace <path> [...]` — simulate a recorded trace (counters
 //!   are bit-identical to the direct run it was recorded from).
 //!
 //! Argument parsing is hand-rolled (the workspace is dependency-minimal);
-//! the parsed command is a plain enum so it is unit-testable.
+//! the parsed command is a plain enum so it is unit-testable, and `run` and
+//! `replay` parse straight into the campaign runner's [`Scheme`].
 
 use crate::campaign::{
     core_schemes, env_jobs, run_grid, CampaignConfig, CampaignRun, Scheme, Subject, WorkloadResult,
@@ -54,15 +54,6 @@ pub enum Command {
         workload: String,
         /// L1D prefetcher.
         prefetcher: PrefetcherKind,
-    },
-    /// Compare the three core policies across a suite.
-    Sweep {
-        /// Suite to sweep.
-        suite: SuiteId,
-        /// L1D prefetcher.
-        prefetcher: PrefetcherKind,
-        /// Worker threads (0 = `PAGECROSS_JOBS` / all cores).
-        jobs: usize,
     },
     /// Run a figure-style experiment grid on the parallel campaign runner.
     Campaign {
@@ -102,67 +93,15 @@ pub enum Command {
     Help,
 }
 
-/// The imitation-OS flags shared by `run` and `replay` (`--os`,
-/// `--phys-mem`, `--thp`, `--fault-ns`).
-#[derive(Clone, Debug, PartialEq)]
-pub struct OsArgs {
-    /// `--os on` enables the OS model (off by default).
-    pub enabled: bool,
-    /// Physical memory capacity in bytes (0 = [`OsConfig`] default).
-    pub phys_mem_bytes: u64,
-    /// THP aggressiveness in [0, 1] (0 = never promote).
-    pub thp: f64,
-    /// Minor-fault handler latency in nanoseconds (0 = [`OsConfig`]
-    /// default cycle costs; a major fault costs 8x the minor).
-    pub fault_ns: u64,
-}
-
-impl Default for OsArgs {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            phys_mem_bytes: 0,
-            thp: 0.0,
-            fault_ns: 0,
-        }
-    }
-}
-
-impl OsArgs {
-    /// The [`OsConfig`] these flags describe, or `None` when `--os` is off.
-    pub fn to_config(&self) -> Option<OsConfig> {
-        if !self.enabled {
-            return None;
-        }
-        let mut cfg = OsConfig::default();
-        if self.phys_mem_bytes > 0 {
-            cfg.phys_mem_bytes = self.phys_mem_bytes;
-        }
-        cfg.thp = self.thp;
-        if self.fault_ns > 0 {
-            // 4 GHz core: 1 ns = 4 cycles; Linux major faults (I/O plus
-            // handler) run ~8x the minor-fault cost in this model.
-            cfg.minor_fault_cycles = self.fault_ns * 4;
-            cfg.major_fault_cycles = self.fault_ns * 32;
-        }
-        Some(cfg)
-    }
-}
-
 /// Arguments of the `run` and `replay` subcommands.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimArgs {
     /// What to simulate: a registry workload name (`run --workload`) or
     /// the path of a `.pct` trace (`replay --trace`).
     pub source: String,
-    /// L1D prefetcher.
-    pub prefetcher: PrefetcherKind,
-    /// Page-cross policy.
-    pub policy: PgcPolicyKind,
-    /// L2C prefetcher.
-    pub l2: L2PrefetcherKind,
-    /// Huge-page fraction (0 disables).
-    pub huge_fraction: f64,
+    /// The scheme to simulate: `--prefetcher`, `--policy`, `--l2`,
+    /// `--huge` and the imitation-OS flags.
+    pub scheme: Scheme,
     /// Warm-up instructions (0 = the workload default, or the first third
     /// of a recording).
     pub warmup: u64,
@@ -175,8 +114,6 @@ pub struct SimArgs {
     pub telemetry_interval: u64,
     /// Chrome trace-event JSON output path (`None` = event tracing off).
     pub telemetry_trace: Option<String>,
-    /// Imitation-OS model flags.
-    pub os: OsArgs,
 }
 
 /// Default `--telemetry-interval`: one sample per 10k retired instructions.
@@ -186,16 +123,12 @@ impl Default for SimArgs {
     fn default() -> Self {
         Self {
             source: String::new(),
-            prefetcher: PrefetcherKind::Berti,
-            policy: PgcPolicyKind::Dripper,
-            l2: L2PrefetcherKind::None,
-            huge_fraction: 0.0,
+            scheme: Scheme::new("", PrefetcherKind::Berti, PgcPolicyKind::Dripper),
             warmup: 0,
             instructions: 0,
             telemetry_out: None,
             telemetry_interval: DEFAULT_TELEMETRY_INTERVAL,
             telemetry_trace: None,
-            os: OsArgs::default(),
         }
     }
 }
@@ -250,6 +183,18 @@ fn parse_count(kv: &Flags, key: &str) -> Result<u64, CliError> {
     })
 }
 
+/// Parses a flag that must be a positive count (absent = `None`).
+fn parse_positive(kv: &Flags, key: &str) -> Result<Option<u64>, CliError> {
+    kv.get(key)
+        .map(|p| {
+            p.parse::<u64>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| CliError(format!("--{key} expects a positive count, got '{p}'")))
+        })
+        .transpose()
+}
+
 /// Parses a fraction flag, which must lie in [0, 1] (absent = `None`).
 fn parse_fraction(kv: &Flags, key: &str) -> Result<Option<f64>, CliError> {
     kv.get(key)
@@ -272,30 +217,27 @@ fn parse_sim(kv: &Flags, cmd: &str, source: &str, what: &str) -> Result<SimArgs,
             .clone(),
         ..Default::default()
     };
+    let s = &mut a.scheme;
     if let Some(p) = kv.get("prefetcher") {
-        a.prefetcher = parse_prefetcher(p)?;
+        s.prefetcher = parse_prefetcher(p)?;
     }
     if let Some(p) = kv.get("policy") {
-        a.policy = parse_policy(p)?;
+        s.policy = parse_policy(p)?;
     }
     if let Some(p) = kv.get("l2") {
-        a.l2 = parse_l2(p)?;
+        s.l2 = parse_l2(p)?;
     }
-    if let Some(f) = parse_fraction(kv, "huge")? {
-        a.huge_fraction = f;
+    if let Some(f) = parse_fraction(kv, "huge")?.filter(|&f| f > 0.0) {
+        s.huge = HugePagePolicy::Fraction(f);
     }
+    s.os = parse_os(kv)?;
     a.warmup = parse_count(kv, "warmup")?;
     a.instructions = parse_count(kv, "instructions")?;
     a.telemetry_out = kv.get("telemetry-out").cloned();
-    if let Some(p) = kv.get("telemetry-interval") {
-        a.telemetry_interval = p.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-            CliError(format!(
-                "--telemetry-interval expects a positive count, got '{p}'"
-            ))
-        })?;
+    if let Some(n) = parse_positive(kv, "telemetry-interval")? {
+        a.telemetry_interval = n;
     }
     a.telemetry_trace = kv.get("telemetry-trace").cloned();
-    parse_os_flags(kv, &mut a.os)?;
     Ok(a)
 }
 
@@ -311,43 +253,43 @@ fn parse_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok()?.checked_mul(mult)
 }
 
-/// Parses the imitation-OS flags of `run` and `replay`.
-fn parse_os_flags(kv: &Flags, os: &mut OsArgs) -> Result<(), CliError> {
-    if let Some(p) = kv.get("os") {
-        os.enabled = match p.as_str() {
-            "on" => true,
-            "off" => false,
-            _ => return Err(CliError(format!("--os expects on|off, got '{p}'"))),
-        };
+/// Fails naming the first of `flags` that was given, as `--<flag> <why>`.
+fn reject(kv: &Flags, flags: &[&str], why: &str) -> Result<(), CliError> {
+    match flags.iter().find(|f| kv.contains_key(**f)) {
+        Some(f) => Err(CliError(format!("--{f} {why}"))),
+        None => Ok(()),
     }
+}
+
+/// Parses the imitation-OS flags of `run` and `replay`: `None` unless
+/// `--os on`, and a tuning flag without `--os on` is an error. An unset
+/// tuning flag keeps its [`OsConfig`] default (`--thp` 0: never promote).
+fn parse_os(kv: &Flags) -> Result<Option<OsConfig>, CliError> {
+    match kv.get("os").map(String::as_str) {
+        Some("on") => {}
+        None | Some("off") => {
+            return reject(kv, &["phys-mem", "thp", "fault-ns"], "needs --os on").map(|()| None)
+        }
+        Some(p) => return Err(CliError(format!("--os expects on|off, got '{p}'"))),
+    }
+    let mut cfg = OsConfig::default();
     if let Some(p) = kv.get("phys-mem") {
-        os.phys_mem_bytes = parse_size(p).filter(|&n| n >= 64 << 20).ok_or_else(|| {
+        cfg.phys_mem_bytes = parse_size(p).filter(|&n| n >= 64 << 20).ok_or_else(|| {
             CliError(format!(
                 "--phys-mem expects a size of at least 64M (e.g. 64M, 2G), got '{p}'"
             ))
         })?;
     }
     if let Some(f) = parse_fraction(kv, "thp")? {
-        os.thp = f;
+        cfg.thp = f;
     }
-    if let Some(p) = kv.get("fault-ns") {
-        os.fault_ns =
-            p.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                CliError(format!("--fault-ns expects a positive count, got '{p}'"))
-            })?;
+    if let Some(ns) = parse_positive(kv, "fault-ns")? {
+        // 4 GHz core: 1 ns = 4 cycles; Linux major faults (I/O plus
+        // handler) run ~8x the minor-fault cost in this model.
+        cfg.minor_fault_cycles = ns * 4;
+        cfg.major_fault_cycles = ns * 32;
     }
-    Ok(())
-}
-
-fn parse_jobs(s: Option<&str>) -> Result<usize, CliError> {
-    match s {
-        None => Ok(0), // 0 = resolve via env_jobs() at execution time
-        Some(p) => p
-            .parse::<usize>()
-            .ok()
-            .filter(|&j| j >= 1)
-            .ok_or_else(|| CliError(format!("--jobs expects a positive count, got '{p}'"))),
-    }
+    Ok(Some(cfg))
 }
 
 fn parse_suite(s: &str) -> Result<SuiteId, CliError> {
@@ -405,7 +347,6 @@ fn flags_of(cmd: &str) -> Option<String> {
         "list" => "suite".into(),
         "run" => format!("workload {SIM_FLAGS}"),
         "compare" => "workload prefetcher".into(),
-        "sweep" => "suite prefetcher jobs".into(),
         "campaign" => "suite prefetcher jobs per-suite trace-dir".into(),
         "record" => "workload out warmup instructions".into(),
         "replay" => format!("trace {SIM_FLAGS}"),
@@ -441,32 +382,26 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 .transpose()?
                 .unwrap_or(PrefetcherKind::Berti),
         }),
-        "sweep" => Ok(Command::Sweep {
-            suite: parse_suite(
-                get("suite").ok_or_else(|| CliError("sweep requires --suite <id>".into()))?,
-            )?,
-            prefetcher: get("prefetcher")
-                .map(parse_prefetcher)
-                .transpose()?
-                .unwrap_or(PrefetcherKind::Berti),
-            jobs: parse_jobs(get("jobs"))?,
-        }),
-        "campaign" => Ok(Command::Campaign {
-            suite: get("suite").map(parse_suite).transpose()?,
-            prefetcher: get("prefetcher")
-                .map(parse_prefetcher)
-                .transpose()?
-                .unwrap_or(PrefetcherKind::Berti),
-            jobs: parse_jobs(get("jobs"))?,
-            per_suite: get("per-suite")
-                .map(|p| {
-                    p.parse::<usize>().ok().filter(|&k| k >= 1).ok_or_else(|| {
-                        CliError(format!("--per-suite expects a positive count, got '{p}'"))
-                    })
-                })
-                .transpose()?,
-            trace_dir: get("trace-dir").map(str::to_string),
-        }),
+        "campaign" => {
+            if kv.contains_key("trace-dir") {
+                reject(
+                    &kv,
+                    &["suite", "per-suite"],
+                    "cannot be combined with --trace-dir",
+                )?;
+            }
+            Ok(Command::Campaign {
+                suite: get("suite").map(parse_suite).transpose()?,
+                prefetcher: get("prefetcher")
+                    .map(parse_prefetcher)
+                    .transpose()?
+                    .unwrap_or(PrefetcherKind::Berti),
+                // 0 = resolve via env_jobs() at execution time.
+                jobs: parse_positive(&kv, "jobs")?.map_or(0, |j| j as usize),
+                per_suite: parse_positive(&kv, "per-suite")?.map(|k| k as usize),
+                trace_dir: get("trace-dir").map(str::to_string),
+            })
+        }
         "record" => Ok(Command::Record {
             workload: get("workload")
                 .ok_or_else(|| CliError("record requires --workload <name>".into()))?
@@ -499,7 +434,6 @@ USAGE:
                 [--telemetry-trace <path.json>]
                 [--os on|off] [--phys-mem <size>] [--thp <f>] [--fault-ns <n>]
   pagecross compare --workload <name> [--prefetcher <p>]
-  pagecross sweep --suite <id> [--prefetcher <p>] [--jobs <n>]
   pagecross campaign [--suite <id>] [--prefetcher <p>] [--jobs <n>] [--per-suite <k>]
                      [--trace-dir <dir>]
   pagecross record --workload <name> [--out <path>] [--warmup <n>] [--instructions <n>]
@@ -522,7 +456,8 @@ record serializes a workload's stream to a compact checksummed .pct
 file (default length: the workload's warm-up + measured defaults).
 replay simulates such a file; with default lengths on both sides, the
 replayed counters are bit-identical to the direct run. campaign
---trace-dir sweeps the scheme grid over every .pct file in a directory.
+--trace-dir sweeps the scheme grid over every .pct file in a directory
+(it excludes --suite and --per-suite).
 
 Telemetry: --telemetry-out samples every stats delta each
 --telemetry-interval retired instructions (default 10000) into a JSONL
@@ -539,8 +474,8 @@ THP promotion, and TLB shootdowns on top of the memory hierarchy.
 64M), --thp sets promotion aggressiveness in [0,1] (a 2MB region
 promotes once ceil((1-thp)*512) of its 4KB pages are resident), and
 --fault-ns sets the minor-fault handler latency in nanoseconds (major
-faults cost 8x). With --os off (the default) every report is
-bit-identical to a build without the OS model.
+faults cost 8x); each of the three needs --os on. With --os off (the
+default) every report is bit-identical to a build without the OS model.
 ";
 
 /// Prints the standard single-run report block (shared by `run` and
@@ -602,17 +537,7 @@ fn print_report(r: &Report) {
 /// diffable between `run` and `replay`.
 fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliError> {
     let (dw, di) = subject.lengths();
-    let scheme = Scheme {
-        l2: a.l2,
-        huge: if a.huge_fraction > 0.0 {
-            HugePagePolicy::Fraction(a.huge_fraction)
-        } else {
-            HugePagePolicy::None
-        },
-        os: a.os.to_config(),
-        ..Scheme::new("", a.prefetcher, a.policy)
-    };
-    let builder = scheme.builder(
+    let builder = a.scheme.builder(
         CampaignConfig::DEFAULT_SEED,
         if a.warmup > 0 { a.warmup } else { dw },
         if a.instructions > 0 {
@@ -736,25 +661,20 @@ fn run_compare_grid<S: Subject + ?Sized>(
     run
 }
 
-/// The exit code of a simulating subcommand: 0, or 2 after printing the
-/// error.
-fn exit_code(r: Result<(), CliError>) -> i32 {
-    match r {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("error: {e}");
-            2
-        }
-    }
+/// Executes a parsed command, printing to stdout. Returns the exit code:
+/// 0, 1 for a telemetry file that reads but fails validation, or 2 after
+/// printing any other error.
+pub fn execute(cmd: Command) -> i32 {
+    try_execute(cmd).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        2
+    })
 }
 
-/// Executes a parsed command, printing to stdout. Returns an exit code.
-pub fn execute(cmd: Command) -> i32 {
+/// [`execute`] with every error but a failed validation returned.
+fn try_execute(cmd: Command) -> Result<i32, CliError> {
     match cmd {
-        Command::Help => {
-            print!("{USAGE}");
-            0
-        }
+        Command::Help => print!("{USAGE}"),
         Command::List { suite: filter } => {
             for id in SuiteId::ALL {
                 if filter.is_some_and(|f| f != id) {
@@ -774,38 +694,15 @@ pub fn execute(cmd: Command) -> i32 {
                     );
                 }
             }
-            0
         }
-        Command::Run(a) => exit_code(find_workload(&a.source).and_then(|w| simulate(&a, w))),
-        Command::Replay(a) => {
-            exit_code(open_trace(Path::new(&a.source)).and_then(|r| simulate(&a, &r)))
-        }
+        Command::Run(a) => simulate(&a, find_workload(&a.source)?)?,
+        Command::Replay(a) => simulate(&a, &open_trace(Path::new(&a.source))?)?,
         Command::Compare {
             workload,
             prefetcher,
-        } => match find_workload(&workload) {
-            Ok(w) => {
-                // The three schemes run concurrently on the pool.
-                run_compare_grid(&[w], prefetcher, 0);
-                0
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        },
-        Command::Sweep {
-            suite: id,
-            prefetcher,
-            jobs,
         } => {
-            let ws: Vec<&Workload> = seen_workloads()
-                .into_iter()
-                .filter(|w| w.suite() == id)
-                .collect();
-            let run = run_compare_grid(&ws, prefetcher, jobs);
-            println!("{}", run.timing_line());
-            0
+            // The three schemes run concurrently on the pool.
+            run_compare_grid(&[find_workload(&workload)?], prefetcher, 0);
         }
         Command::Campaign {
             suite: filter,
@@ -815,13 +712,7 @@ pub fn execute(cmd: Command) -> i32 {
             trace_dir,
         } => {
             let run = if let Some(dir) = trace_dir {
-                let replays = match trace_dir_replays(Path::new(&dir)) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 2;
-                    }
-                };
+                let replays = trace_dir_replays(Path::new(&dir))?;
                 let refs: Vec<&TraceReplay> = replays.iter().collect();
                 run_compare_grid(&refs, prefetcher, jobs)
             } else {
@@ -854,7 +745,6 @@ pub fn execute(cmd: Command) -> i32 {
                 ph.total()
             );
             println!("{}", run.timing_line());
-            0
         }
         Command::Record {
             workload,
@@ -862,59 +752,39 @@ pub fn execute(cmd: Command) -> i32 {
             warmup,
             instructions,
         } => {
-            let w = match find_workload(&workload) {
-                Ok(w) => w,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
+            let w = find_workload(&workload)?;
             let (dw, di) = w.default_lengths();
             let warm = if warmup > 0 { warmup } else { dw };
             let meas = if instructions > 0 { instructions } else { di };
             let path = PathBuf::from(out.unwrap_or_else(|| format!("{workload}.pct")));
-            match pagecross_trace::record(w, warm + meas, w.params().seed, &path) {
-                Ok(meta) => {
-                    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                    println!(
-                        "recorded {} instructions of {} to {} ({} bytes, {:.2} bytes/instr)",
-                        meta.instr_count,
-                        meta.name,
-                        path.display(),
-                        bytes,
-                        bytes as f64 / meta.instr_count.max(1) as f64
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: recording to '{}': {e}", path.display());
-                    2
-                }
-            }
+            let meta = pagecross_trace::record(w, warm + meas, w.params().seed, &path)
+                .map_err(|e| CliError(format!("recording to '{}': {e}", path.display())))?;
+            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            println!(
+                "recorded {} instructions of {} to {} ({} bytes, {:.2} bytes/instr)",
+                meta.instr_count,
+                meta.name,
+                path.display(),
+                bytes,
+                bytes as f64 / meta.instr_count.max(1) as f64
+            );
         }
         Command::CheckTelemetry { jsonl } => {
-            let text = match std::fs::read_to_string(&jsonl) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read '{jsonl}': {e}");
-                    return 2;
-                }
-            };
+            let text = std::fs::read_to_string(&jsonl)
+                .map_err(|e| CliError(format!("cannot read '{jsonl}': {e}")))?;
             match validate_jsonl(&text) {
-                Ok(s) => {
-                    println!(
-                        "ok: {} intervals, {} instructions, {} cycles",
-                        s.lines, s.final_instructions, s.final_cycles
-                    );
-                    0
-                }
+                Ok(s) => println!(
+                    "ok: {} intervals, {} instructions, {} cycles",
+                    s.lines, s.final_instructions, s.final_cycles
+                ),
                 Err(e) => {
                     eprintln!("error: invalid telemetry '{jsonl}': {e}");
-                    1
+                    return Ok(1);
                 }
             }
         }
     }
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -948,33 +818,51 @@ mod tests {
     #[test]
     fn run_and_replay_parse_shared_flags_identically() {
         let d = SimArgs::default;
+        let scheme = |s: Scheme| SimArgs { scheme: s, ..d() };
+        let os = |os: OsConfig| {
+            scheme(Scheme {
+                os: Some(os),
+                ..d().scheme
+            })
+        };
         let rows = [
             // Spelled out in full so the defaults themselves are pinned.
             (
                 "",
                 SimArgs {
                     source: String::new(),
-                    prefetcher: PrefetcherKind::Berti,
-                    policy: PgcPolicyKind::Dripper,
-                    l2: L2PrefetcherKind::None,
-                    huge_fraction: 0.0,
+                    scheme: Scheme {
+                        label: String::new(),
+                        prefetcher: PrefetcherKind::Berti,
+                        policy: PgcPolicyKind::Dripper,
+                        l2: L2PrefetcherKind::None,
+                        boundary: pagecross_cpu::BoundaryMode::Fixed4K,
+                        huge: HugePagePolicy::None,
+                        os: None,
+                        filter: None,
+                    },
                     warmup: 0,
                     instructions: 0,
                     telemetry_out: None,
                     telemetry_interval: 10_000,
                     telemetry_trace: None,
-                    os: OsArgs::default(),
                 },
             ),
             (
                 "--prefetcher bop --policy permit --l2 spp --huge 0.5",
-                SimArgs {
-                    prefetcher: PrefetcherKind::Bop,
-                    policy: PgcPolicyKind::PermitPgc,
+                scheme(Scheme {
                     l2: L2PrefetcherKind::Spp,
-                    huge_fraction: 0.5,
-                    ..d()
-                },
+                    huge: HugePagePolicy::Fraction(0.5),
+                    ..Scheme::new("", PrefetcherKind::Bop, PgcPolicyKind::PermitPgc)
+                }),
+            ),
+            ("--huge 0", d()),
+            (
+                "--policy ppf --huge 1",
+                scheme(Scheme {
+                    huge: HugePagePolicy::Fraction(1.0),
+                    ..Scheme::new("", PrefetcherKind::Berti, PgcPolicyKind::Ppf)
+                }),
             ),
             (
                 "--warmup 1000 --instructions 2000",
@@ -993,19 +881,22 @@ mod tests {
                     ..d()
                 },
             ),
+            ("--os off", d()),
+            // Unset OS tuning flags keep the OsConfig defaults; its thp of
+            // 0 never promotes.
+            ("--os on", os(OsConfig::default())),
             (
                 "--os on --phys-mem 64M --thp 0.5 --fault-ns 1000",
-                SimArgs {
-                    os: OsArgs {
-                        enabled: true,
-                        phys_mem_bytes: 64 << 20,
-                        thp: 0.5,
-                        fault_ns: 1_000,
-                    },
-                    ..d()
-                },
+                os(OsConfig {
+                    phys_mem_bytes: 64 << 20,
+                    thp: 0.5,
+                    minor_fault_cycles: 4_000,
+                    major_fault_cycles: 32_000,
+                    ..OsConfig::default()
+                }),
             ),
         ];
+        assert_eq!(OsConfig::default().thp, 0.0, "an unset --thp is 0");
         for (flags, want) in rows {
             let run = parse(&argv(&format!("run --workload src {flags}"))).unwrap();
             let replay = parse(&argv(&format!("replay --trace src {flags}"))).unwrap();
@@ -1016,7 +907,6 @@ mod tests {
             assert_eq!(run, Command::Run(want.clone()), "run {flags}");
             assert_eq!(replay, Command::Replay(want), "replay {flags}");
         }
-        assert_eq!(d().os.to_config(), None, "the OS model is off by default");
 
         for flags in [
             "--prefetcher nope",
@@ -1030,10 +920,12 @@ mod tests {
             "--telemetry-interval 0",
             "--telemetry-interval x",
             "--os maybe",
-            "--phys-mem 63M",
-            "--phys-mem lots",
-            "--thp 1.5",
-            "--fault-ns 0",
+            "--os on --phys-mem 63M",
+            "--os on --phys-mem lots",
+            "--os on --thp 1.5",
+            "--os on --fault-ns 0",
+            "--thp 0.5",
+            "--os off --phys-mem 64M",
         ] {
             let run = parse(&argv(&format!("run --workload src {flags}"))).unwrap_err();
             let replay = parse(&argv(&format!("replay --trace src {flags}"))).unwrap_err();
@@ -1047,32 +939,6 @@ mod tests {
         assert_eq!(e.0, "run requires --workload <name>");
         let e = parse(&argv("replay --policy dripper")).unwrap_err();
         assert_eq!(e.0, "replay requires --trace <path>");
-    }
-
-    #[test]
-    fn os_flags_map_to_config() {
-        let os = OsArgs {
-            enabled: true,
-            phys_mem_bytes: 64 << 20,
-            thp: 0.5,
-            fault_ns: 1_000,
-        };
-        let cfg = os.to_config().expect("os is on");
-        assert_eq!(cfg.phys_mem_bytes, 64 << 20);
-        assert_eq!(cfg.minor_fault_cycles, 4_000);
-        assert_eq!(cfg.major_fault_cycles, 32_000);
-        // Unset size/latency flags fall back to the OsConfig defaults.
-        let cfg = OsArgs {
-            enabled: true,
-            ..OsArgs::default()
-        }
-        .to_config()
-        .expect("os is on");
-        assert_eq!(cfg.phys_mem_bytes, OsConfig::default().phys_mem_bytes);
-        assert_eq!(
-            cfg.minor_fault_cycles,
-            OsConfig::default().minor_fault_cycles
-        );
     }
 
     #[test]
@@ -1100,7 +966,7 @@ mod tests {
         }
         assert_eq!(
             usage.len(),
-            8,
+            7,
             "every subcommand but help has a USAGE entry"
         );
         for (cmd, mut listed) in usage {
@@ -1147,8 +1013,20 @@ mod tests {
                 "flag '--warmup' given more than once",
             ),
             (
-                "sweep --suite gap --suite spec06",
+                "campaign --suite gap --suite spec06",
                 "flag '--suite' given more than once",
+            ),
+            (
+                "run --workload gap.s00 --phys-mem 64M",
+                "--phys-mem needs --os on",
+            ),
+            (
+                "campaign --trace-dir traces --suite gap",
+                "--suite cannot be combined with --trace-dir",
+            ),
+            (
+                "campaign --per-suite 1 --trace-dir traces",
+                "--per-suite cannot be combined with --trace-dir",
             ),
         ] {
             assert_eq!(parse(&argv(args)).unwrap_err().0, want, "{args}");
@@ -1162,15 +1040,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_campaign_parse_jobs() {
-        assert_eq!(
-            parse(&argv("sweep --suite gap --jobs 8")).unwrap(),
-            Command::Sweep {
-                suite: SuiteId::Gap,
-                prefetcher: PrefetcherKind::Berti,
-                jobs: 8
-            }
-        );
+    fn campaign_parses_jobs() {
         assert_eq!(
             parse(&argv(
                 "campaign --suite gap --prefetcher bop --jobs 4 --per-suite 2"
@@ -1254,27 +1124,6 @@ mod tests {
         assert_eq!(code, 0, "emitted JSONL must validate");
         let trace_text = std::fs::read_to_string(&trace).unwrap();
         assert!(trace_text.contains("\"traceEvents\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn check_telemetry_rejects_garbage() {
-        let dir = std::env::temp_dir().join(format!("pct-telem-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.jsonl");
-        std::fs::write(&bad, "{\"seq\":1}\n").unwrap();
-        assert_eq!(
-            execute(Command::CheckTelemetry {
-                jsonl: bad.to_string_lossy().into_owned(),
-            }),
-            1
-        );
-        assert_eq!(
-            execute(Command::CheckTelemetry {
-                jsonl: "/nonexistent.jsonl".to_string(),
-            }),
-            2
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1371,14 +1220,75 @@ mod tests {
         assert!(find_workload("nonexistent.z99").is_err());
     }
 
+    /// Every exit code of `execute`: 0 on success, 2 for any error, and 1
+    /// only for a telemetry file that reads but fails validation.
     #[test]
     fn execute_list_and_help_succeed() {
-        assert_eq!(execute(Command::Help), 0);
-        assert_eq!(
-            execute(Command::List {
-                suite: Some(SuiteId::QmmFp)
-            }),
-            0
-        );
+        let dir = std::env::temp_dir().join(format!("pct-exit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.jsonl");
+        std::fs::write(&bad, "{\"seq\":1}\n").unwrap();
+        let nope = "nonexistent.z99".to_string();
+        let path = |p: &Path| p.to_string_lossy().into_owned();
+        for (cmd, want) in [
+            (Command::Help, 0),
+            (
+                Command::List {
+                    suite: Some(SuiteId::QmmFp),
+                },
+                0,
+            ),
+            (
+                Command::Run(SimArgs {
+                    source: nope.clone(),
+                    ..Default::default()
+                }),
+                2,
+            ),
+            (
+                Command::Compare {
+                    workload: nope.clone(),
+                    prefetcher: PrefetcherKind::Berti,
+                },
+                2,
+            ),
+            (
+                Command::Record {
+                    workload: nope,
+                    out: Some(path(&dir.join("x.pct"))),
+                    warmup: 0,
+                    instructions: 0,
+                },
+                2,
+            ),
+            (
+                Command::Replay(SimArgs {
+                    source: path(&dir.join("missing.pct")),
+                    ..Default::default()
+                }),
+                2,
+            ),
+            (
+                Command::Campaign {
+                    suite: None,
+                    prefetcher: PrefetcherKind::Berti,
+                    jobs: 1,
+                    per_suite: None,
+                    trace_dir: Some(path(&dir.join("missing-dir"))),
+                },
+                2,
+            ),
+            (
+                Command::CheckTelemetry {
+                    jsonl: path(&dir.join("missing.jsonl")),
+                },
+                2,
+            ),
+            (Command::CheckTelemetry { jsonl: path(&bad) }, 1),
+        ] {
+            let shown = format!("{cmd:?}");
+            assert_eq!(execute(cmd), want, "{shown}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,7 +16,7 @@ use crate::threshold::{AdaptiveThreshold, ThresholdConfig};
 use pagecross_types::{Decision, PrefetchCandidate, SystemSnapshot};
 
 /// Configuration of a Page-Cross Filter instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FilterConfig {
     /// Selected program features (one weight table each).
     pub program_features: Vec<ProgramFeature>,

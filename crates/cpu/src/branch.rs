@@ -77,11 +77,6 @@ impl BranchPredictor {
         self.history = (self.history << 1) | taken as u64;
         mispredicted
     }
-
-    /// Misprediction rate so far.
-    pub fn mpki_numerator(&self) -> u64 {
-        self.mispredictions
-    }
 }
 
 impl Default for BranchPredictor {

@@ -120,7 +120,6 @@ pub struct FrameAllocator {
     huge_region_base: u64,
     huge_frames: u64,
     pt_region_base: u64,
-    pt_frames: u64,
     slice_4k: u64,
     slice_2m: u64,
     slice_pt: u64,
@@ -171,7 +170,6 @@ impl FrameAllocator {
             huge_region_base,
             huge_frames,
             pt_region_base,
-            pt_frames,
             slice_4k,
             slice_2m,
             slice_pt,
@@ -300,11 +298,6 @@ impl FrameAllocator {
     pub fn free_2m_frames(&self, core: u32) -> u64 {
         self.slice_2m - self.per_core[core as usize].used_2m.used
     }
-
-    /// Total page-table node frames across all cores (diagnostics).
-    pub fn pt_frames(&self) -> u64 {
-        self.pt_frames
-    }
 }
 
 /// Per-address-space virtual memory: lazily maps pages on first touch.
@@ -369,16 +362,6 @@ impl Vmem {
     pub fn is_mapped(&self, va: VirtAddr) -> bool {
         self.map_2m.contains_key(&va.page_2m().raw())
             || self.map_4k.contains_key(&va.page_4k().raw())
-    }
-
-    /// Returns the page size backing `va`, allocating the mapping on first
-    /// touch. Use [`Vmem::translate`] to get the full translation.
-    pub fn page_size(
-        &mut self,
-        va: VirtAddr,
-        frames: &mut FrameAllocator,
-    ) -> Result<PageSize, OomError> {
-        Ok(self.translate(va, frames)?.size)
     }
 
     /// Translates `va`, allocating a frame on first touch.

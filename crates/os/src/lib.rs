@@ -118,10 +118,6 @@ impl Os {
         &self.cfg
     }
 
-    pub fn n_cores(&self) -> usize {
-        self.pagers.len()
-    }
-
     /// Counters for one core since the last [`Os::reset_stats`].
     pub fn stats(&self, core: usize) -> OsStats {
         self.pagers[core].stats

@@ -97,11 +97,6 @@ impl TraceWriter {
         self.finished = true;
         Ok(self.meta.clone())
     }
-
-    /// Records appended so far.
-    pub fn records_written(&self) -> u64 {
-        self.total
-    }
 }
 
 impl Drop for TraceWriter {

@@ -46,16 +46,27 @@ echo "== verify: record -> replay round trip =="
 PAGECROSS="${CARGO_TARGET_DIR:-target}/release/pagecross"
 TRACE_DIR="$SCRATCH/traces"
 mkdir -p "$TRACE_DIR"
+# Beyond the default scheme, a non-default L1D/L2C/policy/huge-page
+# scheme and an OS-on run must replay identically too.
 "$PAGECROSS" record --workload qmm_int.s00 --warmup 5000 --instructions 20000 \
     --out "$TRACE_DIR/qmm_int.s00.pct"
 "$PAGECROSS" run --workload qmm_int.s00 --warmup 5000 --instructions 20000 \
     > "$SCRATCH/direct.txt"
-"$PAGECROSS" replay --trace "$TRACE_DIR/qmm_int.s00.pct" \
-    --warmup 5000 --instructions 20000 > "$SCRATCH/replay.txt"
-if ! diff -u "$SCRATCH/direct.txt" "$SCRATCH/replay.txt"; then
-    echo "verify: FAIL — replay output differs from the direct run" >&2
-    exit 1
-fi
+for flags in "" \
+    "--prefetcher ipcp --policy ppf --l2 spp --huge 0.5" \
+    "--os on --phys-mem 64M --thp 0.5"; do
+    # $flags is split into words on purpose.
+    # shellcheck disable=SC2086
+    "$PAGECROSS" run --workload qmm_int.s00 --warmup 5000 --instructions 20000 \
+        $flags > "$SCRATCH/run.txt"
+    # shellcheck disable=SC2086
+    "$PAGECROSS" replay --trace "$TRACE_DIR/qmm_int.s00.pct" \
+        --warmup 5000 --instructions 20000 $flags > "$SCRATCH/replay.txt"
+    if ! diff -u "$SCRATCH/run.txt" "$SCRATCH/replay.txt"; then
+        echo "verify: FAIL — replay output differs from the direct run [$flags]" >&2
+        exit 1
+    fi
+done
 "$PAGECROSS" campaign --trace-dir "$TRACE_DIR" --jobs 2 > /dev/null
 
 echo "== verify: telemetry smoke (JSONL + chrome trace) =="
