@@ -812,6 +812,35 @@ mod tests {
         assert!(parse(&argv("list --suite nope")).is_err());
     }
 
+    /// `--os on` maps the tuning flags onto an [`OsConfig`]: sizes as
+    /// given, `--fault-ns` at 4 cycles/ns (majors 8x that), and every
+    /// unset flag at its default.
+    #[test]
+    fn os_flags_map_to_config() {
+        let os = |s: &str| {
+            let kv: Flags = s
+                .split_whitespace()
+                .collect::<Vec<_>>()
+                .chunks(2)
+                .map(|kv| (kv[0].trim_start_matches("--").to_string(), kv[1].to_string()))
+                .collect();
+            parse_os(&kv)
+        };
+        let cfg = os("--os on --phys-mem 64M --thp 0.5 --fault-ns 1000")
+            .unwrap()
+            .expect("os is on");
+        assert_eq!(cfg.phys_mem_bytes, 64 << 20);
+        assert_eq!(cfg.thp, 0.5);
+        assert_eq!(cfg.minor_fault_cycles, 4_000);
+        assert_eq!(cfg.major_fault_cycles, 32_000);
+        // Unset tuning flags keep the OsConfig defaults; its thp of 0
+        // never promotes.
+        assert_eq!(os("--os on").unwrap(), Some(OsConfig::default()));
+        assert_eq!(OsConfig::default().thp, 0.0, "an unset --thp is 0");
+        assert_eq!(os("").unwrap(), None);
+        assert_eq!(os("--os off").unwrap(), None);
+    }
+
     /// `run` and `replay` share every flag but the one naming the source:
     /// each row parses to the same arguments under both subcommands, and
     /// each bad value fails both with the same error.
@@ -882,9 +911,6 @@ mod tests {
                 },
             ),
             ("--os off", d()),
-            // Unset OS tuning flags keep the OsConfig defaults; its thp of
-            // 0 never promotes.
-            ("--os on", os(OsConfig::default())),
             (
                 "--os on --phys-mem 64M --thp 0.5 --fault-ns 1000",
                 os(OsConfig {
@@ -896,7 +922,6 @@ mod tests {
                 }),
             ),
         ];
-        assert_eq!(OsConfig::default().thp, 0.0, "an unset --thp is 0");
         for (flags, want) in rows {
             let run = parse(&argv(&format!("run --workload src {flags}"))).unwrap();
             let replay = parse(&argv(&format!("replay --trace src {flags}"))).unwrap();
@@ -1220,14 +1245,11 @@ mod tests {
         assert!(find_workload("nonexistent.z99").is_err());
     }
 
-    /// Every exit code of `execute`: 0 on success, 2 for any error, and 1
-    /// only for a telemetry file that reads but fails validation.
+    /// `execute` exits 0 on success and 2 for any error.
     #[test]
     fn execute_list_and_help_succeed() {
         let dir = std::env::temp_dir().join(format!("pct-exit-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.jsonl");
-        std::fs::write(&bad, "{\"seq\":1}\n").unwrap();
         let nope = "nonexistent.z99".to_string();
         let path = |p: &Path| p.to_string_lossy().into_owned();
         for (cmd, want) in [
@@ -1278,16 +1300,24 @@ mod tests {
                 },
                 2,
             ),
-            (
-                Command::CheckTelemetry {
-                    jsonl: path(&dir.join("missing.jsonl")),
-                },
-                2,
-            ),
-            (Command::CheckTelemetry { jsonl: path(&bad) }, 1),
         ] {
             let shown = format!("{cmd:?}");
             assert_eq!(execute(cmd), want, "{shown}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `check-telemetry` exits 1 only for a file that reads but fails
+    /// validation, and 2 for one it cannot read.
+    #[test]
+    fn check_telemetry_rejects_garbage() {
+        let dir = std::env::temp_dir().join(format!("pct-telem-bad-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.jsonl");
+        std::fs::write(&bad, "{\"seq\":1}\n").unwrap();
+        for (jsonl, want) in [(&bad, 1), (&dir.join("missing.jsonl"), 2)] {
+            let jsonl = jsonl.to_string_lossy().into_owned();
+            assert_eq!(execute(Command::CheckTelemetry { jsonl }), want);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
