@@ -32,10 +32,11 @@ use pagecross_cpu::{
     L2PrefetcherKind, OsConfig, PgcPolicyKind, PrefetcherKind, Report, TelemetryConfig,
 };
 use pagecross_mem::HugePagePolicy;
-use pagecross_telemetry::{chrome_trace_json, interval_to_json, validate_jsonl};
+use pagecross_telemetry::{chrome_trace_json, intervals_to_jsonl, validate_jsonl};
 use pagecross_trace::TraceReplay;
 use pagecross_types::OsStats;
 use pagecross_workloads::{seen_workloads, suite, SuiteId, Workload};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A parsed CLI invocation.
@@ -459,12 +460,13 @@ replayed counters are bit-identical to the direct run. campaign
 --trace-dir sweeps the scheme grid over every .pct file in a directory
 (it excludes --suite and --per-suite).
 
-Telemetry: --telemetry-out samples every stats delta each
+Telemetry: --telemetry-out samples the deltas of 28 key counters each
 --telemetry-interval retired instructions (default 10000) into a JSONL
 time series; --telemetry-trace additionally records structured events
 (cache fills/evictions, page walks, DRIPPER decisions) as a Chrome
 trace-event file viewable in Perfetto (ui.perfetto.dev).
-check-telemetry validates a JSONL file's schema and monotonicity.
+check-telemetry validates a JSONL file's schema (no unknown keys) and
+monotonicity.
 Collection is observation-only: reported counters are bit-identical
 with telemetry on or off.
 
@@ -478,48 +480,46 @@ faults cost 8x); each of the three needs --os on. With --os off (the
 default) every report is bit-identical to a build without the OS model.
 ";
 
-/// Prints the standard single-run report block (shared by `run` and
-/// `replay`, so a replayed trace can be diffed against its direct run with
-/// plain text tools).
-fn print_report(r: &Report) {
-    println!("workload     {}", r.workload);
-    println!("prefetcher   {} / policy {}", r.prefetcher, r.policy);
-    println!(
-        "IPC          {:.4}  ({} instr, {} cycles)",
+/// The standard single-run report block (shared by `run` and `replay`, so
+/// a replayed trace can be diffed against its direct run with plain text
+/// tools).
+fn report_text(r: &Report) -> String {
+    let mut s = format!(
+        "workload     {}\n\
+         prefetcher   {} / policy {}\n\
+         IPC          {:.4}  ({} instr, {} cycles)\n\
+         MPKI         l1i {:.2}  l1d {:.2}  llc {:.2}  dtlb {:.2}  stlb {:.2}\n\
+         prefetch     candidates {}  in-page {}  pgc-candidates {}\n\
+         page-cross   issued {}  discarded {}  spec-walks {}  useful {}  useless {}\n\
+         quality      coverage {}  accuracy {}  pgc-accuracy {:.3}\n",
+        r.workload,
+        r.prefetcher,
+        r.policy,
         r.ipc(),
         r.core.instructions,
-        r.core.cycles
-    );
-    println!(
-        "MPKI         l1i {:.2}  l1d {:.2}  llc {:.2}  dtlb {:.2}  stlb {:.2}",
+        r.core.cycles,
         r.l1i_mpki(),
         r.l1d_mpki(),
         r.llc_mpki(),
         r.dtlb_mpki(),
-        r.stlb_mpki()
-    );
-    println!(
-        "prefetch     candidates {}  in-page {}  pgc-candidates {}",
-        r.prefetch.candidates, r.prefetch.inpage_issued, r.prefetch.pgc_candidates
-    );
-    println!(
-        "page-cross   issued {}  discarded {}  spec-walks {}  useful {}  useless {}",
+        r.stlb_mpki(),
+        r.prefetch.candidates,
+        r.prefetch.inpage_issued,
+        r.prefetch.pgc_candidates,
         r.prefetch.pgc_issued,
         r.prefetch.pgc_discarded,
         r.prefetch.speculative_walks,
         r.l1d.pgc_useful,
-        r.l1d.pgc_useless
-    );
-    println!(
-        "quality      coverage {}  accuracy {}  pgc-accuracy {:.3}",
+        r.l1d.pgc_useless,
         fmt_opt_ratio(r.coverage()),
         fmt_opt_ratio(r.prefetch_accuracy()),
         r.pgc_accuracy()
     );
-    // Printed only when the OS model ran, so OS-off output stays
+    // Written only when the OS model ran, so OS-off output stays
     // byte-identical to builds without the model (verify.sh diffs it).
     if r.os != OsStats::default() {
-        println!(
+        let _ = writeln!(
+            s,
             "os           minor {}  major {}  reclaims {}  promote {}  demote {}  shootdowns {}",
             r.os.minor_faults,
             r.os.major_faults,
@@ -529,6 +529,7 @@ fn print_report(r: &Report) {
             r.os.shootdowns
         );
     }
+    s
 }
 
 /// Simulates `subject` under `a` (the `run` and `replay` subcommands),
@@ -558,12 +559,7 @@ fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliErro
     let mut lines = Vec::new();
     if let Some(telemetry) = telemetry {
         if let Some(path) = out {
-            let mut text = String::new();
-            for rec in &telemetry.intervals {
-                text.push_str(&interval_to_json(rec));
-                text.push('\n');
-            }
-            std::fs::write(path, &text)
+            std::fs::write(path, intervals_to_jsonl(&telemetry.intervals))
                 .map_err(|e| CliError(format!("cannot write telemetry JSONL '{path}': {e}")))?;
             lines.push(format!(
                 "telemetry    {} intervals -> {path}",
@@ -580,7 +576,7 @@ fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliErro
             ));
         }
     }
-    print_report(&report);
+    print!("{}", report_text(&report));
     for line in &lines {
         println!("{line}");
     }
@@ -790,6 +786,7 @@ fn try_execute(cmd: Command) -> Result<i32, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagecross_types::{CacheStats, CoreStats, PrefetchStats, TlbStats};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
@@ -822,7 +819,12 @@ mod tests {
                 .split_whitespace()
                 .collect::<Vec<_>>()
                 .chunks(2)
-                .map(|kv| (kv[0].trim_start_matches("--").to_string(), kv[1].to_string()))
+                .map(|kv| {
+                    (
+                        kv[0].trim_start_matches("--").to_string(),
+                        kv[1].to_string(),
+                    )
+                })
                 .collect();
             parse_os(&kv)
         };
@@ -1320,5 +1322,80 @@ mod tests {
             assert_eq!(execute(Command::CheckTelemetry { jsonl }), want);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `run` and `replay` print this block; their diff in verify.sh cannot
+    /// see a change that alters both, so the exact text is pinned here.
+    #[test]
+    fn report_block_text_is_pinned() {
+        let miss = |demand_misses| CacheStats {
+            demand_misses,
+            ..Default::default()
+        };
+        let mut r = Report {
+            workload: "gap.s00".into(),
+            prefetcher: "berti".into(),
+            policy: "dripper".into(),
+            core: CoreStats {
+                instructions: 20_000,
+                cycles: 40_000,
+                ..Default::default()
+            },
+            l1i: miss(20),
+            l1d: CacheStats {
+                demand_misses: 1_000,
+                prefetch_useful: 1_317,
+                prefetch_useless: 56,
+                pgc_useful: 27,
+                pgc_useless: 17,
+                ..Default::default()
+            },
+            llc: miss(500),
+            dtlb: TlbStats {
+                misses: 800,
+                ..Default::default()
+            },
+            stlb: TlbStats {
+                misses: 400,
+                ..Default::default()
+            },
+            prefetch: PrefetchStats {
+                candidates: 9_000,
+                inpage_issued: 1_300,
+                pgc_candidates: 850,
+                pgc_issued: 230,
+                pgc_discarded: 490,
+                speculative_walks: 77,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let block = "\
+workload     gap.s00
+prefetcher   berti / policy dripper
+IPC          0.5000  (20000 instr, 40000 cycles)
+MPKI         l1i 1.00  l1d 50.00  llc 25.00  dtlb 40.00  stlb 20.00
+prefetch     candidates 9000  in-page 1300  pgc-candidates 850
+page-cross   issued 230  discarded 490  spec-walks 77  useful 27  useless 17
+quality      coverage 0.568  accuracy 0.959  pgc-accuracy 0.614
+";
+        assert_eq!(report_text(&r), block, "OS counters at zero: no os line");
+
+        r.os = OsStats {
+            minor_faults: 448,
+            major_faults: 2,
+            reclaims: 3,
+            thp_promotions: 1,
+            thp_demotions: 4,
+            shootdowns: 5,
+            ipis_received: 6,
+            fault_cycles: 1_794_000,
+        };
+        assert_eq!(
+            report_text(&r),
+            format!(
+                "{block}os           minor 448  major 2  reclaims 3  promote 1  demote 4  shootdowns 5\n"
+            )
+        );
     }
 }

@@ -7,6 +7,7 @@
 //! the vUB/pUB entries, see [`crate::buffers`]).
 
 use crate::features::{FeatureContext, ProgramFeature};
+use pagecross_types::stats::ratio;
 use pagecross_types::SatCounter;
 
 /// A single feature's weight table.
@@ -161,11 +162,7 @@ impl PerceptronBank {
             .iter()
             .map(|t| t.saturation())
             .fold((0u64, 0u64), |(s, n), (ts, tn)| (s + ts, n + tn));
-        if total == 0 {
-            0.0
-        } else {
-            saturated as f64 / total as f64
-        }
+        ratio(saturated, total)
     }
 }
 

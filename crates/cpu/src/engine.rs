@@ -27,7 +27,7 @@ use pagecross_prefetch::{AccessInfo, FnlMma, L1dPrefetcher, L1iPrefetcher, L2Pre
 use pagecross_telemetry::IntervalSampler;
 use pagecross_types::{
     CoreStats, FastSet, OsStats, PageSize, PhysAddr, PrefetchCandidate, PrefetchStats, StallCause,
-    SystemSnapshot, TelemetryCounters, TraceEvent, VirtAddr,
+    StatsView, SystemSnapshot, TelemetryCounters, TraceEvent, VirtAddr,
 };
 use std::collections::VecDeque;
 
@@ -225,36 +225,22 @@ impl CoreEngine {
     /// drain) is in `stats.cycles` instead.
     pub fn telemetry_counters(&self, mem: &MemorySystem) -> TelemetryCounters {
         let c = mem.core(self.core_id);
-        TelemetryCounters {
-            instructions: self.stats.instructions,
+        let core = CoreStats {
             cycles: self.cycle - self.cycle_base,
-            l1d_accesses: c.l1d.stats.demand_accesses,
-            l1d_misses: c.l1d.stats.demand_misses,
-            l1i_misses: c.l1i.stats.demand_misses,
-            l2c_misses: c.l2c.stats.demand_misses,
-            llc_accesses: mem.llc.stats.demand_accesses,
-            llc_misses: mem.llc.stats.demand_misses,
-            dtlb_misses: c.dtlb.stats.misses,
-            stlb_accesses: c.stlb.stats.accesses,
-            stlb_misses: c.stlb.stats.misses,
-            demand_walks: c.walk_stats.demand_walks,
-            prefetch_walks: c.walk_stats.prefetch_walks,
-            candidates: self.pstats.candidates,
-            pgc_candidates: self.pstats.pgc_candidates,
-            pgc_issued: self.pstats.pgc_issued,
-            pgc_discarded: self.pstats.pgc_discarded,
-            inpage_issued: self.pstats.inpage_issued,
-            prefetch_useful: c.l1d.stats.prefetch_useful,
-            prefetch_useless: c.l1d.stats.prefetch_useless,
-            pgc_useful: c.l1d.stats.pgc_useful,
-            pgc_useless: c.l1d.stats.pgc_useless,
-            branch_mispredicts: self.stats.branch_mispredicts,
-            os_minor_faults: self.os_stats.minor_faults,
-            os_major_faults: self.os_stats.major_faults,
-            os_reclaims: self.os_stats.reclaims,
-            os_promotions: self.os_stats.thp_promotions,
-            os_shootdowns: self.os_stats.shootdowns,
-        }
+            ..self.stats
+        };
+        TelemetryCounters::capture(&StatsView {
+            core: &core,
+            l1i: &c.l1i.stats,
+            l1d: &c.l1d.stats,
+            l2c: &c.l2c.stats,
+            llc: &mem.llc.stats,
+            dtlb: &c.dtlb.stats,
+            stlb: &c.stlb.stats,
+            walks: &c.walk_stats,
+            prefetch: &self.pstats,
+            os: &self.os_stats,
+        })
     }
 
     fn refresh_snapshot(&mut self, mem: &mut MemorySystem) {

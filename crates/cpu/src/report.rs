@@ -1,6 +1,9 @@
 //! Simulation reports: everything the paper's figures and tables read.
 
-use pagecross_types::{CacheStats, CoreStats, OsStats, PrefetchStats, TlbStats, WalkStats};
+use pagecross_types::stats::{per_kilo, ratio};
+use pagecross_types::{
+    CacheStats, CoreStats, Counters, OsStats, PrefetchStats, StatsView, TlbStats, WalkStats,
+};
 
 /// The result of one single-core simulation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -34,6 +37,28 @@ pub struct Report {
 }
 
 impl Report {
+    /// The counter structs, borrowed under their field names.
+    pub(crate) fn view(&self) -> StatsView<'_> {
+        StatsView {
+            core: &self.core,
+            l1i: &self.l1i,
+            l1d: &self.l1d,
+            l2c: &self.l2c,
+            llc: &self.llc,
+            dtlb: &self.dtlb,
+            stlb: &self.stlb,
+            walks: &self.walks,
+            prefetch: &self.prefetch,
+            os: &self.os,
+        }
+    }
+
+    /// Calls `f` with the dotted name (`l1d.demand_accesses`,
+    /// `core.stalls.rob_full`, …) and value of every counter.
+    pub fn for_each_counter(&self, f: &mut dyn FnMut(&str, u64)) {
+        self.view().for_each_counter(f);
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         self.core.ipc()
@@ -73,10 +98,7 @@ impl Report {
     /// accurate".
     pub fn prefetch_accuracy(&self) -> Option<f64> {
         let resolved = self.l1d.prefetch_useful + self.l1d.prefetch_useless;
-        if resolved == 0 {
-            return None;
-        }
-        Some(self.l1d.prefetch_useful as f64 / resolved as f64)
+        (resolved > 0).then(|| ratio(self.l1d.prefetch_useful, resolved))
     }
 
     /// Miss coverage proxy: prefetch-useful blocks per demand (miss +
@@ -86,36 +108,26 @@ impl Report {
     /// demand to cover" is distinguishable from "covered nothing".
     pub fn coverage(&self) -> Option<f64> {
         let denom = self.l1d.demand_misses + self.l1d.prefetch_useful;
-        if denom == 0 {
-            return None;
-        }
-        Some(self.l1d.prefetch_useful as f64 / denom as f64)
+        (denom > 0).then(|| ratio(self.l1d.prefetch_useful, denom))
     }
 
     /// Page-cross prefetch accuracy: useful PCB blocks / resolved PCB
     /// blocks (Fig. 3).
     pub fn pgc_accuracy(&self) -> f64 {
-        let resolved = self.l1d.pgc_useful + self.l1d.pgc_useless;
-        if resolved == 0 {
-            return 0.0;
-        }
-        self.l1d.pgc_useful as f64 / resolved as f64
+        ratio(
+            self.l1d.pgc_useful,
+            self.l1d.pgc_useful + self.l1d.pgc_useless,
+        )
     }
 
     /// Useful page-cross prefetches per kilo-instruction (Fig. 13).
     pub fn pgc_useful_pki(&self) -> f64 {
-        if self.core.instructions == 0 {
-            return 0.0;
-        }
-        self.l1d.pgc_useful as f64 * 1000.0 / self.core.instructions as f64
+        per_kilo(self.l1d.pgc_useful, self.core.instructions)
     }
 
     /// Useless page-cross prefetches per kilo-instruction (Fig. 13).
     pub fn pgc_useless_pki(&self) -> f64 {
-        if self.core.instructions == 0 {
-            return 0.0;
-        }
-        self.l1d.pgc_useless as f64 * 1000.0 / self.core.instructions as f64
+        per_kilo(self.l1d.pgc_useless, self.core.instructions)
     }
 }
 
@@ -133,6 +145,19 @@ pub struct MixReport {
 }
 
 impl MixReport {
+    /// Calls `f` with the dotted name and value of every counter: each
+    /// core's as `core<i>.…` (`core1.cycles`), its OS counters as
+    /// `os<i>.…`, then the shared `llc.…`.
+    pub fn for_each_counter(&self, f: &mut dyn FnMut(&str, u64)) {
+        for (i, c) in self.cores.iter().enumerate() {
+            c.for_each_counter(&mut format!("core{i}"), f);
+        }
+        for (i, o) in self.os.iter().enumerate() {
+            o.for_each_counter(&mut format!("os{i}"), f);
+        }
+        self.llc.for_each_counter(&mut "llc".into(), f);
+    }
+
     /// Per-core IPCs.
     pub fn ipcs(&self) -> Vec<f64> {
         self.cores.iter().map(|c| c.ipc()).collect()
@@ -160,6 +185,85 @@ impl MixReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagecross_types::TelemetryCounters;
+    use std::collections::HashMap;
+
+    /// A report whose counters read 1, 2, 3, … in declaration order.
+    fn distinct_report() -> (Report, u64) {
+        let mut n = 0;
+        let mut next = || {
+            n += 1;
+            n
+        };
+        let r = Report {
+            core: Counters::from_fn(&mut next),
+            l1i: Counters::from_fn(&mut next),
+            l1d: Counters::from_fn(&mut next),
+            l2c: Counters::from_fn(&mut next),
+            llc: Counters::from_fn(&mut next),
+            dtlb: Counters::from_fn(&mut next),
+            stlb: Counters::from_fn(&mut next),
+            walks: Counters::from_fn(&mut next),
+            prefetch: Counters::from_fn(&mut next),
+            os: Counters::from_fn(&mut next),
+            ..Default::default()
+        };
+        (r, n)
+    }
+
+    fn counters_of(visit: impl Fn(&mut dyn FnMut(&str, u64))) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        visit(&mut |name, v| out.push((name.to_string(), v)));
+        out
+    }
+
+    #[test]
+    fn schema_visits_every_counter_once_under_unique_names() {
+        let (r, n) = distinct_report();
+        let seen = counters_of(|f| r.for_each_counter(f));
+        let values: Vec<u64> = seen.iter().map(|(_, v)| *v).collect();
+        assert_eq!(
+            values,
+            (1..=n).collect::<Vec<_>>(),
+            "every field, once, in order"
+        );
+        let names: HashMap<&str, u64> = seen.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(names.len(), seen.len(), "duplicate dotted names");
+        assert!(names.contains_key("l1d.demand_accesses"));
+        assert!(names.contains_key("core.stalls.rob_full"));
+
+        let m = MixReport {
+            cores: vec![r.core; 2],
+            os: vec![r.os; 2],
+            llc: r.llc,
+            ..Default::default()
+        };
+        let mix = counters_of(|f| m.for_each_counter(f));
+        let mix_names: HashMap<&str, u64> = mix.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        assert_eq!(
+            mix_names.len(),
+            mix.len(),
+            "duplicate dotted names in a mix"
+        );
+        assert_eq!(mix_names["core1.cycles"], r.core.cycles);
+        assert_eq!(mix_names["os1.fault_cycles"], r.os.fault_cycles);
+    }
+
+    #[test]
+    fn telemetry_capture_reads_its_mapped_counters() {
+        let (r, _) = distinct_report();
+        let seen = counters_of(|f| r.for_each_counter(f));
+        let by_name: HashMap<&str, u64> = seen.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+        let mut captured = Vec::new();
+        TelemetryCounters::capture(&r.view())
+            .for_each_counter(&mut String::new(), &mut |field, v| {
+                captured.push((field.to_string(), v))
+            });
+        assert_eq!(captured.len(), TelemetryCounters::SOURCES.len());
+        for ((field, value), source) in captured.iter().zip(TelemetryCounters::SOURCES) {
+            assert_eq!(Some(value), by_name.get(source), "{field} => {source}");
+        }
+    }
 
     #[test]
     fn accuracy_and_coverage_guards() {

@@ -18,7 +18,7 @@
 //! split 2 MB frames are never coalesced back (no memory compaction).
 
 use pagecross_mem::{MemorySystem, OomError};
-use pagecross_types::{FastMap, FastSet, OsOp, OsStats, TraceEvent, VirtAddr};
+use pagecross_types::{Counters, FastMap, FastSet, OsOp, OsStats, TraceEvent, VirtAddr};
 use std::collections::VecDeque;
 
 /// Tunables for the imitation OS. All latencies are in core cycles

@@ -15,40 +15,43 @@
 //! | `ipc`               | float         | interval IPC (deltas)              |
 //! | `threshold`         | int \| null   | policy threshold (filter policies) |
 //! | `weight_saturation` | float \| null | saturated perceptron weight frac.  |
-//! | `d_<counter>`       | int           | interval delta, one per counter in |
-//! |                     |               | `TelemetryCounters::FIELD_NAMES`   |
+//! | `d_<counter>`       | int           | interval delta, one per            |
+//! |                     |               | `TelemetryCounters` field          |
 
-use pagecross_types::{IntervalRecord, TelemetryCounters};
+use pagecross_types::{Counters, IntervalRecord, TelemetryCounters};
 use std::fmt::Write as _;
 
-/// Serialises one interval record as a single JSON line (no trailing
-/// newline).
-pub fn interval_to_json(r: &IntervalRecord) -> String {
-    let mut s = String::with_capacity(512);
-    let _ = write!(
-        s,
-        "{{\"seq\":{},\"instructions\":{},\"cycles\":{},\"ipc\":{:.6}",
-        r.seq,
-        r.end_instructions,
-        r.end_cycles,
-        r.ipc()
-    );
-    match &r.policy {
-        Some(p) => {
-            let _ = write!(
-                s,
-                ",\"threshold\":{},\"weight_saturation\":{:.6}",
-                p.threshold, p.weight_saturation
-            );
+/// Serialises a run's intervals as a JSONL stream: one flat JSON object
+/// per record, each line ending in a newline.
+pub fn intervals_to_jsonl(intervals: &[IntervalRecord]) -> String {
+    let mut s = String::new();
+    let path = &mut String::new();
+    for r in intervals {
+        let _ = write!(
+            s,
+            "{{\"seq\":{},\"instructions\":{},\"cycles\":{},\"ipc\":{:.6}",
+            r.seq,
+            r.end_instructions,
+            r.end_cycles,
+            r.ipc()
+        );
+        match &r.policy {
+            Some(p) => {
+                let _ = write!(
+                    s,
+                    ",\"threshold\":{},\"weight_saturation\":{:.6}",
+                    p.threshold, p.weight_saturation
+                );
+            }
+            None => {
+                s.push_str(",\"threshold\":null,\"weight_saturation\":null");
+            }
         }
-        None => {
-            s.push_str(",\"threshold\":null,\"weight_saturation\":null");
-        }
+        r.delta.for_each_counter(path, &mut |name, value| {
+            let _ = write!(s, ",\"d_{name}\":{value}");
+        });
+        s.push_str("}\n");
     }
-    for (name, value) in r.delta.entries() {
-        let _ = write!(s, ",\"d_{name}\":{value}");
-    }
-    s.push('}');
     s
 }
 
@@ -244,17 +247,9 @@ fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
     }
 }
 
-fn get_num(kv: &[(String, Scalar)], key: &str) -> Option<f64> {
-    kv.iter().find_map(|(k, v)| {
-        if k == key {
-            match v {
-                Scalar::Num(n) => Some(*n),
-                _ => None,
-            }
-        } else {
-            None
-        }
-    })
+/// `v` as a count: `None` unless it is a non-negative integer.
+fn count(v: f64) -> Option<u64> {
+    (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
 }
 
 /// Validates a telemetry JSONL stream.
@@ -264,7 +259,7 @@ fn get_num(kv: &[(String, Scalar)], key: &str) -> Option<f64> {
 /// * `seq` is dense from 0;
 /// * cumulative `instructions`/`cycles` are monotone non-decreasing;
 /// * every `d_<counter>` key is present exactly once, integral and ≥ 0
-///   (non-negative deltas);
+///   (non-negative deltas), and no `d_*` key names an unknown counter;
 /// * `ipc` is present and finite; `threshold`/`weight_saturation` are
 ///   present (value or null).
 ///
@@ -272,8 +267,8 @@ fn get_num(kv: &[(String, Scalar)], key: &str) -> Option<f64> {
 /// against a final `Report`).
 pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
     let mut summary = JsonlSummary::default();
-    let mut prev_instructions = 0u64;
-    let mut prev_cycles = 0u64;
+    // Cumulative (instructions, cycles) of the previous line.
+    let mut prev = (0u64, 0u64);
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -285,39 +280,35 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
             return Err(err("blank line in JSONL stream".into()));
         }
         let kv = parse_flat_object(raw).map_err(err)?;
+        let num = |key: &str| match kv.iter().find(|(k, _)| k == key) {
+            Some((_, Scalar::Num(n))) => Ok(*n),
+            _ => Err(err(format!("missing numeric \"{key}\""))),
+        };
 
-        let seq = get_num(&kv, "seq").ok_or_else(|| err("missing numeric \"seq\"".into()))?;
+        let seq = num("seq")?;
         if seq != idx as f64 {
             return Err(err(format!("seq {seq} but expected {idx} (dense from 0)")));
         }
-        let instructions = get_num(&kv, "instructions")
-            .ok_or_else(|| err("missing numeric \"instructions\"".into()))?;
-        let cycles =
-            get_num(&kv, "cycles").ok_or_else(|| err("missing numeric \"cycles\"".into()))?;
-        if instructions < 0.0
-            || instructions.fract() != 0.0
-            || cycles < 0.0
-            || cycles.fract() != 0.0
-        {
+        let instructions = num("instructions")?;
+        let cycles = num("cycles")?;
+        let (Some(instructions), Some(cycles)) = (count(instructions), count(cycles)) else {
             return Err(err(
                 "cumulative counters must be non-negative integers".into()
             ));
+        };
+        for (name, before, now) in [
+            ("instructions", prev.0, instructions),
+            ("cycles", prev.1, cycles),
+        ] {
+            if now < before {
+                return Err(err(format!(
+                    "cumulative {name} went backwards: {before} -> {now}"
+                )));
+            }
         }
-        let (instructions, cycles) = (instructions as u64, cycles as u64);
-        if instructions < prev_instructions {
-            return Err(err(format!(
-                "cumulative instructions went backwards: {prev_instructions} -> {instructions}"
-            )));
-        }
-        if cycles < prev_cycles {
-            return Err(err(format!(
-                "cumulative cycles went backwards: {prev_cycles} -> {cycles}"
-            )));
-        }
-        prev_instructions = instructions;
-        prev_cycles = cycles;
+        prev = (instructions, cycles);
 
-        let ipc = get_num(&kv, "ipc").ok_or_else(|| err("missing numeric \"ipc\"".into()))?;
+        let ipc = num("ipc")?;
         if !ipc.is_finite() {
             return Err(err("non-finite ipc".into()));
         }
@@ -330,28 +321,31 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
             }
         }
 
-        for name in TelemetryCounters::FIELD_NAMES {
-            let key = format!("d_{name}");
-            let matches: Vec<&Scalar> = kv
-                .iter()
-                .filter_map(|(k, v)| if *k == key { Some(v) } else { None })
-                .collect();
-            if matches.len() != 1 {
-                return Err(err(format!(
-                    "key \"{key}\" present {} times, expected exactly once",
-                    matches.len()
-                )));
-            }
-            let v = match matches[0] {
-                Scalar::Num(n) => *n,
-                _ => return Err(err(format!("\"{key}\" is not a number"))),
+        // Each `d_*` key must name a counter and hold a non-negative
+        // integer; `seen` counts the keys per counter.
+        let mut seen = TelemetryCounters::default();
+        for (key, value) in &kv {
+            let Some(name) = key.strip_prefix("d_") else {
+                continue;
             };
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(err(format!(
-                    "\"{key}\" = {v} is not a non-negative integer"
-                )));
+            if !seen.add_named(name, 1) {
+                return Err(err(format!("unknown counter key \"{key}\"")));
             }
-            assert!(summary.totals.add_named(name, v as u64));
+            match value {
+                Scalar::Num(v) if count(*v).is_some() => {
+                    summary.totals.add_named(name, *v as u64);
+                }
+                _ => return Err(err(format!("\"{key}\" is not a non-negative integer"))),
+            }
+        }
+        let mut wrong = None;
+        seen.for_each_counter(&mut String::new(), &mut |name, n| {
+            if n != 1 && wrong.is_none() {
+                wrong = Some(format!("key \"d_{name}\" present {n} times, expected once"));
+            }
+        });
+        if let Some(message) = wrong {
+            return Err(err(message));
         }
 
         summary.lines = lineno;
@@ -366,6 +360,11 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
 mod tests {
     use super::*;
     use pagecross_types::{IntervalRecord, PolicyTelemetry};
+
+    /// One record's JSONL line.
+    fn jsonl_line(r: &IntervalRecord) -> String {
+        intervals_to_jsonl(std::slice::from_ref(r))
+    }
 
     fn record(seq: u64, instrs: u64, cycles: u64) -> IntervalRecord {
         IntervalRecord {
@@ -384,10 +383,10 @@ mod tests {
 
     #[test]
     fn emit_then_validate_round_trips() {
-        let lines: Vec<String> = (0..3)
-            .map(|s| interval_to_json(&record(s, 100, 250)))
-            .collect();
-        let text = lines.join("\n");
+        let records: Vec<IntervalRecord> = (0..3).map(|s| record(s, 100, 250)).collect();
+        let text = intervals_to_jsonl(&records);
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.ends_with("}\n"));
         let summary = validate_jsonl(&text).expect("valid stream");
         assert_eq!(summary.lines, 3);
         assert_eq!(summary.totals.instructions, 300);
@@ -400,7 +399,7 @@ mod tests {
     #[test]
     fn policy_fields_serialise_as_numbers_or_null() {
         let mut r = record(0, 10, 20);
-        assert!(interval_to_json(&r).contains("\"threshold\":null"));
+        assert!(jsonl_line(&r).contains("\"threshold\":null"));
         r.policy = Some(PolicyTelemetry {
             threshold: -4,
             weight_saturation: 0.125,
@@ -408,7 +407,7 @@ mod tests {
             issued: 4,
             discarded: 6,
         });
-        let line = interval_to_json(&r);
+        let line = jsonl_line(&r);
         assert!(line.contains("\"threshold\":-4"));
         assert!(line.contains("\"weight_saturation\":0.125000"));
         validate_jsonl(&line).expect("policy line validates");
@@ -422,9 +421,9 @@ mod tests {
 
     #[test]
     fn rejects_non_dense_seq() {
-        let a = interval_to_json(&record(0, 10, 20));
-        let b = interval_to_json(&record(2, 10, 20));
-        let e = validate_jsonl(&format!("{a}\n{b}")).unwrap_err();
+        let a = jsonl_line(&record(0, 10, 20));
+        let b = jsonl_line(&record(2, 10, 20));
+        let e = validate_jsonl(&format!("{a}{b}")).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("seq"));
     }
@@ -436,22 +435,31 @@ mod tests {
         let mut r1 = record(1, 10, 20);
         r1.end_instructions = 500;
         r1.end_cycles = r0.end_cycles + 1;
-        let text = format!("{}\n{}", interval_to_json(&r0), interval_to_json(&r1));
+        let text = format!("{}{}", jsonl_line(&r0), jsonl_line(&r1));
         let e = validate_jsonl(&text).unwrap_err();
         assert!(e.message.contains("backwards"), "{}", e.message);
     }
 
     #[test]
     fn rejects_missing_delta_key() {
-        let line = interval_to_json(&record(0, 10, 20));
+        let line = jsonl_line(&record(0, 10, 20));
         let broken = line.replace(",\"d_l1d_misses\":3", "");
         let e = validate_jsonl(&broken).unwrap_err();
         assert!(e.message.contains("d_l1d_misses"), "{}", e.message);
     }
 
     #[test]
+    fn rejects_unknown_delta_key() {
+        let line = jsonl_line(&record(0, 10, 20));
+        let broken = line.replace("}", ",\"d_l1d_misses_total\":3}");
+        let e = validate_jsonl(&broken).unwrap_err();
+        assert!(e.message.contains("d_l1d_misses_total"), "{}", e.message);
+        assert!(e.message.contains("unknown"), "{}", e.message);
+    }
+
+    #[test]
     fn rejects_negative_delta() {
-        let line = interval_to_json(&record(0, 10, 20));
+        let line = jsonl_line(&record(0, 10, 20));
         let broken = line.replace("\"d_l1d_misses\":3", "\"d_l1d_misses\":-3");
         let e = validate_jsonl(&broken).unwrap_err();
         assert!(e.message.contains("non-negative"), "{}", e.message);
@@ -459,8 +467,8 @@ mod tests {
 
     #[test]
     fn rejects_blank_lines() {
-        let line = interval_to_json(&record(0, 10, 20));
-        let e = validate_jsonl(&format!("{line}\n\n")).unwrap_err();
+        let line = jsonl_line(&record(0, 10, 20));
+        let e = validate_jsonl(&format!("{line}\n")).unwrap_err();
         assert_eq!(e.line, 2);
     }
 

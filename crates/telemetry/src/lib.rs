@@ -33,7 +33,7 @@ pub mod ring;
 pub mod sampler;
 
 pub use chrome::chrome_trace_json;
-pub use json::{interval_to_json, validate_jsonl, JsonlError, JsonlSummary};
+pub use json::{intervals_to_jsonl, validate_jsonl, JsonlError, JsonlSummary};
 pub use phase::PhaseTimings;
 pub use ring::EventRing;
 pub use sampler::{IntervalSampler, TelemetryConfig, TelemetryRun};

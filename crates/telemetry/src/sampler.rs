@@ -28,11 +28,7 @@ impl Default for TelemetryConfig {
 impl TelemetryConfig {
     /// Builds the event ring this config describes (when events are on).
     pub fn make_ring(&self) -> Option<EventRing> {
-        if self.events {
-            Some(EventRing::new(EVENT_CAPACITY))
-        } else {
-            None
-        }
+        self.events.then(|| EventRing::new(EVENT_CAPACITY))
     }
 }
 
@@ -60,7 +56,6 @@ pub struct IntervalSampler {
     interval: u64,
     since_sample: u64,
     base: TelemetryCounters,
-    next_seq: u64,
     intervals: Vec<IntervalRecord>,
 }
 
@@ -72,7 +67,6 @@ impl IntervalSampler {
             interval: interval.max(1),
             since_sample: 0,
             base: TelemetryCounters::default(),
-            next_seq: 0,
             intervals: Vec::new(),
         }
     }
@@ -93,13 +87,12 @@ impl IntervalSampler {
     /// Closes an interval at the cumulative capture `now`.
     pub fn sample(&mut self, now: TelemetryCounters, policy: Option<PolicyTelemetry>) {
         self.intervals.push(IntervalRecord {
-            seq: self.next_seq,
+            seq: self.intervals.len() as u64,
             end_instructions: now.instructions,
             end_cycles: now.cycles,
             delta: now.delta(&self.base),
             policy,
         });
-        self.next_seq += 1;
         self.base = now;
     }
 
@@ -117,16 +110,12 @@ impl IntervalSampler {
     pub fn into_intervals(self) -> Vec<IntervalRecord> {
         self.intervals
     }
-
-    /// Closed intervals so far.
-    pub fn intervals(&self) -> &[IntervalRecord] {
-        &self.intervals
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pagecross_types::Counters;
 
     fn counters(instructions: u64, cycles: u64, l1d_misses: u64) -> TelemetryCounters {
         TelemetryCounters {
@@ -169,7 +158,7 @@ mod tests {
         let c = counters(10, 20, 1);
         s.sample(c, None);
         s.flush(c, None);
-        assert_eq!(s.intervals().len(), 1);
+        assert_eq!(s.into_intervals().len(), 1);
     }
 
     #[test]
@@ -178,7 +167,7 @@ mod tests {
         for i in 1..=4 {
             s.sample(counters(i, i * 2, 0), None);
         }
-        let seqs: Vec<u64> = s.intervals().iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = s.into_intervals().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 

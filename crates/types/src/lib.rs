@@ -47,7 +47,10 @@ pub use fastmap::{FastMap, FastSet};
 pub use request::{AccessKind, Decision, PageSize, PrefetchCandidate, TranslationOutcome};
 pub use rng::Rng64;
 pub use snapshot::SystemSnapshot;
-pub use stats::{geomean, CacheStats, CoreStats, OsStats, PrefetchStats, TlbStats, WalkStats};
+pub use stats::{
+    geomean, CacheStats, CoreStats, Counters, OsStats, PrefetchStats, StatsView, TlbStats,
+    WalkStats,
+};
 pub use telemetry::{
     IntervalRecord, OsOp, PolicyTelemetry, StallBreakdown, StallCause, TelemetryCounters,
     TimedEvent, TraceEvent,

@@ -6,6 +6,7 @@
 //! produces a [`SystemSnapshot`] over a sliding window and hands it to the
 //! filter at decision time and at epoch boundaries.
 
+use crate::stats::ratio;
 use crate::telemetry::TelemetryCounters;
 
 /// A windowed summary of the system state, in the units the paper uses.
@@ -66,22 +67,15 @@ impl SystemSnapshot {
     ) -> SystemSnapshot {
         let d = now.delta(base);
         let kilo = d.instructions.max(1) as f64 / 1000.0;
-        let rate = |num: u64, den: u64| {
-            if den == 0 {
-                0.0
-            } else {
-                num as f64 / den as f64
-            }
-        };
         SystemSnapshot {
             l1d_mpki: d.l1d_misses as f64 / kilo,
-            l1d_miss_rate: rate(d.l1d_misses, d.l1d_accesses),
+            l1d_miss_rate: ratio(d.l1d_misses, d.l1d_accesses),
             llc_mpki: d.llc_misses as f64 / kilo,
-            llc_miss_rate: rate(d.llc_misses, d.llc_accesses),
+            llc_miss_rate: ratio(d.llc_misses, d.llc_accesses),
             stlb_mpki: d.stlb_misses as f64 / kilo,
-            stlb_miss_rate: rate(d.stlb_misses, d.stlb_accesses),
+            stlb_miss_rate: ratio(d.stlb_misses, d.stlb_accesses),
             l1i_mpki: d.l1i_misses as f64 / kilo,
-            ipc: rate(d.instructions, d.cycles.max(1)),
+            ipc: ratio(d.instructions, d.cycles.max(1)),
             rob_occupancy,
             inflight_l1d_misses,
             pgc_useful: d.pgc_useful,

@@ -7,6 +7,8 @@
 //! crate. Keeping the vocabulary here lets the memory system, the filter
 //! crate and the CPU model exchange telemetry without new dependency edges.
 
+use crate::stats::{counters, ratio, Counters};
+
 /// Why an issue slot was lost (top-down cycle accounting).
 ///
 /// Every cycle the core fails to dispatch at full `issue_width` loses
@@ -36,67 +38,42 @@ pub enum StallCause {
     Drain,
 }
 
-impl StallCause {
-    /// Every cause, in reporting order.
-    pub const ALL: [StallCause; 7] = [
-        StallCause::RobFull,
-        StallCause::L1dMiss,
-        StallCause::TlbWalk,
-        StallCause::BranchRedirect,
-        StallCause::FetchStarved,
-        StallCause::OsFault,
-        StallCause::Drain,
-    ];
-
-    /// Stable label (reports, JSONL keys).
-    pub fn label(self) -> &'static str {
-        match self {
-            StallCause::RobFull => "rob_full",
-            StallCause::L1dMiss => "l1d_miss",
-            StallCause::TlbWalk => "tlb_walk",
-            StallCause::BranchRedirect => "branch_redirect",
-            StallCause::FetchStarved => "fetch_starved",
-            StallCause::OsFault => "os_fault",
-            StallCause::Drain => "drain",
-        }
+counters! {
+    /// Per-cause lost issue slots, plus the warm-up boundary carry.
+    ///
+    /// # Accounting invariant
+    ///
+    /// For any measured run that retires at least one instruction:
+    ///
+    /// ```text
+    /// instructions + total_stalls + warmup_carry == cycles * issue_width
+    /// ```
+    ///
+    /// where `warmup_carry` is the number of issue slots of the boundary cycle
+    /// that were consumed by warm-up instructions (measurement starts mid-cycle
+    /// when warm-up ends partway through an issue group), and `total_stalls`
+    /// includes the drain tail. The engine charges every cycle jump exactly
+    /// `(jump_length × issue_width) − slots_already_used`, so the identity is
+    /// exact, not approximate; `tests/telemetry.rs` asserts it per workload.
+    pub struct StallBreakdown {
+        /// Slots lost to ROB-full waits on unclassified completions.
+        pub rob_full: u64,
+        /// Slots lost to ROB-full waits on L1D-missing loads.
+        pub l1d_miss: u64,
+        /// Slots lost to ROB-full waits on loads that took a page walk.
+        pub tlb_walk: u64,
+        /// Slots lost to branch-misprediction redirect bubbles.
+        pub branch_redirect: u64,
+        /// Slots lost waiting on instruction fetch.
+        pub fetch_starved: u64,
+        /// Slots lost to OS memory-management work (faults, reclaim,
+        /// THP migration, shootdown IPIs).
+        pub os_fault: u64,
+        /// Slots in the drain tail after the last dispatch.
+        pub drain: u64,
+        /// Boundary-cycle slots consumed by warm-up instructions.
+        pub warmup_carry: u64,
     }
-}
-
-/// Per-cause lost issue slots, plus the warm-up boundary carry.
-///
-/// # Accounting invariant
-///
-/// For any measured run that retires at least one instruction:
-///
-/// ```text
-/// instructions + total_stalls + warmup_carry == cycles * issue_width
-/// ```
-///
-/// where `warmup_carry` is the number of issue slots of the boundary cycle
-/// that were consumed by warm-up instructions (measurement starts mid-cycle
-/// when warm-up ends partway through an issue group), and `total_stalls`
-/// includes the drain tail. The engine charges every cycle jump exactly
-/// `(jump_length × issue_width) − slots_already_used`, so the identity is
-/// exact, not approximate; `tests/telemetry.rs` asserts it per workload.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StallBreakdown {
-    /// Slots lost to ROB-full waits on unclassified completions.
-    pub rob_full: u64,
-    /// Slots lost to ROB-full waits on L1D-missing loads.
-    pub l1d_miss: u64,
-    /// Slots lost to ROB-full waits on loads that took a page walk.
-    pub tlb_walk: u64,
-    /// Slots lost to branch-misprediction redirect bubbles.
-    pub branch_redirect: u64,
-    /// Slots lost waiting on instruction fetch.
-    pub fetch_starved: u64,
-    /// Slots lost to OS memory-management work (faults, reclaim,
-    /// THP migration, shootdown IPIs).
-    pub os_fault: u64,
-    /// Slots in the drain tail after the last dispatch.
-    pub drain: u64,
-    /// Boundary-cycle slots consumed by warm-up instructions.
-    pub warmup_carry: u64,
 }
 
 impl StallBreakdown {
@@ -113,141 +90,69 @@ impl StallBreakdown {
         }
     }
 
-    /// The counter for `cause`.
-    pub fn get(&self, cause: StallCause) -> u64 {
-        match cause {
-            StallCause::RobFull => self.rob_full,
-            StallCause::L1dMiss => self.l1d_miss,
-            StallCause::TlbWalk => self.tlb_walk,
-            StallCause::BranchRedirect => self.branch_redirect,
-            StallCause::FetchStarved => self.fetch_starved,
-            StallCause::OsFault => self.os_fault,
-            StallCause::Drain => self.drain,
-        }
-    }
-
     /// Total lost slots across every cause (excluding the warm-up carry,
     /// which is not a measured-run loss).
     pub fn total(&self) -> u64 {
-        StallCause::ALL.iter().map(|&c| self.get(c)).sum()
+        self.accounted_slots(0) - self.warmup_carry
     }
 
     /// Left-hand side of the accounting invariant:
-    /// `instructions + total() + warmup_carry`.
+    /// `instructions + total() + warmup_carry`, that is `instructions`
+    /// plus every counter of the breakdown.
     pub fn accounted_slots(&self, instructions: u64) -> u64 {
-        instructions + self.total() + self.warmup_carry
+        let mut sum = instructions;
+        self.for_each_counter(&mut String::new(), &mut |_, v| sum += v);
+        sum
     }
 
     /// Checks the accounting invariant against a cycle count and width.
     pub fn balances(&self, instructions: u64, cycles: u64, issue_width: u32) -> bool {
         self.accounted_slots(instructions) == cycles * issue_width as u64
     }
+}
 
-    /// `(label, slots)` pairs in reporting order.
-    pub fn entries(&self) -> [(&'static str, u64); 7] {
-        let mut out = [("", 0u64); 7];
-        for (slot, cause) in out.iter_mut().zip(StallCause::ALL) {
-            *slot = (cause.label(), self.get(cause));
-        }
-        out
+counters! {
+    /// Cumulative counters captured for interval sampling: a named subset
+    /// of the counter schema, one JSONL `d_*` key per field, in this order.
+    ///
+    /// All fields count from the start of the measured phase; the
+    /// sampler diffs consecutive captures to produce per-interval
+    /// deltas. Cumulative captures are monotone non-decreasing, so
+    /// every delta is non-negative and the deltas telescope: their sum
+    /// over all emitted intervals equals the final cumulative capture,
+    /// which is what reconciles the JSONL stream against the run's
+    /// final `Report`.
+    pub struct TelemetryCounters from StatsView {
+        instructions => core.instructions,
+        cycles => core.cycles,
+        l1d_accesses => l1d.demand_accesses,
+        l1d_misses => l1d.demand_misses,
+        l1i_misses => l1i.demand_misses,
+        l2c_misses => l2c.demand_misses,
+        llc_accesses => llc.demand_accesses,
+        llc_misses => llc.demand_misses,
+        dtlb_misses => dtlb.misses,
+        stlb_accesses => stlb.accesses,
+        stlb_misses => stlb.misses,
+        demand_walks => walks.demand_walks,
+        prefetch_walks => walks.prefetch_walks,
+        candidates => prefetch.candidates,
+        pgc_candidates => prefetch.pgc_candidates,
+        pgc_issued => prefetch.pgc_issued,
+        pgc_discarded => prefetch.pgc_discarded,
+        inpage_issued => prefetch.inpage_issued,
+        prefetch_useful => l1d.prefetch_useful,
+        prefetch_useless => l1d.prefetch_useless,
+        pgc_useful => l1d.pgc_useful,
+        pgc_useless => l1d.pgc_useless,
+        branch_mispredicts => core.branch_mispredicts,
+        os_minor_faults => os.minor_faults,
+        os_major_faults => os.major_faults,
+        os_reclaims => os.reclaims,
+        os_promotions => os.thp_promotions,
+        os_shootdowns => os.shootdowns,
     }
 }
-
-/// Expands a macro over every interval-sampled counter field name.
-macro_rules! for_each_telemetry_counter {
-    ($m:ident) => {
-        $m!(
-            instructions,
-            cycles,
-            l1d_accesses,
-            l1d_misses,
-            l1i_misses,
-            l2c_misses,
-            llc_accesses,
-            llc_misses,
-            dtlb_misses,
-            stlb_accesses,
-            stlb_misses,
-            demand_walks,
-            prefetch_walks,
-            candidates,
-            pgc_candidates,
-            pgc_issued,
-            pgc_discarded,
-            inpage_issued,
-            prefetch_useful,
-            prefetch_useless,
-            pgc_useful,
-            pgc_useless,
-            branch_mispredicts,
-            os_minor_faults,
-            os_major_faults,
-            os_reclaims,
-            os_promotions,
-            os_shootdowns
-        );
-    };
-}
-
-macro_rules! define_telemetry_counters {
-    ($($field:ident),+) => {
-        /// Cumulative counters captured for interval sampling.
-        ///
-        /// All fields count from the start of the measured phase; the
-        /// sampler diffs consecutive captures to produce per-interval
-        /// deltas. Cumulative captures are monotone non-decreasing, so
-        /// every delta is non-negative and the deltas telescope: their sum
-        /// over all emitted intervals equals the final cumulative capture,
-        /// which is what reconciles the JSONL stream against the run's
-        /// final `Report`.
-        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct TelemetryCounters {
-            $(
-                /// Cumulative counter (see struct docs).
-                pub $field: u64,
-            )+
-        }
-
-        impl TelemetryCounters {
-            /// Number of sampled counter fields.
-            pub const NUM_FIELDS: usize = [$(stringify!($field)),+].len();
-
-            /// Field names in declaration order (JSONL `d_*` key order).
-            pub const FIELD_NAMES: [&'static str; Self::NUM_FIELDS] =
-                [$(stringify!($field)),+];
-
-            /// Per-field difference `self - base` (saturating, though
-            /// captures taken in order never go backwards).
-            pub fn delta(&self, base: &Self) -> Self {
-                Self {
-                    $($field: self.$field.saturating_sub(base.$field),)+
-                }
-            }
-
-            /// `(name, value)` pairs in declaration order.
-            pub fn entries(&self) -> [(&'static str, u64); Self::NUM_FIELDS] {
-                [$((stringify!($field), self.$field)),+]
-            }
-
-            /// Adds `value` to the field called `name`; `false` when no
-            /// such field exists (used by the JSONL validator to re-sum
-            /// deltas without a serde dependency).
-            pub fn add_named(&mut self, name: &str, value: u64) -> bool {
-                match name {
-                    $(stringify!($field) => { self.$field += value; true })+
-                    _ => false,
-                }
-            }
-
-            /// Accumulates another capture field-wise.
-            pub fn accumulate(&mut self, other: &Self) {
-                $(self.$field += other.$field;)+
-            }
-        }
-    };
-}
-
-for_each_telemetry_counter!(define_telemetry_counters);
 
 /// Live internals of a filter-backed page-cross policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -282,11 +187,7 @@ pub struct IntervalRecord {
 impl IntervalRecord {
     /// Interval IPC (0 when the interval spans no cycles).
     pub fn ipc(&self) -> f64 {
-        if self.delta.cycles == 0 {
-            0.0
-        } else {
-            self.delta.instructions as f64 / self.delta.cycles as f64
-        }
+        ratio(self.delta.instructions, self.delta.cycles)
     }
 }
 
@@ -419,8 +320,8 @@ mod tests {
         s.charge(StallCause::RobFull, 10);
         s.charge(StallCause::TlbWalk, 5);
         s.charge(StallCause::TlbWalk, 5);
-        assert_eq!(s.get(StallCause::RobFull), 10);
-        assert_eq!(s.get(StallCause::TlbWalk), 10);
+        assert_eq!(s.rob_full, 10);
+        assert_eq!(s.tlb_walk, 10);
         assert_eq!(s.total(), 20);
     }
 
@@ -437,14 +338,11 @@ mod tests {
         assert_eq!(s.accounted_slots(6), 12);
     }
 
-    #[test]
-    fn entries_cover_every_cause() {
-        let s = StallBreakdown::default();
-        let labels: Vec<&str> = s.entries().iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels.len(), StallCause::ALL.len());
-        for c in StallCause::ALL {
-            assert!(labels.contains(&c.label()), "missing {}", c.label());
-        }
+    /// `(name, value)` of every counter, in visiting order.
+    fn visited(c: &TelemetryCounters) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        c.for_each_counter(&mut String::new(), &mut |n, v| out.push((n.to_string(), v)));
+        out
     }
 
     #[test]
@@ -461,19 +359,20 @@ mod tests {
         assert_eq!(d.instructions, 60);
         assert_eq!(d.l1d_misses, 2);
         assert_eq!(d.cycles, 0);
-        let names: Vec<&str> = d.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.as_slice(), TelemetryCounters::FIELD_NAMES);
+        let names: Vec<String> = visited(&d).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), TelemetryCounters::SOURCES.len());
+        assert_eq!(names[..2], ["instructions", "cycles"]);
     }
 
     #[test]
     fn add_named_round_trips_every_field() {
         let mut sum = TelemetryCounters::default();
-        for name in TelemetryCounters::FIELD_NAMES {
-            assert!(sum.add_named(name, 3), "unknown field {name}");
+        for (name, _) in visited(&TelemetryCounters::default()) {
+            assert!(sum.add_named(&name, 3), "unknown field {name}");
         }
         assert!(!sum.add_named("not_a_field", 1));
-        for (_, v) in sum.entries() {
-            assert_eq!(v, 3);
+        for (name, v) in visited(&sum) {
+            assert_eq!(v, 3, "{name}");
         }
     }
 

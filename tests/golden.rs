@@ -5,6 +5,11 @@
 //! performance. Perf work must keep these green; intentional model changes
 //! must update the goldens explicitly.
 //!
+//! Each row locks every nonzero counter of the schema (`Report` or
+//! `MixReport` visited under dotted names such as `l1d.demand_misses` or
+//! `core1.stalls.rob_full`), so a counter added to a stats struct is
+//! locked without touching this file's code.
+//!
 //! A mismatch prints each stale row with the values this build produced,
 //! ready to paste over the old row once the change is known to be
 //! intended.
@@ -14,7 +19,6 @@ use pagecross::cpu::{
     L2PrefetcherKind, MixReport, OsConfig, PgcPolicyKind, PrefetcherKind, Report, SimulationBuilder,
 };
 use pagecross::mem::HugePagePolicy;
-use pagecross::types::OsStats;
 use pagecross::workloads::{suite, SuiteId, Workload};
 
 /// Warm-up and measured instructions per core of every golden run.
@@ -43,7 +47,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=38087 l1d_acc=7463 l1d_miss=1272 dtlb_miss=845 stlb_miss=466 pgc_cand=857 pgc_issued=231 pgc_disc=492 demand_walks=466 ipc=0.525114 l1d_mpki=63.600000 dtlb_mpki=42.250000 l1i_acc=11123 l1i_miss=0 l2c_acc=1272 l2c_miss=1102 llc_acc=1102 llc_miss=1102 l2c_pf_acc=1913 l2c_pf_hit=205 l2c_pf_fill=1515 llc_pf_acc=1708 llc_pf_hit=0 llc_pf_fill=1515 l1d_pgc_fill=231 l1d_wb=1102 walk_refs=543 psc_hits=2172 prefetch_walks=77 dtlb_pf_probes=8520 stlb_pf_probes=138 spec_walks=77 redundant=6965",
+        counters: "core.instructions=20000 core.cycles=38087 core.loads=5999 core.stores=1464 core.branch_mispredicts=89 core.branches=2347 core.stalls.rob_full=17753 core.stalls.l1d_miss=42022 core.stalls.tlb_walk=139566 core.stalls.branch_redirect=6472 core.stalls.drain=2708 core.stalls.warmup_carry=1 l1i.demand_accesses=11123 l1d.demand_accesses=7463 l1d.demand_misses=1272 l1d.prefetch_fills=1555 l1d.prefetch_useful=1317 l1d.prefetch_useless=56 l1d.pgc_fills=231 l1d.pgc_useful=27 l1d.pgc_useless=17 l1d.writebacks=1102 l2c.demand_accesses=1272 l2c.demand_misses=1102 l2c.prefetch_accesses=1913 l2c.prefetch_hits=205 l2c.prefetch_fills=1515 l2c.prefetch_useful=7 l2c.prefetch_useless=3 l2c.pgc_fills=192 llc.demand_accesses=1102 llc.demand_misses=1102 llc.prefetch_accesses=1708 llc.prefetch_fills=1515 llc.pgc_fills=192 dtlb.accesses=7463 dtlb.misses=845 dtlb.prefetch_probes=8520 dtlb.prefetch_probe_misses=138 dtlb.prefetch_fills=138 stlb.accesses=845 stlb.misses=466 stlb.prefetch_probes=138 stlb.prefetch_probe_misses=77 stlb.prefetch_fills=77 walks.demand_walks=466 walks.prefetch_walks=77 walks.memory_refs=543 walks.psc_hits=2172 prefetch.candidates=9012 prefetch.pgc_candidates=857 prefetch.pgc_discarded=492 prefetch.pgc_issued=231 prefetch.inpage_issued=1324 prefetch.redundant=6965 prefetch.speculative_walks=77 ipc=0.525114 l1d_mpki=63.600000 dtlb_mpki=42.250000",
     },
     Golden {
         workloads: &[(SuiteId::Spec06, 0, "spec06.s00")],
@@ -52,7 +56,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=11782 l1d_acc=7006 l1d_miss=0 dtlb_miss=0 stlb_miss=0 pgc_cand=261 pgc_issued=54 pgc_disc=0 demand_walks=0 ipc=1.697505 l1d_mpki=0.000000 dtlb_mpki=0.000000 l1i_acc=9641 l1i_miss=0 l2c_acc=0 l2c_miss=0 llc_acc=0 llc_miss=0 l2c_pf_acc=1754 l2c_pf_hit=0 l2c_pf_fill=1751 llc_pf_acc=1754 llc_pf_hit=0 llc_pf_fill=1751 l1d_pgc_fill=54 l1d_wb=826 walk_refs=27 psc_hits=108 prefetch_walks=27 dtlb_pf_probes=11250 stlb_pf_probes=27 spec_walks=27 redundant=9499",
+        counters: "core.instructions=20000 core.cycles=11782 core.loads=5625 core.stores=1381 core.branch_mispredicts=104 core.branches=2412 core.stalls.rob_full=41890 core.stalls.branch_redirect=7635 core.stalls.drain=1163 core.stalls.warmup_carry=4 l1i.demand_accesses=9641 l1d.demand_accesses=7006 l1d.prefetch_fills=1751 l1d.prefetch_useful=1751 l1d.pgc_fills=54 l1d.pgc_useful=54 l1d.writebacks=826 l2c.prefetch_accesses=1754 l2c.prefetch_fills=1751 l2c.pgc_fills=54 llc.prefetch_accesses=1754 llc.prefetch_fills=1751 llc.pgc_fills=54 dtlb.accesses=7006 dtlb.prefetch_probes=11250 dtlb.prefetch_probe_misses=27 dtlb.prefetch_fills=27 stlb.prefetch_probes=27 stlb.prefetch_probe_misses=27 stlb.prefetch_fills=27 walks.prefetch_walks=27 walks.memory_refs=27 walks.psc_hits=108 prefetch.candidates=11250 prefetch.pgc_candidates=261 prefetch.pgc_issued=54 prefetch.inpage_issued=1697 prefetch.redundant=9499 prefetch.speculative_walks=27 ipc=1.697505 l1d_mpki=0.000000 dtlb_mpki=0.000000",
     },
     Golden {
         workloads: &[(SuiteId::Ligra, 1, "ligra.s01")],
@@ -61,7 +65,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=44018 l1d_acc=7557 l1d_miss=1643 dtlb_miss=959 stlb_miss=539 pgc_cand=578 pgc_issued=16 pgc_disc=560 demand_walks=539 ipc=0.454360 l1d_mpki=82.150000 dtlb_mpki=47.950000 l1i_acc=11159 l1i_miss=0 l2c_acc=1643 l2c_miss=1384 llc_acc=1384 llc_miss=1384 l2c_pf_acc=2737 l2c_pf_hit=515 l2c_pf_fill=2007 llc_pf_acc=2222 llc_pf_hit=0 llc_pf_fill=2007 l1d_pgc_fill=16 l1d_wb=1114 walk_refs=546 psc_hits=2159 prefetch_walks=2 dtlb_pf_probes=6416 stlb_pf_probes=9 spec_walks=2 redundant=4109",
+        counters: "core.instructions=20000 core.cycles=44018 core.loads=6078 core.stores=1479 core.branch_mispredicts=97 core.branches=2367 core.stalls.rob_full=5155 core.stalls.l1d_miss=56115 core.stalls.tlb_walk=173131 core.stalls.branch_redirect=7111 core.stalls.drain=2592 core.stalls.warmup_carry=4 l1i.demand_accesses=11159 l1d.demand_accesses=7557 l1d.demand_misses=1643 l1d.prefetch_fills=2307 l1d.prefetch_useful=1148 l1d.prefetch_useless=948 l1d.pgc_fills=16 l1d.pgc_useless=16 l1d.writebacks=1114 l2c.demand_accesses=1643 l2c.demand_misses=1384 l2c.prefetch_accesses=2737 l2c.prefetch_hits=515 l2c.prefetch_fills=2007 l2c.prefetch_useful=59 l2c.prefetch_useless=5 l2c.pgc_fills=15 l2c.pgc_useful=3 llc.demand_accesses=1384 llc.demand_misses=1384 llc.prefetch_accesses=2222 llc.prefetch_fills=2007 llc.pgc_fills=15 dtlb.accesses=7557 dtlb.misses=959 dtlb.prefetch_probes=6416 dtlb.prefetch_probe_misses=9 dtlb.prefetch_fills=9 stlb.accesses=959 stlb.misses=539 stlb.prefetch_probes=9 stlb.prefetch_probe_misses=2 stlb.prefetch_fills=2 walks.demand_walks=539 walks.prefetch_walks=2 walks.memory_refs=546 walks.psc_hits=2159 prefetch.candidates=6976 prefetch.pgc_candidates=578 prefetch.pgc_discarded=560 prefetch.pgc_issued=16 prefetch.inpage_issued=2291 prefetch.redundant=4109 prefetch.speculative_walks=2 ipc=0.454360 l1d_mpki=82.150000 dtlb_mpki=47.950000",
     },
     Golden {
         workloads: &[(SuiteId::QmmInt, 0, "qmm_int.s00")],
@@ -70,7 +74,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=181728 l1d_acc=6435 l1d_miss=2758 dtlb_miss=2462 stlb_miss=526 pgc_cand=533 pgc_issued=0 pgc_disc=533 demand_walks=526 ipc=0.110055 l1d_mpki=137.900000 dtlb_mpki=123.100000 l1i_acc=9261 l1i_miss=1 l2c_acc=2759 l2c_miss=2698 llc_acc=2698 llc_miss=2698 l2c_pf_acc=1060 l2c_pf_hit=70 l2c_pf_fill=911 llc_pf_acc=990 llc_pf_hit=0 llc_pf_fill=911 l1d_pgc_fill=0 l1d_wb=1023 walk_refs=530 psc_hits=2100 prefetch_walks=0 dtlb_pf_probes=13001 stlb_pf_probes=0 spec_walks=0 redundant=12088",
+        counters: "core.instructions=20000 core.cycles=181728 core.loads=5133 core.stores=1302 core.branch_mispredicts=246 core.branches=2436 core.stalls.rob_full=14416 core.stalls.l1d_miss=727341 core.stalls.tlb_walk=283055 core.stalls.branch_redirect=17022 core.stalls.fetch_starved=2367 core.stalls.drain=26165 core.stalls.warmup_carry=2 l1i.demand_accesses=9261 l1i.demand_misses=1 l1i.prefetch_fills=2 l1d.demand_accesses=6435 l1d.demand_misses=2758 l1d.prefetch_fills=913 l1d.prefetch_useful=897 l1d.prefetch_useless=15 l1d.writebacks=1023 l2c.demand_accesses=2759 l2c.demand_misses=2698 l2c.prefetch_accesses=1060 l2c.prefetch_hits=70 l2c.prefetch_fills=911 l2c.prefetch_useful=2 l2c.prefetch_useless=10 llc.demand_accesses=2698 llc.demand_misses=2698 llc.prefetch_accesses=990 llc.prefetch_fills=911 dtlb.accesses=6435 dtlb.misses=2462 dtlb.prefetch_probes=13001 stlb.accesses=2463 stlb.misses=526 walks.demand_walks=526 walks.memory_refs=530 walks.psc_hits=2100 prefetch.candidates=13534 prefetch.pgc_candidates=533 prefetch.pgc_discarded=533 prefetch.inpage_issued=913 prefetch.redundant=12088 ipc=0.110055 l1d_mpki=137.900000 dtlb_mpki=123.100000",
     },
     Golden {
         workloads: &[(SuiteId::Gap, 0, "gap.s00")],
@@ -79,7 +83,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::Spp,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=38278 l1d_acc=7463 l1d_miss=1272 dtlb_miss=845 stlb_miss=466 pgc_cand=857 pgc_issued=231 pgc_disc=492 demand_walks=466 ipc=0.522493 l1d_mpki=63.600000 dtlb_mpki=42.250000 l1i_acc=11123 l1i_miss=0 l2c_acc=1272 l2c_miss=1097 llc_acc=1097 llc_miss=1097 l2c_pf_acc=1913 l2c_pf_hit=206 l2c_pf_fill=1551 llc_pf_acc=1744 llc_pf_hit=0 llc_pf_fill=1551 l1d_pgc_fill=231 l1d_wb=1102 walk_refs=543 psc_hits=2172 prefetch_walks=77 dtlb_pf_probes=8520 stlb_pf_probes=138 spec_walks=77 redundant=6965",
+        counters: "core.instructions=20000 core.cycles=38278 core.loads=5999 core.stores=1464 core.branch_mispredicts=89 core.branches=2347 core.stalls.rob_full=17840 core.stalls.l1d_miss=42709 core.stalls.tlb_walk=139878 core.stalls.branch_redirect=6472 core.stalls.drain=2768 core.stalls.warmup_carry=1 l1i.demand_accesses=11123 l1d.demand_accesses=7463 l1d.demand_misses=1272 l1d.prefetch_fills=1555 l1d.prefetch_useful=1317 l1d.prefetch_useless=56 l1d.pgc_fills=231 l1d.pgc_useful=27 l1d.pgc_useless=17 l1d.writebacks=1102 l2c.demand_accesses=1272 l2c.demand_misses=1097 l2c.prefetch_accesses=1913 l2c.prefetch_hits=206 l2c.prefetch_fills=1551 l2c.prefetch_useful=12 l2c.prefetch_useless=5 l2c.pgc_fills=191 llc.demand_accesses=1097 llc.demand_misses=1097 llc.prefetch_accesses=1744 llc.prefetch_fills=1551 llc.pgc_fills=191 dtlb.accesses=7463 dtlb.misses=845 dtlb.prefetch_probes=8520 dtlb.prefetch_probe_misses=138 dtlb.prefetch_fills=138 stlb.accesses=845 stlb.misses=466 stlb.prefetch_probes=138 stlb.prefetch_probe_misses=77 stlb.prefetch_fills=77 walks.demand_walks=466 walks.prefetch_walks=77 walks.memory_refs=543 walks.psc_hits=2172 prefetch.candidates=9012 prefetch.pgc_candidates=857 prefetch.pgc_discarded=492 prefetch.pgc_issued=231 prefetch.inpage_issued=1324 prefetch.redundant=6965 prefetch.speculative_walks=77 ipc=0.522493 l1d_mpki=63.600000 dtlb_mpki=42.250000",
     },
     Golden {
         workloads: &[(SuiteId::Gap, 0, "gap.s00")],
@@ -88,7 +92,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::Fraction(0.5),
         os: false,
-        counters: "cycles=28361 l1d_acc=7463 l1d_miss=1259 dtlb_miss=218 stlb_miss=202 pgc_cand=767 pgc_issued=175 pgc_disc=459 demand_walks=202 ipc=0.705194 l1d_mpki=62.950000 dtlb_mpki=10.900000 l1i_acc=11123 l1i_miss=0 l2c_acc=1259 l2c_miss=1102 llc_acc=1102 llc_miss=1102 l2c_pf_acc=1670 l2c_pf_hit=103 l2c_pf_fill=1459 llc_pf_acc=1567 llc_pf_hit=0 llc_pf_fill=1459 l1d_pgc_fill=175 l1d_wb=1089 walk_refs=242 psc_hits=968 prefetch_walks=40 dtlb_pf_probes=8465 stlb_pf_probes=46 spec_walks=40 redundant=6967",
+        counters: "core.instructions=20000 core.cycles=28361 core.loads=5999 core.stores=1464 core.branch_mispredicts=89 core.branches=2347 core.stalls.rob_full=16345 core.stalls.l1d_miss=49592 core.stalls.tlb_walk=74729 core.stalls.branch_redirect=6419 core.stalls.drain=3080 core.stalls.warmup_carry=1 l1i.demand_accesses=11123 l1d.demand_accesses=7463 l1d.demand_misses=1259 l1d.prefetch_fills=1498 l1d.prefetch_useful=1316 l1d.prefetch_useless=40 l1d.pgc_fills=175 l1d.pgc_useful=26 l1d.pgc_useless=2 l1d.writebacks=1089 l2c.demand_accesses=1259 l2c.demand_misses=1102 l2c.prefetch_accesses=1670 l2c.prefetch_hits=103 l2c.prefetch_fills=1459 l2c.prefetch_useful=7 l2c.prefetch_useless=2 l2c.pgc_fills=137 llc.demand_accesses=1102 llc.demand_misses=1102 llc.prefetch_accesses=1567 llc.prefetch_fills=1459 llc.pgc_fills=137 dtlb.accesses=7463 dtlb.misses=218 dtlb.prefetch_probes=8465 dtlb.prefetch_probe_misses=46 dtlb.prefetch_fills=46 stlb.accesses=218 stlb.misses=202 stlb.prefetch_probes=46 stlb.prefetch_probe_misses=40 stlb.prefetch_fills=40 walks.demand_walks=202 walks.prefetch_walks=40 walks.memory_refs=242 walks.psc_hits=968 prefetch.candidates=8924 prefetch.pgc_candidates=767 prefetch.pgc_discarded=459 prefetch.pgc_issued=175 prefetch.inpage_issued=1323 prefetch.redundant=6967 prefetch.speculative_walks=40 ipc=0.705194 l1d_mpki=62.950000 dtlb_mpki=10.900000",
     },
     Golden {
         workloads: &[(SuiteId::Gap, 0, "gap.s00")],
@@ -97,7 +101,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=38620 l1d_acc=7463 l1d_miss=1292 dtlb_miss=851 stlb_miss=489 pgc_cand=734 pgc_issued=193 pgc_disc=0 demand_walks=489 ipc=0.517866 l1d_mpki=64.600000 dtlb_mpki=42.550000 l1i_acc=11123 l1i_miss=0 l2c_acc=1292 l2c_miss=1112 llc_acc=1112 llc_miss=1112 l2c_pf_acc=1869 l2c_pf_hit=199 l2c_pf_fill=1477 llc_pf_acc=1670 llc_pf_hit=1 llc_pf_fill=1477 l1d_pgc_fill=193 l1d_wb=1076 walk_refs=489 psc_hits=1956 prefetch_walks=0 dtlb_pf_probes=9814 stlb_pf_probes=543 spec_walks=0 redundant=7832",
+        counters: "core.instructions=20000 core.cycles=38620 core.loads=5999 core.stores=1464 core.branch_mispredicts=89 core.branches=2347 core.stalls.rob_full=11505 core.stalls.l1d_miss=45331 core.stalls.tlb_walk=145929 core.stalls.branch_redirect=6498 core.stalls.drain=2456 core.stalls.warmup_carry=1 l1i.demand_accesses=11123 l1d.demand_accesses=7463 l1d.demand_misses=1292 l1d.prefetch_fills=1517 l1d.prefetch_useful=1299 l1d.prefetch_useless=98 l1d.pgc_fills=193 l1d.pgc_useful=12 l1d.pgc_useless=61 l1d.writebacks=1076 l2c.demand_accesses=1292 l2c.demand_misses=1112 l2c.prefetch_accesses=1869 l2c.prefetch_hits=199 l2c.prefetch_fills=1477 l2c.prefetch_useful=21 l2c.prefetch_useless=14 l2c.pgc_fills=155 l2c.pgc_useful=12 llc.demand_accesses=1112 llc.demand_misses=1112 llc.prefetch_accesses=1670 llc.prefetch_hits=1 llc.prefetch_fills=1477 llc.pgc_fills=155 dtlb.accesses=7463 dtlb.misses=851 dtlb.prefetch_probes=9814 dtlb.prefetch_probe_misses=543 dtlb.prefetch_fills=78 stlb.accesses=851 stlb.misses=489 stlb.prefetch_probes=543 stlb.prefetch_probe_misses=465 walks.demand_walks=489 walks.memory_refs=489 walks.psc_hits=1956 prefetch.candidates=9814 prefetch.pgc_candidates=734 prefetch.pgc_issued=193 prefetch.inpage_issued=1324 prefetch.redundant=7832 ipc=0.517866 l1d_mpki=64.600000 dtlb_mpki=42.550000",
     },
     Golden {
         workloads: &[(SuiteId::Ligra, 1, "ligra.s01")],
@@ -106,7 +110,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=40115 l1d_acc=7557 l1d_miss=1464 dtlb_miss=960 stlb_miss=533 pgc_cand=442 pgc_issued=109 pgc_disc=301 demand_walks=533 ipc=0.498567 l1d_mpki=73.200000 dtlb_mpki=48.000000 l1i_acc=11159 l1i_miss=0 l2c_acc=1464 l2c_miss=1228 llc_acc=1228 llc_miss=1228 l2c_pf_acc=1932 l2c_pf_hit=294 l2c_pf_fill=1420 llc_pf_acc=1638 llc_pf_hit=0 llc_pf_fill=1420 l1d_pgc_fill=109 l1d_wb=1052 walk_refs=573 psc_hits=2267 prefetch_walks=35 dtlb_pf_probes=7445 stlb_pf_probes=65 spec_walks=35 redundant=5927",
+        counters: "core.instructions=20000 core.cycles=40115 core.loads=6078 core.stores=1479 core.branch_mispredicts=97 core.branches=2367 core.stalls.rob_full=15805 core.stalls.l1d_miss=35436 core.stalls.tlb_walk=159916 core.stalls.branch_redirect=7225 core.stalls.drain=2304 core.stalls.warmup_carry=4 l1i.demand_accesses=11159 l1d.demand_accesses=7557 l1d.demand_misses=1464 l1d.prefetch_fills=1518 l1d.prefetch_useful=1297 l1d.prefetch_useless=211 l1d.pgc_fills=109 l1d.pgc_useful=4 l1d.pgc_useless=96 l1d.writebacks=1052 l2c.demand_accesses=1464 l2c.demand_misses=1228 l2c.prefetch_accesses=1932 l2c.prefetch_hits=294 l2c.prefetch_fills=1420 l2c.prefetch_useful=17 l2c.prefetch_useless=14 l2c.pgc_fills=95 l2c.pgc_useful=2 llc.demand_accesses=1228 llc.demand_misses=1228 llc.prefetch_accesses=1638 llc.prefetch_fills=1420 llc.pgc_fills=95 dtlb.accesses=7557 dtlb.misses=960 dtlb.prefetch_probes=7445 dtlb.prefetch_probe_misses=65 dtlb.prefetch_fills=65 stlb.accesses=960 stlb.misses=533 stlb.prefetch_probes=65 stlb.prefetch_probe_misses=35 stlb.prefetch_fills=35 walks.demand_walks=533 walks.prefetch_walks=35 walks.memory_refs=573 walks.psc_hits=2267 prefetch.candidates=7746 prefetch.pgc_candidates=442 prefetch.pgc_discarded=301 prefetch.pgc_issued=109 prefetch.inpage_issued=1409 prefetch.redundant=5927 prefetch.speculative_walks=35 ipc=0.498567 l1d_mpki=73.200000 dtlb_mpki=48.000000",
     },
     Golden {
         workloads: &[(SuiteId::Gap, 0, "gap.s00")],
@@ -115,7 +119,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "cycles=37883 l1d_acc=7463 l1d_miss=1289 dtlb_miss=865 stlb_miss=482 pgc_cand=756 pgc_issued=32 pgc_disc=675 demand_walks=482 ipc=0.527941 l1d_mpki=64.450000 dtlb_mpki=43.250000 l1i_acc=11123 l1i_miss=0 l2c_acc=1289 l2c_miss=1120 llc_acc=1120 llc_miss=1120 l2c_pf_acc=1697 l2c_pf_hit=154 l2c_pf_fill=1349 llc_pf_acc=1543 llc_pf_hit=1 llc_pf_fill=1349 l1d_pgc_fill=32 l1d_wb=1027 walk_refs=495 psc_hits=1980 prefetch_walks=13 dtlb_pf_probes=8796 stlb_pf_probes=18 spec_walks=13 redundant=7444",
+        counters: "core.instructions=20000 core.cycles=37883 core.loads=5999 core.stores=1464 core.branch_mispredicts=89 core.branches=2347 core.stalls.rob_full=14182 core.stalls.l1d_miss=42128 core.stalls.tlb_walk=141930 core.stalls.branch_redirect=6457 core.stalls.drain=2600 core.stalls.warmup_carry=1 l1i.demand_accesses=11123 l1d.demand_accesses=7463 l1d.demand_misses=1289 l1d.prefetch_fills=1352 l1d.prefetch_useful=1296 l1d.prefetch_useless=58 l1d.pgc_fills=32 l1d.pgc_useful=13 l1d.pgc_useless=19 l1d.writebacks=1027 l2c.demand_accesses=1289 l2c.demand_misses=1120 l2c.prefetch_accesses=1697 l2c.prefetch_hits=154 l2c.prefetch_fills=1349 l2c.prefetch_useful=7 l2c.prefetch_useless=7 l2c.pgc_fills=30 llc.demand_accesses=1120 llc.demand_misses=1120 llc.prefetch_accesses=1543 llc.prefetch_hits=1 llc.prefetch_fills=1349 llc.pgc_fills=30 dtlb.accesses=7463 dtlb.misses=865 dtlb.prefetch_probes=8796 dtlb.prefetch_probe_misses=18 dtlb.prefetch_fills=18 stlb.accesses=865 stlb.misses=482 stlb.prefetch_probes=18 stlb.prefetch_probe_misses=13 stlb.prefetch_fills=13 walks.demand_walks=482 walks.prefetch_walks=13 walks.memory_refs=495 walks.psc_hits=1980 prefetch.candidates=9471 prefetch.pgc_candidates=756 prefetch.pgc_discarded=675 prefetch.pgc_issued=32 prefetch.inpage_issued=1320 prefetch.redundant=7444 prefetch.speculative_walks=13 ipc=0.527941 l1d_mpki=64.450000 dtlb_mpki=43.250000",
     },
     Golden {
         workloads: &[(SuiteId::Gap, 0, "gap.s00")],
@@ -124,7 +128,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: true,
-        counters: "cycles=224094 l1d_acc=7463 l1d_miss=1320 dtlb_miss=685 stlb_miss=448 pgc_cand=675 pgc_issued=50 pgc_disc=308 demand_walks=448 ipc=0.089248 l1d_mpki=66.000000 dtlb_mpki=34.250000 l1i_acc=11123 l1i_miss=0 l2c_acc=1320 l2c_miss=1243 llc_acc=1243 llc_miss=1243 l2c_pf_acc=1762 l2c_pf_hit=155 l2c_pf_fill=1418 llc_pf_acc=1607 llc_pf_hit=0 llc_pf_fill=1418 l1d_pgc_fill=50 l1d_wb=1060 walk_refs=449 psc_hits=1790 prefetch_walks=0 dtlb_pf_probes=9618 stlb_pf_probes=300 spec_walks=0 redundant=7881 minor=448 major=0 reclaims=0 promote=1 demote=0 shootdowns=1 ipis=0 fault_cycles=1794000",
+        counters: "core.instructions=20000 core.cycles=224094 core.loads=5999 core.stores=1464 core.branch_mispredicts=89 core.branches=2347 core.stalls.rob_full=13916 core.stalls.l1d_miss=60941 core.stalls.branch_redirect=6486 core.stalls.os_fault=1216704 core.stalls.drain=26516 core.stalls.warmup_carry=1 l1i.demand_accesses=11123 l1d.demand_accesses=7463 l1d.demand_misses=1320 l1d.prefetch_fills=1438 l1d.prefetch_useful=1302 l1d.prefetch_useless=99 l1d.pgc_fills=50 l1d.pgc_useful=3 l1d.pgc_useless=10 l1d.writebacks=1060 l2c.demand_accesses=1320 l2c.demand_misses=1243 l2c.prefetch_accesses=1762 l2c.prefetch_hits=155 l2c.prefetch_fills=1418 l2c.prefetch_useful=5 l2c.prefetch_useless=2 l2c.pgc_fills=49 llc.demand_accesses=1243 llc.demand_misses=1243 llc.prefetch_accesses=1607 llc.prefetch_fills=1418 llc.pgc_fills=49 dtlb.accesses=7463 dtlb.misses=685 dtlb.prefetch_probes=9618 dtlb.prefetch_probe_misses=300 dtlb.prefetch_fills=1 stlb.accesses=685 stlb.misses=448 stlb.prefetch_probes=300 stlb.prefetch_probe_misses=299 walks.demand_walks=448 walks.memory_refs=449 walks.psc_hits=1790 prefetch.candidates=9926 prefetch.pgc_candidates=675 prefetch.pgc_discarded=308 prefetch.pgc_issued=50 prefetch.inpage_issued=1388 prefetch.redundant=7881 os.minor_faults=448 os.thp_promotions=1 os.shootdowns=1 os.fault_cycles=1794000 ipc=0.089248 l1d_mpki=66.000000 dtlb_mpki=34.250000",
     },
     Golden {
         workloads: &[(SuiteId::Gap, 0, "gap.s00"), (SuiteId::Spec06, 0, "spec06.s00")],
@@ -133,7 +137,7 @@ const GOLDENS: &[Golden] = &[
         l2: L2PrefetcherKind::None,
         huge: HugePagePolicy::None,
         os: false,
-        counters: "core0: cycles=27962 mispredicts=89 stalls=147771 ipc=0.715256 core1: cycles=28455 mispredicts=104 stalls=150725 ipc=0.702864 llc: acc=1102 miss=1102 pf_fills=3266",
+        counters: "core0.instructions=20000 core0.cycles=27962 core0.loads=5999 core0.stores=1464 core0.branch_mispredicts=89 core0.branches=2347 core0.stalls.rob_full=15710 core0.stalls.l1d_miss=28908 core0.stalls.tlb_walk=94128 core0.stalls.branch_redirect=6563 core0.stalls.drain=2462 core0.stalls.warmup_carry=1 core1.instructions=20000 core1.cycles=28455 core1.loads=5625 core1.stores=1381 core1.branch_mispredicts=104 core1.branches=2412 core1.stalls.rob_full=140454 core1.stalls.branch_redirect=7750 core1.stalls.drain=2521 core1.stalls.warmup_carry=5 llc.demand_accesses=1102 llc.demand_misses=1102 llc.prefetch_accesses=3462 llc.prefetch_fills=3266 llc.pgc_fills=229 core0.ipc=0.715256 core1.ipc=0.702864",
     },
 ];
 
@@ -187,102 +191,34 @@ fn run_direct(g: &Golden) -> Outcome {
     run(g, &factories)
 }
 
-fn os_counters(os: &OsStats) -> String {
-    format!(
-        "minor={} major={} reclaims={} promote={} demote={} shootdowns={} ipis={} fault_cycles={}",
-        os.minor_faults,
-        os.major_faults,
-        os.reclaims,
-        os.thp_promotions,
-        os.thp_demotions,
-        os.shootdowns,
-        os.ipis_received,
-        os.fault_cycles
-    )
-}
-
-/// The counters of every level a request passes through below the L1D
-/// demand path: the instruction side, L2C/LLC demand and prefetch
-/// traffic, walker references and the prefetch-side TLB probes.
-fn request_path_counters(r: &Report) -> String {
-    format!(
-        "l1i_acc={} l1i_miss={} l2c_acc={} l2c_miss={} llc_acc={} llc_miss={} \
-         l2c_pf_acc={} l2c_pf_hit={} l2c_pf_fill={} llc_pf_acc={} llc_pf_hit={} llc_pf_fill={} \
-         l1d_pgc_fill={} l1d_wb={} walk_refs={} psc_hits={} prefetch_walks={} \
-         dtlb_pf_probes={} stlb_pf_probes={} spec_walks={} redundant={}",
-        r.l1i.demand_accesses,
-        r.l1i.demand_misses,
-        r.l2c.demand_accesses,
-        r.l2c.demand_misses,
-        r.llc.demand_accesses,
-        r.llc.demand_misses,
-        r.l2c.prefetch_accesses,
-        r.l2c.prefetch_hits,
-        r.l2c.prefetch_fills,
-        r.llc.prefetch_accesses,
-        r.llc.prefetch_hits,
-        r.llc.prefetch_fills,
-        r.l1d.pgc_fills,
-        r.l1d.writebacks,
-        r.walks.memory_refs,
-        r.walks.psc_hits,
-        r.walks.prefetch_walks,
-        r.dtlb.prefetch_probes,
-        r.stlb.prefetch_probes,
-        r.prefetch.speculative_walks,
-        r.prefetch.redundant
-    )
-}
-
-/// The locked counters of a run, as one line.
+/// The locked counters of a run, as one line: every nonzero counter of the
+/// schema under its dotted name, then the derived IPC (and, for one core,
+/// the L1D and dTLB MPKI).
 fn fingerprint(o: &Outcome) -> String {
+    let mut parts = Vec::new();
+    let mut push = |name: &str, v: u64| {
+        if v != 0 {
+            parts.push(format!("{name}={v}"));
+        }
+    };
     match o {
         Outcome::Single(r) => {
-            assert_eq!(r.core.instructions, MEASURED, "measured length");
-            let mut s = format!(
-                "cycles={} l1d_acc={} l1d_miss={} dtlb_miss={} stlb_miss={} pgc_cand={} \
-                 pgc_issued={} pgc_disc={} demand_walks={} ipc={:.6} l1d_mpki={:.6} dtlb_mpki={:.6}",
-                r.core.cycles,
-                r.l1d.demand_accesses,
-                r.l1d.demand_misses,
-                r.dtlb.misses,
-                r.stlb.misses,
-                r.prefetch.pgc_candidates,
-                r.prefetch.pgc_issued,
-                r.prefetch.pgc_discarded,
-                r.walks.demand_walks,
+            r.for_each_counter(&mut push);
+            parts.push(format!(
+                "ipc={:.6} l1d_mpki={:.6} dtlb_mpki={:.6}",
                 r.ipc(),
                 r.l1d_mpki(),
                 r.dtlb_mpki()
-            );
-            s = format!("{s} {}", request_path_counters(r));
-            if r.os != OsStats::default() {
-                s = format!("{s} {}", os_counters(&r.os));
-            }
-            s
+            ));
         }
         Outcome::Mix(m) => {
-            let mut parts = Vec::new();
-            for (i, (c, os)) in m.cores.iter().zip(&m.os).enumerate() {
-                assert_eq!(c.instructions, MEASURED, "core {i}: measured length");
-                parts.push(format!(
-                    "core{i}: cycles={} mispredicts={} stalls={} ipc={:.6}",
-                    c.cycles,
-                    c.branch_mispredicts,
-                    c.stalls.total(),
-                    c.ipc()
-                ));
-                if *os != OsStats::default() {
-                    parts.push(os_counters(os));
-                }
+            m.for_each_counter(&mut push);
+            for (i, c) in m.cores.iter().enumerate() {
+                parts.push(format!("core{i}.ipc={:.6}", c.ipc()));
             }
-            parts.push(format!(
-                "llc: acc={} miss={} pf_fills={}",
-                m.llc.demand_accesses, m.llc.demand_misses, m.llc.prefetch_fills
-            ));
-            parts.join(" ")
         }
     }
+    parts.join(" ")
 }
 
 /// `g` as a source row with `counters` in place of its locked values.

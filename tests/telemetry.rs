@@ -8,7 +8,7 @@ use pagecross::cpu::{
     CoreConfig, OsConfig, PgcPolicyKind, PrefetcherKind, Report, SimulationBuilder, TelemetryConfig,
 };
 use pagecross::telemetry::{
-    chrome_trace_json, interval_to_json, validate_jsonl, TelemetryCounters, TelemetryRun,
+    chrome_trace_json, intervals_to_jsonl, validate_jsonl, TelemetryCounters, TelemetryRun,
 };
 use pagecross::workloads::{suite, SuiteId, Workload};
 
@@ -97,12 +97,7 @@ fn jsonl_deltas_reconcile_with_final_report() {
             ..TelemetryConfig::default()
         };
         let (r, telemetry) = run_with_telemetry(builder(case), w, &cfg);
-        let mut text = String::new();
-        for rec in &telemetry.intervals {
-            text.push_str(&interval_to_json(rec));
-            text.push('\n');
-        }
-        let s = validate_jsonl(&text)
+        let s = validate_jsonl(&intervals_to_jsonl(&telemetry.intervals))
             .unwrap_or_else(|e| panic!("{}: emitted stream invalid: {e}", w.name()));
         assert_eq!(s.lines, telemetry.intervals.len());
         assert_eq!(s.final_instructions, r.core.instructions, "{}", w.name());
@@ -171,12 +166,8 @@ fn jsonl_deltas_reconcile_with_os_model_enabled() {
         "OS faults broke the exact stall-slot sum"
     );
 
-    let mut text = String::new();
-    for rec in &telemetry.intervals {
-        text.push_str(&interval_to_json(rec));
-        text.push('\n');
-    }
-    let s = validate_jsonl(&text).expect("OS-on stream must stay schema-valid");
+    let s = validate_jsonl(&intervals_to_jsonl(&telemetry.intervals))
+        .expect("OS-on stream must stay schema-valid");
     let t = &s.totals;
     assert_eq!(t.os_minor_faults, r.os.minor_faults, "os minor");
     assert_eq!(t.os_major_faults, r.os.major_faults, "os major");
