@@ -4,7 +4,7 @@
 //! Paper's shape: DRIPPER ≥ each constituent alone for the vast majority
 //! of workloads — the combination is what wins.
 
-use moka_pgc::{ProgramFeature, SystemFeature};
+use moka_pgc::{FilterConfig, ProgramFeature, SystemFeature};
 use pagecross_bench::{
     env_scale, fmt_pct, geomeans_vs_first, print_header, print_row, quick_seen_set, run_all,
     Scheme, Summary,
@@ -15,22 +15,23 @@ fn main() {
     let cfg = env_scale();
     let workloads = quick_seen_set();
     let pf = PrefetcherKind::Berti;
+    let single = |label: &str, filter: FilterConfig| Scheme {
+        filter: Some(filter),
+        ..Scheme::new(label, pf, PgcPolicyKind::Dripper)
+    };
     let schemes = vec![
         Scheme::new("discard-pgc", pf, PgcPolicyKind::DiscardPgc),
-        Scheme::new(
+        single(
             "delta-only",
-            pf,
-            PgcPolicyKind::SingleFeature(ProgramFeature::Delta),
+            FilterConfig::with_features(vec![ProgramFeature::Delta], vec![]),
         ),
-        Scheme::new(
+        single(
             "stlb-mpki-only",
-            pf,
-            PgcPolicyKind::SingleSystemFeature(SystemFeature::StlbMpki),
+            FilterConfig::with_features(vec![], vec![SystemFeature::StlbMpki]),
         ),
-        Scheme::new(
+        single(
             "stlb-missrate-only",
-            pf,
-            PgcPolicyKind::SingleSystemFeature(SystemFeature::StlbMissRate),
+            FilterConfig::with_features(vec![], vec![SystemFeature::StlbMissRate]),
         ),
         Scheme::new("dripper", pf, PgcPolicyKind::Dripper),
     ];

@@ -19,13 +19,10 @@
 
 use std::time::{Duration, Instant};
 
-use moka_pgc::FilterConfig;
 use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{
-    BoundaryMode, L2PrefetcherKind, OsConfig, PgcPolicyKind, PhaseTimings, PrefetcherKind, Report,
-    SimulationBuilder,
+    PgcPolicyKind, PhaseTimings, PrefetcherKind, Report, Scheme, SimulationBuilder,
 };
-use pagecross_mem::HugePagePolicy;
 use pagecross_trace::TraceReplay;
 use pagecross_types::Rng64;
 use pagecross_workloads::Workload;
@@ -93,65 +90,6 @@ impl Subject for TraceReplay {
     }
 }
 
-/// One scheme under comparison: prefetcher + policy (+ variants).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Scheme {
-    /// Display label.
-    pub label: String,
-    /// L1D prefetcher.
-    pub prefetcher: PrefetcherKind,
-    /// Page-cross policy.
-    pub policy: PgcPolicyKind,
-    /// L2C prefetcher.
-    pub l2: L2PrefetcherKind,
-    /// Filtering boundary mode.
-    pub boundary: BoundaryMode,
-    /// Huge-page policy.
-    pub huge: HugePagePolicy,
-    /// Imitation-OS model (`None` = off, the default).
-    pub os: Option<OsConfig>,
-    /// Explicit MOKA filter overriding `policy` (ablation sweeps; `None`
-    /// = build the filter `policy` names).
-    pub filter: Option<FilterConfig>,
-}
-
-impl Scheme {
-    /// A scheme with the given prefetcher and policy, defaults elsewhere.
-    pub fn new(label: &str, prefetcher: PrefetcherKind, policy: PgcPolicyKind) -> Self {
-        Self {
-            label: label.to_string(),
-            prefetcher,
-            policy,
-            l2: L2PrefetcherKind::None,
-            boundary: BoundaryMode::Fixed4K,
-            huge: HugePagePolicy::None,
-            os: None,
-            filter: None,
-        }
-    }
-
-    /// A builder simulating this scheme for `warmup` then `instructions`
-    /// instructions, with physical frames placed by `seed`.
-    pub(crate) fn builder(&self, seed: u64, warmup: u64, instructions: u64) -> SimulationBuilder {
-        let mut builder = SimulationBuilder::new()
-            .prefetcher(self.prefetcher)
-            .pgc_policy(self.policy)
-            .l2_prefetcher(self.l2)
-            .boundary(self.boundary)
-            .huge_pages(self.huge.clone())
-            .seed(seed)
-            .warmup(warmup)
-            .instructions(instructions);
-        if let Some(os) = self.os {
-            builder = builder.os(os);
-        }
-        if let Some(filter) = &self.filter {
-            builder = builder.custom_filter(filter.clone());
-        }
-        builder
-    }
-}
-
 /// Campaign-wide length scaling and seeding (keeps the full figure set
 /// tractable and reproducible).
 #[derive(Clone, Copy, Debug)]
@@ -207,11 +145,11 @@ pub fn run_one_timed<S: Subject + ?Sized>(
 ) -> (WorkloadResult, PhaseTimings) {
     let (warm, measure) = w.lengths();
     let factory = w.factory();
-    let builder = scheme.builder(
-        cfg.seed,
-        (warm as f64 * cfg.warmup_scale) as u64,
-        (measure as f64 * cfg.measure_scale) as u64,
-    );
+    let builder = SimulationBuilder::new()
+        .scheme(scheme.clone())
+        .seed(cfg.seed)
+        .warmup((warm as f64 * cfg.warmup_scale) as u64)
+        .instructions((measure as f64 * cfg.measure_scale) as u64);
     let (report, phases, error) = match builder.try_run_workload_with(factory, None) {
         Ok((report, phases, _)) => (report, phases, None),
         Err(e) => (
@@ -526,7 +464,7 @@ pub fn ipcs_of(results: &[WorkloadResult], scheme: &str) -> Vec<f64> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use pagecross_cpu::{Instr, Op, TraceSource};
+    use pagecross_cpu::{Instr, Op, OsConfig, TraceSource};
     use pagecross_workloads::{suite, SuiteId};
 
     /// Every instruction lives on its own 4 KB code page; code pages are

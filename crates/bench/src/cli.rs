@@ -21,15 +21,16 @@
 //!
 //! Argument parsing is hand-rolled (the workspace is dependency-minimal);
 //! the parsed command is a plain enum so it is unit-testable, and `run` and
-//! `replay` parse straight into the campaign runner's [`Scheme`].
+//! `replay` parse straight into the simulator's [`Scheme`].
 
 use crate::campaign::{
-    core_schemes, env_jobs, run_grid, CampaignConfig, CampaignRun, Scheme, Subject, WorkloadResult,
+    core_schemes, env_jobs, run_grid, CampaignConfig, CampaignRun, Subject, WorkloadResult,
 };
 use crate::table::fmt_opt_ratio;
 use pagecross_cpu::trace::TraceFactory;
 use pagecross_cpu::{
-    L2PrefetcherKind, OsConfig, PgcPolicyKind, PrefetcherKind, Report, TelemetryConfig,
+    L2PrefetcherKind, OsConfig, PgcPolicyKind, PrefetcherKind, Report, Scheme, SimulationBuilder,
+    TelemetryConfig,
 };
 use pagecross_mem::HugePagePolicy;
 use pagecross_telemetry::{chrome_trace_json, intervals_to_jsonl, validate_jsonl};
@@ -538,15 +539,15 @@ fn report_text(r: &Report) -> String {
 /// diffable between `run` and `replay`.
 fn simulate<S: Subject + ?Sized>(a: &SimArgs, subject: &S) -> Result<(), CliError> {
     let (dw, di) = subject.lengths();
-    let builder = a.scheme.builder(
-        CampaignConfig::DEFAULT_SEED,
-        if a.warmup > 0 { a.warmup } else { dw },
-        if a.instructions > 0 {
+    let builder = SimulationBuilder::new()
+        .scheme(a.scheme.clone())
+        .seed(CampaignConfig::DEFAULT_SEED)
+        .warmup(if a.warmup > 0 { a.warmup } else { dw })
+        .instructions(if a.instructions > 0 {
             a.instructions
         } else {
             di
-        },
-    );
+        });
     let w = subject.factory();
     let (out, trace) = (a.telemetry_out.as_deref(), a.telemetry_trace.as_deref());
     let tcfg = (out.is_some() || trace.is_some()).then(|| TelemetryConfig {

@@ -5,7 +5,8 @@
 use pagecross_cpu::Report;
 use pagecross_types::geomean;
 
-use crate::campaign::{ipcs_of, Scheme, WorkloadResult};
+use crate::campaign::{ipcs_of, WorkloadResult};
+use pagecross_cpu::Scheme;
 
 /// Formats a ratio as a signed percentage ("+1.73%").
 pub fn fmt_pct(ratio: f64) -> String {

@@ -1,6 +1,7 @@
 //! DRIPPER — the Page-Cross Filter prototype (paper §III-E, Table II) —
-//! plus the comparison filters of §V (PPF, PPF+Dthr, single-feature
-//! filters, DRIPPER-SF).
+//! plus the configurations of the comparison filters of §V (PPF,
+//! PPF+Dthr, DRIPPER-SF). A single-feature filter (Fig. 14) is
+//! [`FilterConfig::with_features`] with one feature.
 //!
 //! | Prefetcher | DRIPPER program feature | System features |
 //! |---|---|---|
@@ -10,7 +11,6 @@
 
 use crate::features::ProgramFeature;
 use crate::filter::{FilterConfig, PageCrossFilter};
-use crate::policy::FilterPolicy;
 use crate::system_features::SystemFeature;
 
 /// The prefetchers DRIPPER was prototyped for.
@@ -48,43 +48,30 @@ pub fn dripper_config(target: TargetPrefetcher) -> FilterConfig {
 }
 
 /// DRIPPER as a ready-to-use policy.
-pub fn dripper(target: TargetPrefetcher) -> FilterPolicy {
-    FilterPolicy::new("dripper", PageCrossFilter::new(dripper_config(target)))
+pub fn dripper(target: TargetPrefetcher) -> PageCrossFilter {
+    PageCrossFilter::new(dripper_config(target))
 }
 
 /// DRIPPER-SF (§V-B5): system features only, no program feature.
-pub fn dripper_sf() -> FilterPolicy {
-    let cfg = FilterConfig::with_features(vec![], dripper_system_features());
-    FilterPolicy::new("dripper-sf", PageCrossFilter::new(cfg))
-}
-
-/// A single-program-feature filter (§V-B5, Fig. 14).
-pub fn single_program_feature(feature: ProgramFeature) -> FilterPolicy {
-    let cfg = FilterConfig::with_features(vec![feature], vec![]);
-    FilterPolicy::new("single-feature", PageCrossFilter::new(cfg))
-}
-
-/// A single-system-feature filter (§V-B5, Fig. 14).
-pub fn single_system_feature(feature: SystemFeature) -> FilterPolicy {
-    let cfg = FilterConfig::with_features(vec![], vec![feature]);
-    FilterPolicy::new("single-sys-feature", PageCrossFilter::new(cfg))
+pub fn dripper_sf_config() -> FilterConfig {
+    FilterConfig::with_features(vec![], dripper_system_features())
 }
 
 /// PPF converted to a page-cross filter (§V-A): perceptron filtering with a
 /// set of prefetcher-independent program features (the SPP-specific ones
 /// are excluded, as in the paper), **no system features**, and a static
 /// activation threshold.
-pub fn ppf() -> FilterPolicy {
-    let mut cfg = FilterConfig::with_features(ppf_features(), vec![]);
-    cfg.adaptive = false;
-    cfg.static_threshold = 0;
-    FilterPolicy::new("ppf", PageCrossFilter::new(cfg))
+pub fn ppf_config() -> FilterConfig {
+    FilterConfig {
+        adaptive: false,
+        static_threshold: 0,
+        ..ppf_dthr_config()
+    }
 }
 
 /// PPF combined with MOKA's dynamic thresholding (§V-A, "PPF+Dthr").
-pub fn ppf_dthr() -> FilterPolicy {
-    let cfg = FilterConfig::with_features(ppf_features(), vec![]);
-    FilterPolicy::new("ppf+dthr", PageCrossFilter::new(cfg))
+pub fn ppf_dthr_config() -> FilterConfig {
+    FilterConfig::with_features(ppf_features(), vec![])
 }
 
 /// The prefetcher-independent subset of PPF's feature set.
@@ -140,23 +127,25 @@ mod tests {
 
     #[test]
     fn dripper_uses_adaptive_threshold() {
-        use crate::policy::PgcPolicy;
         let d = dripper(TargetPrefetcher::Berti);
-        assert!(d.filter().config().adaptive);
-        assert_eq!(d.name(), "dripper");
+        assert!(d.config().adaptive);
+        assert_eq!(d.config(), &dripper_config(TargetPrefetcher::Berti));
     }
 
     #[test]
     fn ppf_uses_static_threshold_and_no_system_features() {
-        let p = ppf();
-        assert!(!p.filter().config().adaptive);
-        assert!(p.filter().config().system_features.is_empty());
-        assert!(p.filter().config().program_features.len() >= 8);
+        let p = ppf_config();
+        assert!(!p.adaptive);
+        assert_eq!(p.static_threshold, 0);
+        assert!(p.system_features.is_empty());
+        assert!(p.program_features.len() >= 8);
     }
 
     #[test]
     fn ppf_dthr_is_adaptive() {
-        assert!(ppf_dthr().filter().config().adaptive);
+        let p = ppf_dthr_config();
+        assert!(p.adaptive);
+        assert_eq!(p.program_features, ppf_features());
     }
 
     #[test]
@@ -178,8 +167,8 @@ mod tests {
 
     #[test]
     fn dripper_sf_has_no_program_features() {
-        let d = dripper_sf();
-        assert!(d.filter().config().program_features.is_empty());
-        assert_eq!(d.filter().config().system_features.len(), 2);
+        let d = dripper_sf_config();
+        assert!(d.program_features.is_empty());
+        assert_eq!(d.system_features, dripper_system_features());
     }
 }

@@ -11,9 +11,10 @@
 use crate::buffers::{UpdateBuffer, UpdateEntry};
 use crate::features::{FeatureContext, ProgramFeature};
 use crate::perceptron::PerceptronBank;
+use crate::policy::{PgcPolicy, PolicyAction};
 use crate::system_features::{SystemFeature, SystemFeatureBank};
 use crate::threshold::{AdaptiveThreshold, ThresholdConfig};
-use pagecross_types::{Decision, PrefetchCandidate, SystemSnapshot};
+use pagecross_types::{PolicyTelemetry, PrefetchCandidate, SystemSnapshot};
 
 /// Configuration of a Page-Cross Filter instance.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,7 +95,8 @@ pub struct FilterStats {
     pub pub_punishes: u64,
 }
 
-/// A MOKA Page-Cross Filter.
+/// A MOKA Page-Cross Filter. It is a [`PgcPolicy`] itself: DRIPPER, PPF
+/// and every other filter-backed scheme is one [`FilterConfig`].
 #[derive(Clone, Debug)]
 pub struct PageCrossFilter {
     bank: PerceptronBank,
@@ -151,18 +153,26 @@ impl PageCrossFilter {
     pub fn weight(&self, ctx: &FeatureContext, snap: &SystemSnapshot) -> i32 {
         self.bank.predict(ctx) + self.sf.predict(self.sf.active_mask(snap))
     }
+}
+
+impl PgcPolicy for PageCrossFilter {
+    /// One name for every configuration; reports label a run by the
+    /// scheme it simulates.
+    fn name(&self) -> &'static str {
+        "moka-filter"
+    }
 
     /// Decides the fate of a page-cross candidate (Fig. 6). A `Discard`
     /// decision records the candidate in the vUB; an `Issue` decision arms
-    /// [`PageCrossFilter::confirm_issue`], which must be called with the
-    /// physical line (or [`PageCrossFilter::cancel_issue`] if the prefetch
-    /// was dropped as redundant).
-    pub fn decide(
+    /// [`PgcPolicy::on_issued`], which must be called with the physical
+    /// line (or [`PgcPolicy::on_issue_dropped`] if the prefetch was
+    /// dropped as redundant). An issued prefetch may walk the page table.
+    fn decide(
         &mut self,
         cand: &PrefetchCandidate,
         ctx: &FeatureContext,
         snap: &SystemSnapshot,
-    ) -> Decision {
+    ) -> PolicyAction {
         self.stats.decisions += 1;
         let indices = self.bank.indices(ctx);
         let mask = self.sf.active_mask(snap);
@@ -174,7 +184,7 @@ impl PageCrossFilter {
         if issue {
             self.stats.issued += 1;
             self.pending_issue = Some((indices, mask));
-            Decision::Issue
+            PolicyAction::Issue { allow_walk: true }
         } else {
             self.stats.discarded += 1;
             self.vub.insert(UpdateEntry {
@@ -182,13 +192,13 @@ impl PageCrossFilter {
                 indices,
                 sf_mask: mask,
             });
-            Decision::Discard
+            PolicyAction::Discard
         }
     }
 
     /// Confirms the last `Issue` decision with the fetched physical line,
     /// recording it in the pUB.
-    pub fn confirm_issue(&mut self, phys_line: u64) {
+    fn on_issued(&mut self, phys_line: u64) {
         if let Some((indices, sf_mask)) = self.pending_issue.take() {
             self.pbuf.insert(UpdateEntry {
                 line: phys_line,
@@ -199,13 +209,13 @@ impl PageCrossFilter {
     }
 
     /// Cancels the last `Issue` decision (target was redundant).
-    pub fn cancel_issue(&mut self) {
+    fn on_issue_dropped(&mut self) {
         self.pending_issue = None;
     }
 
     /// L1D demand miss (virtual line): a vUB hit is a false negative —
     /// positive training (Fig. 7, steps ➀–➂).
-    pub fn on_l1d_demand_miss(&mut self, virt_line: u64) {
+    fn on_l1d_demand_miss(&mut self, virt_line: u64) {
         if let Some(e) = self.vub.take(virt_line) {
             self.stats.vub_trainings += 1;
             self.bank.reward(&e.indices);
@@ -215,7 +225,7 @@ impl PageCrossFilter {
 
     /// First demand hit on a PCB block (physical line): positive training
     /// via the pUB (Fig. 7, steps ➃–➆).
-    pub fn on_pcb_first_hit(&mut self, phys_line: u64) {
+    fn on_pcb_first_hit(&mut self, phys_line: u64) {
         if let Some(e) = self.pbuf.take(phys_line) {
             self.stats.pub_rewards += 1;
             self.bank.reward(&e.indices);
@@ -225,7 +235,7 @@ impl PageCrossFilter {
 
     /// Eviction of a PCB block (Fig. 7, steps ➇–⑪): blocks that never
     /// served a hit punish their pUB entry.
-    pub fn on_pcb_eviction(&mut self, phys_line: u64, served_hits: bool) {
+    fn on_pcb_eviction(&mut self, phys_line: u64, served_hits: bool) {
         if served_hits {
             // Useful block; any remaining pUB entry is stale.
             self.pbuf.take(phys_line);
@@ -239,7 +249,7 @@ impl PageCrossFilter {
     }
 
     /// In-epoch spot check of the adaptive scheme.
-    pub fn spot_check(&mut self, snap: &SystemSnapshot) {
+    fn spot_check(&mut self, snap: &SystemSnapshot) {
         if let Some(a) = &mut self.adaptive {
             a.spot_check(snap);
         }
@@ -247,11 +257,25 @@ impl PageCrossFilter {
 
     /// End-of-epoch update: advances the adaptive scheme and decays the
     /// system-feature weights so stale phase evidence fades.
-    pub fn end_epoch(&mut self, snap: &SystemSnapshot) {
+    fn end_epoch(&mut self, snap: &SystemSnapshot) {
         if let Some(a) = &mut self.adaptive {
             a.end_epoch(snap);
         }
         self.sf.decay();
+    }
+
+    fn telemetry(&self) -> Option<PolicyTelemetry> {
+        Some(PolicyTelemetry {
+            threshold: self.threshold(),
+            weight_saturation: self.weight_saturation(),
+            decisions: self.stats.decisions,
+            issued: self.stats.issued,
+            discarded: self.stats.discarded,
+        })
+    }
+
+    fn current_threshold(&self) -> Option<i32> {
+        Some(self.threshold())
     }
 }
 
@@ -259,6 +283,9 @@ impl PageCrossFilter {
 mod tests {
     use super::*;
     use pagecross_types::VirtAddr;
+
+    const ISSUE: PolicyAction = PolicyAction::Issue { allow_walk: true };
+    const DISCARD: PolicyAction = PolicyAction::Discard;
 
     fn cand(target: u64) -> PrefetchCandidate {
         PrefetchCandidate {
@@ -294,7 +321,7 @@ mod tests {
     fn fresh_filter_discards_above_zero_threshold() {
         let mut f = filter(0);
         let d = f.decide(&cand(0x2000), &ctx(), &SystemSnapshot::default());
-        assert_eq!(d, Decision::Discard, "weight 0 is not > threshold 0");
+        assert_eq!(d, DISCARD, "weight 0 is not > threshold 0");
         assert_eq!(f.stats.discarded, 1);
     }
 
@@ -306,11 +333,11 @@ mod tests {
         // round of vUB training the weights (program + gated system
         // features) exceed the threshold.
         let d = f.decide(&cand(0x2000), &ctx(), &snap);
-        assert_eq!(d, Decision::Discard, "fresh filter starts conservative");
+        assert_eq!(d, DISCARD, "fresh filter starts conservative");
         f.on_l1d_demand_miss(VirtAddr::new(0x2000).line().raw());
         assert_eq!(f.stats.vub_trainings, 1);
         let d = f.decide(&cand(0x2000), &ctx(), &snap);
-        assert_eq!(d, Decision::Issue);
+        assert_eq!(d, ISSUE);
     }
 
     #[test]
@@ -318,14 +345,14 @@ mod tests {
         let mut f = filter(-10); // permissive: always issues
         let snap = SystemSnapshot::default();
         let d = f.decide(&cand(0x2000), &ctx(), &snap);
-        assert_eq!(d, Decision::Issue);
-        f.confirm_issue(0x999);
+        assert_eq!(d, ISSUE);
+        f.on_issued(0x999);
         f.on_pcb_first_hit(0x999);
         assert_eq!(f.stats.pub_rewards, 1);
 
         let d = f.decide(&cand(0x2000), &ctx(), &snap);
-        assert_eq!(d, Decision::Issue);
-        f.confirm_issue(0x999);
+        assert_eq!(d, ISSUE);
+        f.on_issued(0x999);
         f.on_pcb_eviction(0x999, false);
         assert_eq!(f.stats.pub_punishes, 1);
     }
@@ -334,7 +361,7 @@ mod tests {
     fn useful_eviction_does_not_punish() {
         let mut f = filter(-10);
         f.decide(&cand(0x2000), &ctx(), &SystemSnapshot::default());
-        f.confirm_issue(0x42);
+        f.on_issued(0x42);
         f.on_pcb_eviction(0x42, true);
         assert_eq!(f.stats.pub_punishes, 0);
     }
@@ -343,7 +370,7 @@ mod tests {
     fn cancel_issue_leaves_pub_empty() {
         let mut f = filter(-10);
         f.decide(&cand(0x2000), &ctx(), &SystemSnapshot::default());
-        f.cancel_issue();
+        f.on_issue_dropped();
         f.on_pcb_eviction(0x0, false);
         assert_eq!(f.stats.pub_punishes, 0, "nothing was recorded");
     }
@@ -357,18 +384,18 @@ mod tests {
             f.decide(&cand(0x2000), &ctx(), &snap);
             f.on_l1d_demand_miss(VirtAddr::new(0x2000).line().raw());
         }
-        assert_eq!(f.decide(&cand(0x2000), &ctx(), &snap), Decision::Issue);
-        f.confirm_issue(0x1);
+        assert_eq!(f.decide(&cand(0x2000), &ctx(), &snap), ISSUE);
+        f.on_issued(0x1);
         // Now the prefetches turn out useless.
         let mut flips = 0;
         for i in 0..20u64 {
             f.on_pcb_eviction(i, false);
             let d = f.decide(&cand(0x2000), &ctx(), &snap);
-            if d == Decision::Discard {
+            if d == DISCARD {
                 flips += 1;
                 break;
             }
-            f.confirm_issue(i + 1);
+            f.on_issued(i + 1);
         }
         assert!(
             flips > 0,
@@ -388,12 +415,12 @@ mod tests {
             ..Default::default()
         };
         // Train it positive once via the vUB.
-        assert_eq!(f.decide(&cand(0x2000), &ctx(), &hot), Decision::Discard);
+        assert_eq!(f.decide(&cand(0x2000), &ctx(), &hot), DISCARD);
         f.on_l1d_demand_miss(VirtAddr::new(0x2000).line().raw());
-        assert_eq!(f.decide(&cand(0x2000), &ctx(), &hot), Decision::Issue);
+        assert_eq!(f.decide(&cand(0x2000), &ctx(), &hot), ISSUE);
         // Same candidate under a cold snapshot: feature gated off -> weight 0.
         let cold = SystemSnapshot::default();
-        assert_eq!(f.decide(&cand(0x2000), &ctx(), &cold), Decision::Discard);
+        assert_eq!(f.decide(&cand(0x2000), &ctx(), &cold), DISCARD);
     }
 
     #[test]
@@ -414,11 +441,11 @@ mod tests {
             f.decide(&cand(0x2000), &ctx(), &snap);
             f.on_l1d_demand_miss(VirtAddr::new(0x2000).line().raw());
         }
-        assert_eq!(f.decide(&cand(0x2000), &ctx(), &snap), Decision::Discard);
+        assert_eq!(f.decide(&cand(0x2000), &ctx(), &snap), DISCARD);
         // Epoch boundary lifts the disable; training done via the vUB while
         // disabled lets it resume issuing ("activated again thanks to vUB").
         f.end_epoch(&snap);
-        assert_eq!(f.decide(&cand(0x2000), &ctx(), &snap), Decision::Issue);
+        assert_eq!(f.decide(&cand(0x2000), &ctx(), &snap), ISSUE);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!    back to the exact weights that produced each decision;
 //! 4. [`threshold`] — the epoch-based **adaptive thresholding** scheme.
 //!
-//! [`dripper`](mod@dripper) instantiates the framework as the paper's
-//! DRIPPER prototype (Table II) and as every comparison scheme of Fig. 9.
+//! [`PageCrossFilter`] assembles them and is itself a [`PgcPolicy`], next
+//! to the static policies of [`policy`]. [`dripper`](mod@dripper)
+//! configures it as the paper's DRIPPER prototype (Table II) and as the
+//! filter-backed comparison schemes of Fig. 9.
 //!
 //! # Example: DRIPPER learns from false negatives
 //!
@@ -67,10 +69,10 @@ pub mod selection;
 pub mod system_features;
 pub mod threshold;
 
-pub use dripper::{dripper, dripper_sf, ppf, ppf_dthr, TargetPrefetcher};
+pub use dripper::{dripper, TargetPrefetcher};
 pub use features::{FeatureContext, ProgramFeature};
 pub use filter::{FilterConfig, FilterStats, PageCrossFilter};
-pub use policy::{DiscardPgc, DiscardPtw, FilterPolicy, PermitPgc, PgcPolicy, PolicyAction};
+pub use policy::{DiscardPgc, DiscardPtw, PermitPgc, PgcPolicy, PolicyAction};
 pub use selection::{select_features, CandidateFeature, FeatureSet, SelectionOutcome};
 pub use system_features::SystemFeature;
 pub use threshold::{AdaptiveThreshold, ThresholdConfig};

@@ -2,13 +2,12 @@
 //!
 //! A [`PgcPolicy`] is consulted for every prefetch candidate that crosses a
 //! page boundary. Static policies (`Permit PGC`, `Discard PGC`,
-//! `Discard PTW`) need no learning; filter-backed policies wrap a
-//! [`PageCrossFilter`] and receive the full training signal from the CPU
-//! model.
+//! `Discard PTW`) need no learning; every filter-backed scheme is a
+//! [`PageCrossFilter`](crate::filter::PageCrossFilter), which implements
+//! this trait and receives the full training signal from the CPU model.
 
 use crate::features::FeatureContext;
-use crate::filter::PageCrossFilter;
-use pagecross_types::{Decision, PolicyTelemetry, PrefetchCandidate, SystemSnapshot};
+use pagecross_types::{PolicyTelemetry, PrefetchCandidate, SystemSnapshot};
 
 /// What to do with a page-cross candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,85 +129,6 @@ impl PgcPolicy for DiscardPtw {
     }
 }
 
-/// A filter-backed policy (DRIPPER, PPF, single-feature filters, …).
-#[derive(Clone, Debug)]
-pub struct FilterPolicy {
-    name: &'static str,
-    filter: PageCrossFilter,
-}
-
-impl FilterPolicy {
-    /// Wraps a filter under a report name.
-    pub fn new(name: &'static str, filter: PageCrossFilter) -> Self {
-        Self { name, filter }
-    }
-
-    /// Access to the wrapped filter (stats, threshold).
-    pub fn filter(&self) -> &PageCrossFilter {
-        &self.filter
-    }
-}
-
-impl PgcPolicy for FilterPolicy {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn decide(
-        &mut self,
-        cand: &PrefetchCandidate,
-        ctx: &FeatureContext,
-        snap: &SystemSnapshot,
-    ) -> PolicyAction {
-        match self.filter.decide(cand, ctx, snap) {
-            Decision::Issue => PolicyAction::Issue { allow_walk: true },
-            Decision::Discard => PolicyAction::Discard,
-        }
-    }
-
-    fn on_issued(&mut self, phys_line: u64) {
-        self.filter.confirm_issue(phys_line);
-    }
-
-    fn on_issue_dropped(&mut self) {
-        self.filter.cancel_issue();
-    }
-
-    fn on_l1d_demand_miss(&mut self, virt_line: u64) {
-        self.filter.on_l1d_demand_miss(virt_line);
-    }
-
-    fn on_pcb_first_hit(&mut self, phys_line: u64) {
-        self.filter.on_pcb_first_hit(phys_line);
-    }
-
-    fn on_pcb_eviction(&mut self, phys_line: u64, served_hits: bool) {
-        self.filter.on_pcb_eviction(phys_line, served_hits);
-    }
-
-    fn spot_check(&mut self, snap: &SystemSnapshot) {
-        self.filter.spot_check(snap);
-    }
-
-    fn end_epoch(&mut self, snap: &SystemSnapshot) {
-        self.filter.end_epoch(snap);
-    }
-
-    fn telemetry(&self) -> Option<PolicyTelemetry> {
-        Some(PolicyTelemetry {
-            threshold: self.filter.threshold(),
-            weight_saturation: self.filter.weight_saturation(),
-            decisions: self.filter.stats.decisions,
-            issued: self.filter.stats.issued,
-            discarded: self.filter.stats.discarded,
-        })
-    }
-
-    fn current_threshold(&self) -> Option<i32> {
-        Some(self.filter.threshold())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,11 +170,11 @@ mod tests {
     #[test]
     fn filter_policy_routes_training() {
         use crate::features::ProgramFeature;
-        use crate::filter::FilterConfig;
+        use crate::filter::{FilterConfig, PageCrossFilter};
         let mut cfg = FilterConfig::with_features(vec![ProgramFeature::Delta], vec![]);
         cfg.adaptive = false;
         cfg.static_threshold = 0;
-        let mut p = FilterPolicy::new("test", PageCrossFilter::new(cfg));
+        let mut p = PageCrossFilter::new(cfg);
         let c = cand();
         let ctx = FeatureContext {
             delta: 1,
@@ -263,7 +183,7 @@ mod tests {
         let s = SystemSnapshot::default();
         assert_eq!(p.decide(&c, &ctx, &s), PolicyAction::Discard);
         p.on_l1d_demand_miss(c.target.line().raw());
-        assert_eq!(p.filter().stats.vub_trainings, 1);
+        assert_eq!(p.stats.vub_trainings, 1);
         // Trained once: weight 1 > 0 -> issue.
         assert_eq!(
             p.decide(&c, &ctx, &s),
@@ -271,17 +191,17 @@ mod tests {
         );
         p.on_issued(0xAA);
         p.on_pcb_eviction(0xAA, false);
-        assert_eq!(p.filter().stats.pub_punishes, 1);
+        assert_eq!(p.stats.pub_punishes, 1);
     }
 
     #[test]
     fn telemetry_exposes_filter_internals() {
         use crate::features::ProgramFeature;
-        use crate::filter::FilterConfig;
+        use crate::filter::{FilterConfig, PageCrossFilter};
         let mut cfg = FilterConfig::with_features(vec![ProgramFeature::Delta], vec![]);
         cfg.adaptive = false;
         cfg.static_threshold = 3;
-        let mut p = FilterPolicy::new("test", PageCrossFilter::new(cfg));
+        let mut p = PageCrossFilter::new(cfg);
         assert_eq!(p.current_threshold(), Some(3));
         let t0 = p.telemetry().expect("filter policy has telemetry");
         assert_eq!(t0.threshold, 3);

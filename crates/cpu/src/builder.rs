@@ -5,11 +5,8 @@ use crate::config::{BoundaryMode, CoreConfig};
 use crate::engine::CoreEngine;
 use crate::report::{MixReport, Report};
 use crate::trace::TraceFactory;
-use moka_pgc::dripper::{single_program_feature, single_system_feature, TargetPrefetcher};
-use moka_pgc::{
-    DiscardPgc, DiscardPtw, FilterConfig, FilterPolicy, PageCrossFilter, PermitPgc, PgcPolicy,
-    ProgramFeature, SystemFeature,
-};
+use moka_pgc::dripper::{self, TargetPrefetcher};
+use moka_pgc::{DiscardPgc, DiscardPtw, FilterConfig, PageCrossFilter, PermitPgc, PgcPolicy};
 use pagecross_mem::{HugePagePolicy, MemConfig, MemorySystem, OomError};
 use pagecross_os::{Os, OsConfig};
 use pagecross_prefetch::{
@@ -80,10 +77,6 @@ pub enum PgcPolicyKind {
     Ppf,
     /// PPF with MOKA's dynamic thresholding.
     PpfDthr,
-    /// A filter built from exactly one program feature (Fig. 14).
-    SingleFeature(ProgramFeature),
-    /// A filter built from exactly one system feature (Fig. 14).
-    SingleSystemFeature(SystemFeature),
 }
 
 impl PgcPolicyKind {
@@ -98,8 +91,22 @@ impl PgcPolicyKind {
             PgcPolicyKind::DripperSf => "dripper-sf",
             PgcPolicyKind::Ppf => "ppf",
             PgcPolicyKind::PpfDthr => "ppf+dthr",
-            PgcPolicyKind::SingleFeature(_) => "single-feature",
-            PgcPolicyKind::SingleSystemFeature(_) => "single-sys-feature",
+        }
+    }
+
+    /// The MOKA configuration of a filter-backed scheme, with DRIPPER
+    /// configured for `prefetcher` (Table II); `None` for the static
+    /// schemes.
+    pub fn filter_config(self, prefetcher: PrefetcherKind) -> Option<FilterConfig> {
+        match self {
+            PgcPolicyKind::Dripper => Some(dripper::dripper_config(prefetcher.dripper_target())),
+            PgcPolicyKind::DripperSf => Some(dripper::dripper_sf_config()),
+            PgcPolicyKind::Ppf => Some(dripper::ppf_config()),
+            PgcPolicyKind::PpfDthr => Some(dripper::ppf_dthr_config()),
+            PgcPolicyKind::PermitPgc
+            | PgcPolicyKind::DiscardPgc
+            | PgcPolicyKind::DiscardPtw
+            | PgcPolicyKind::IsoStorage => None,
         }
     }
 }
@@ -116,6 +123,45 @@ pub enum L2PrefetcherKind {
     Ipcp,
     /// BOP adapted to the physical space.
     Bop,
+}
+
+/// One simulated configuration: prefetchers, page-cross policy, page
+/// sizes and the imitation OS, under a display label.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Scheme {
+    /// Display label.
+    pub label: String,
+    /// L1D prefetcher.
+    pub prefetcher: PrefetcherKind,
+    /// Page-cross policy.
+    pub policy: PgcPolicyKind,
+    /// L2C prefetcher.
+    pub l2: L2PrefetcherKind,
+    /// Filtering boundary mode.
+    pub boundary: BoundaryMode,
+    /// Huge-page policy.
+    pub huge: HugePagePolicy,
+    /// Imitation-OS model (`None` = off, the default).
+    pub os: Option<OsConfig>,
+    /// Explicit MOKA filter overriding `policy` (ablation sweeps and
+    /// single-feature filters; `None` = build the filter `policy` names).
+    pub filter: Option<FilterConfig>,
+}
+
+impl Scheme {
+    /// A scheme with the given prefetcher and policy, defaults elsewhere.
+    pub fn new(label: &str, prefetcher: PrefetcherKind, policy: PgcPolicyKind) -> Self {
+        Self {
+            label: label.to_string(),
+            prefetcher,
+            policy,
+            l2: L2PrefetcherKind::None,
+            boundary: BoundaryMode::Fixed4K,
+            huge: HugePagePolicy::None,
+            os: None,
+            filter: None,
+        }
+    }
 }
 
 /// Adapts an L1D-style prefetcher to the L2C's physical, page-bounded
@@ -195,17 +241,11 @@ impl L1dPrefetcher for NoPrefetch {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SimulationBuilder {
-    prefetcher: PrefetcherKind,
-    policy: PgcPolicyKind,
-    custom_filter: Option<FilterConfig>,
-    l2_prefetcher: L2PrefetcherKind,
-    boundary: BoundaryMode,
-    huge_pages: HugePagePolicy,
+    scheme: Scheme,
     core_cfg: CoreConfig,
     warmup: u64,
     instructions: u64,
     seed: u64,
-    os: Option<OsConfig>,
 }
 
 impl SimulationBuilder {
@@ -213,29 +253,31 @@ impl SimulationBuilder {
     /// no L2C prefetcher.
     pub fn new() -> Self {
         Self {
-            prefetcher: PrefetcherKind::Berti,
-            policy: PgcPolicyKind::Dripper,
-            custom_filter: None,
-            l2_prefetcher: L2PrefetcherKind::None,
-            boundary: BoundaryMode::Fixed4K,
-            huge_pages: HugePagePolicy::None,
+            scheme: Scheme::new("", PrefetcherKind::Berti, PgcPolicyKind::Dripper),
             core_cfg: CoreConfig::default(),
             warmup: 50_000,
             instructions: 100_000,
             seed: 0xC0FFEE,
-            os: None,
         }
+    }
+
+    /// Simulates `scheme`. `prefetcher`, `pgc_policy`, `custom_filter`,
+    /// `l2_prefetcher`, `boundary`, `huge_pages` and `os` each set one of
+    /// its fields.
+    pub fn scheme(mut self, scheme: Scheme) -> Self {
+        self.scheme = scheme;
+        self
     }
 
     /// Selects the L1D prefetcher.
     pub fn prefetcher(mut self, kind: PrefetcherKind) -> Self {
-        self.prefetcher = kind;
+        self.scheme.prefetcher = kind;
         self
     }
 
     /// Selects the page-cross policy.
     pub fn pgc_policy(mut self, kind: PgcPolicyKind) -> Self {
-        self.policy = kind;
+        self.scheme.policy = kind;
         self
     }
 
@@ -243,25 +285,25 @@ impl SimulationBuilder {
     /// configuration (ablation studies: buffer sizes, table sizes, custom
     /// feature selections).
     pub fn custom_filter(mut self, cfg: FilterConfig) -> Self {
-        self.custom_filter = Some(cfg);
+        self.scheme.filter = Some(cfg);
         self
     }
 
     /// Selects the L2C prefetcher.
     pub fn l2_prefetcher(mut self, kind: L2PrefetcherKind) -> Self {
-        self.l2_prefetcher = kind;
+        self.scheme.l2 = kind;
         self
     }
 
     /// Selects the filtering boundary mode (§V-B6).
     pub fn boundary(mut self, mode: BoundaryMode) -> Self {
-        self.boundary = mode;
+        self.scheme.boundary = mode;
         self
     }
 
     /// Selects the huge-page policy of the address space.
     pub fn huge_pages(mut self, policy: HugePagePolicy) -> Self {
-        self.huge_pages = policy;
+        self.scheme.huge = policy;
         self
     }
 
@@ -294,18 +336,18 @@ impl SimulationBuilder {
     /// `cfg.phys_mem_bytes` and the static [`HugePagePolicy`] is ignored:
     /// 2 MB mappings come only from the OS's own promotion daemon.
     pub fn os(mut self, cfg: OsConfig) -> Self {
-        self.os = Some(cfg);
+        self.scheme.os = Some(cfg);
         self
     }
 
     fn make_prefetcher(&self) -> Box<dyn L1dPrefetcher> {
         // ISO-Storage gives the prefetcher DRIPPER's budget as extra tables.
-        let mult = if self.policy == PgcPolicyKind::IsoStorage {
+        let mult = if self.scheme.policy == PgcPolicyKind::IsoStorage {
             4
         } else {
             1
         };
-        match self.prefetcher {
+        match self.scheme.prefetcher {
             PrefetcherKind::None => Box::new(NoPrefetch),
             PrefetcherKind::NextLine => Box::new(NextLine::new(1)),
             PrefetcherKind::Stride => Box::new(Stride::new(2)),
@@ -316,29 +358,23 @@ impl SimulationBuilder {
     }
 
     fn make_policy(&self) -> Box<dyn PgcPolicy> {
-        if let Some(cfg) = &self.custom_filter {
-            return Box::new(FilterPolicy::new(
-                "custom",
-                PageCrossFilter::new(cfg.clone()),
-            ));
-        }
-        match self.policy {
-            PgcPolicyKind::PermitPgc | PgcPolicyKind::IsoStorage => Box::new(PermitPgc),
-            PgcPolicyKind::DiscardPgc => Box::new(DiscardPgc),
-            PgcPolicyKind::DiscardPtw => Box::new(DiscardPtw),
-            PgcPolicyKind::Dripper => {
-                Box::new(moka_pgc::dripper::dripper(self.prefetcher.dripper_target()))
-            }
-            PgcPolicyKind::DripperSf => Box::new(moka_pgc::dripper_sf()),
-            PgcPolicyKind::Ppf => Box::new(moka_pgc::ppf()),
-            PgcPolicyKind::PpfDthr => Box::new(moka_pgc::ppf_dthr()),
-            PgcPolicyKind::SingleFeature(f) => Box::new(single_program_feature(f)),
-            PgcPolicyKind::SingleSystemFeature(f) => Box::new(single_system_feature(f)),
+        let s = &self.scheme;
+        let filter = s
+            .filter
+            .clone()
+            .or_else(|| s.policy.filter_config(s.prefetcher));
+        match (filter, s.policy) {
+            (Some(cfg), _) => Box::new(PageCrossFilter::new(cfg)),
+            (None, PgcPolicyKind::DiscardPgc) => Box::new(DiscardPgc),
+            (None, PgcPolicyKind::DiscardPtw) => Box::new(DiscardPtw),
+            // Permit PGC, and ISO-Storage (whose budget goes to the
+            // prefetcher's tables instead).
+            (None, _) => Box::new(PermitPgc),
         }
     }
 
     fn make_l2(&self) -> Option<Box<dyn L2Prefetcher>> {
-        match self.l2_prefetcher {
+        match self.scheme.l2 {
             L2PrefetcherKind::None => None,
             L2PrefetcherKind::Spp => Some(Box::new(Spp::new())),
             L2PrefetcherKind::Ipcp => Some(Box::new(L2Adapter {
@@ -356,7 +392,7 @@ impl SimulationBuilder {
         CoreEngine::new(
             core_id,
             self.core_cfg,
-            self.boundary,
+            self.scheme.boundary,
             self.make_prefetcher(),
             self.make_policy(),
             self.make_l2(),
@@ -367,8 +403,8 @@ impl SimulationBuilder {
         let c = mem.core(0);
         Report {
             workload: name.to_string(),
-            prefetcher: self.prefetcher.label().to_string(),
-            policy: self.policy.label().to_string(),
+            prefetcher: self.scheme.prefetcher.label().to_string(),
+            policy: self.scheme.policy.label().to_string(),
             core: engine.stats,
             l1i: c.l1i.stats,
             l1d: c.l1d.stats,
@@ -387,14 +423,14 @@ impl SimulationBuilder {
     /// and the static huge-page policy is forced off.
     fn make_mem_and_os(&self, n: usize) -> (MemorySystem, Option<Os>) {
         let mut mcfg = MemConfig::table_iv(n as u32);
-        let huge = if let Some(os) = &self.os {
+        let huge = if let Some(os) = &self.scheme.os {
             mcfg.dram.capacity_bytes = os.phys_mem_bytes;
             HugePagePolicy::None
         } else {
-            self.huge_pages.clone()
+            self.scheme.huge.clone()
         };
         let mem = MemorySystem::new(mcfg, n, huge, self.seed);
-        let os = self.os.map(|cfg| Os::new(cfg, n));
+        let os = self.scheme.os.map(|cfg| Os::new(cfg, n));
         (mem, os)
     }
 

@@ -17,7 +17,7 @@ pub mod engine;
 pub mod report;
 pub mod trace;
 
-pub use builder::{L2PrefetcherKind, PgcPolicyKind, PrefetcherKind, SimulationBuilder};
+pub use builder::{L2PrefetcherKind, PgcPolicyKind, PrefetcherKind, Scheme, SimulationBuilder};
 pub use config::{BoundaryMode, CoreConfig};
 pub use pagecross_os::{Os, OsConfig};
 pub use pagecross_telemetry::{PhaseTimings, TelemetryConfig, TelemetryRun};

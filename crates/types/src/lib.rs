@@ -11,7 +11,7 @@
 //!   perceptron weights and system-feature weights;
 //! * [`Rng64`], a tiny deterministic PRNG so simulations are reproducible
 //!   bit-for-bit across runs;
-//! * prefetch request/decision types shared between the prefetcher crate,
+//! * prefetch request and translation types shared between the prefetcher crate,
 //!   the MOKA filter crate and the CPU model;
 //! * [`SystemSnapshot`], the bundle of runtime statistics (MPKIs, miss
 //!   rates, ROB pressure, …) that MOKA's system features and adaptive
@@ -44,7 +44,7 @@ pub use addr::{
 };
 pub use counter::SatCounter;
 pub use fastmap::{FastMap, FastSet};
-pub use request::{AccessKind, Decision, PageSize, PrefetchCandidate, TranslationOutcome};
+pub use request::{PageSize, PrefetchCandidate, TranslationOutcome};
 pub use rng::Rng64;
 pub use snapshot::SystemSnapshot;
 pub use stats::{

@@ -1,30 +1,6 @@
-//! Prefetch request and decision types shared across crates.
+//! Prefetch request and translation types shared across crates.
 
 use crate::addr::VirtAddr;
-
-/// The kind of a memory access as seen by the L1D and its prefetcher.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// A demand load issued by the core.
-    Load,
-    /// A demand store issued by the core.
-    Store,
-    /// A prefetch issued by the L1D prefetcher.
-    Prefetch,
-    /// A page-table-walker reference.
-    Walk,
-    /// An instruction fetch (L1I side).
-    Fetch,
-}
-
-impl AccessKind {
-    /// True for demand loads/stores (the accesses that train prefetchers and
-    /// count toward demand MPKI).
-    #[inline]
-    pub const fn is_demand_data(self) -> bool {
-        matches!(self, AccessKind::Load | AccessKind::Store)
-    }
-}
 
 /// Page size of a mapping, as tracked by the virtual-memory model and TLBs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -93,25 +69,6 @@ impl PrefetchCandidate {
     }
 }
 
-/// The verdict of a page-cross filter for one candidate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Decision {
-    /// Issue the prefetch (it will go through the TLB and possibly trigger a
-    /// speculative page walk).
-    Issue,
-    /// Discard the prefetch. Discarded candidates are remembered in the vUB
-    /// so that false negatives can still train the filter.
-    Discard,
-}
-
-impl Decision {
-    /// True for [`Decision::Issue`].
-    #[inline]
-    pub const fn is_issue(self) -> bool {
-        matches!(self, Decision::Issue)
-    }
-}
-
 /// Outcome of translating a prefetch target through the TLB hierarchy,
 /// reported back to policies such as `Discard PTW` (§V-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -174,20 +131,5 @@ mod tests {
         assert_eq!(PageSize::Huge2M.bytes(), 2 * 1024 * 1024);
         assert_eq!(PageSize::Base4K.shift(), 12);
         assert_eq!(PageSize::Huge2M.shift(), 21);
-    }
-
-    #[test]
-    fn access_kind_demand_classification() {
-        assert!(AccessKind::Load.is_demand_data());
-        assert!(AccessKind::Store.is_demand_data());
-        assert!(!AccessKind::Prefetch.is_demand_data());
-        assert!(!AccessKind::Walk.is_demand_data());
-        assert!(!AccessKind::Fetch.is_demand_data());
-    }
-
-    #[test]
-    fn decision_predicate() {
-        assert!(Decision::Issue.is_issue());
-        assert!(!Decision::Discard.is_issue());
     }
 }

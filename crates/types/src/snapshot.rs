@@ -41,14 +41,6 @@ pub struct SystemSnapshot {
     pub pgc_useful: u64,
     /// Useless page-cross prefetches observed this epoch.
     pub pgc_useless: u64,
-    /// OS page faults (minor + major) in the window (0 with the OS off).
-    pub os_faults: u64,
-    /// OS frame reclaims in the window.
-    pub os_reclaims: u64,
-    /// THP promotions in the window.
-    pub os_promotions: u64,
-    /// TLB shootdown broadcasts in the window.
-    pub os_shootdowns: u64,
 }
 
 impl SystemSnapshot {
@@ -80,10 +72,6 @@ impl SystemSnapshot {
             inflight_l1d_misses,
             pgc_useful: d.pgc_useful,
             pgc_useless: d.pgc_useless,
-            os_faults: d.os_minor_faults + d.os_major_faults,
-            os_reclaims: d.os_reclaims,
-            os_promotions: d.os_promotions,
-            os_shootdowns: d.os_shootdowns,
         }
     }
 
@@ -148,8 +136,6 @@ mod tests {
             stlb_misses: 25,
             pgc_useful: 8,
             pgc_useless: 2,
-            os_minor_faults: 4,
-            os_major_faults: 1,
             ..Default::default()
         };
         let w2 = TelemetryCounters {
@@ -164,8 +150,6 @@ mod tests {
             stlb_misses: 27,
             pgc_useful: 20,
             pgc_useless: 5,
-            os_minor_faults: 6,
-            os_major_faults: 4,
             ..Default::default()
         };
 
@@ -183,7 +167,6 @@ mod tests {
         assert_eq!(s1.inflight_l1d_misses, 3);
         assert_eq!(s1.pgc_useful, 8);
         assert_eq!(s1.pgc_useless, 2);
-        assert_eq!(s1.os_faults, 5, "minor + major");
 
         // Second window: [w1, w2) — deltas only, not cumulative values.
         let s2 = SystemSnapshot::from_window(&w2, &w1, 0.25, 1);
@@ -197,7 +180,6 @@ mod tests {
         assert!((s2.ipc - 2.0).abs() < 1e-12);
         assert_eq!(s2.pgc_useful, 12);
         assert_eq!(s2.pgc_useless, 3);
-        assert_eq!(s2.os_faults, 5, "2 minor + 3 major");
     }
 
     /// A window in which nothing retired must stay finite: the instruction

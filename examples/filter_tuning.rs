@@ -11,8 +11,9 @@
 
 use pagecross::moka::features::{FeatureContext, ProgramFeature};
 use pagecross::moka::filter::{FilterConfig, PageCrossFilter};
+use pagecross::moka::policy::{PgcPolicy, PolicyAction};
 use pagecross::moka::system_features::SystemFeature;
-use pagecross::types::{Decision, PrefetchCandidate, SystemSnapshot, VirtAddr};
+use pagecross::types::{PrefetchCandidate, SystemSnapshot, VirtAddr};
 
 /// Drives a filter through a synthetic episode with two alternating phases:
 /// a TLB-pressured phase where delta +1 page-cross prefetches turn out
@@ -53,9 +54,9 @@ fn episode(filter: &mut PageCrossFilter) -> (u64, u64) {
                 ..Default::default()
             };
             match filter.decide(&cand, &ctx, &snap) {
-                Decision::Issue => {
+                PolicyAction::Issue { .. } => {
                     let phys = 0xAB_0000 + round * 64 + delta as u64;
-                    filter.confirm_issue(phys);
+                    filter.on_issued(phys);
                     if useful {
                         good_issued += 1;
                         filter.on_pcb_first_hit(phys);
@@ -64,7 +65,7 @@ fn episode(filter: &mut PageCrossFilter) -> (u64, u64) {
                         filter.on_pcb_eviction(phys, false);
                     }
                 }
-                Decision::Discard => {
+                PolicyAction::Discard => {
                     if useful {
                         // The discarded prefetch becomes a demand miss: the
                         // vUB catches the false negative.
