@@ -14,8 +14,26 @@ use pagecross::types::{LineAddr, PageSize, VirtAddr};
 struct RefCache {
     sets: u64,
     ways: usize,
-    /// Per set: most-recent-last list of resident tags.
-    resident: Vec<Vec<u64>>,
+    /// Per set: most-recent-last list of resident blocks.
+    resident: Vec<Vec<RefBlock>>,
+}
+
+/// One resident block of [`RefCache`], with the metadata an eviction
+/// record reports.
+#[derive(Clone, Copy)]
+struct RefBlock {
+    line: u64,
+    dirty: bool,
+    prefetched: bool,
+    pcb: bool,
+    hits: u32,
+}
+
+impl RefBlock {
+    /// The `(line, dirty, prefetched, pcb, hits)` of an eviction record.
+    fn record(self) -> (u64, bool, bool, bool, u32) {
+        (self.line, self.dirty, self.prefetched, self.pcb, self.hits)
+    }
 }
 
 impl RefCache {
@@ -27,49 +45,138 @@ impl RefCache {
         }
     }
 
-    fn set(&mut self, line: u64) -> &mut Vec<u64> {
+    fn set(&mut self, line: u64) -> &mut Vec<RefBlock> {
         &mut self.resident[(line & (self.sets - 1)) as usize]
     }
 
-    fn access(&mut self, line: u64) -> bool {
+    /// Moves a resident `line` to the most-recent end; returns it.
+    fn touch(&mut self, line: u64) -> Option<&mut RefBlock> {
         let set = self.set(line);
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            let t = set.remove(pos);
-            set.push(t);
-            true
-        } else {
-            false
+        let pos = set.iter().position(|b| b.line == line)?;
+        let b = set.remove(pos);
+        set.push(b);
+        set.last_mut()
+    }
+
+    /// A demand access: `(hit, first hit on a prefetched block, pcb)`.
+    fn demand(&mut self, line: u64, is_store: bool) -> (bool, bool, bool) {
+        match self.touch(line) {
+            Some(b) => {
+                b.hits += 1;
+                b.dirty |= is_store;
+                (true, b.prefetched && b.hits == 1, b.pcb)
+            }
+            None => (false, false, false),
         }
     }
 
-    fn fill(&mut self, line: u64) -> Option<u64> {
-        let ways = self.ways;
-        let set = self.set(line);
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            let t = set.remove(pos);
-            set.push(t);
+    fn fill(&mut self, line: u64, kind: FillKind, dirty: bool) -> Option<RefBlock> {
+        if let Some(b) = self.touch(line) {
+            b.dirty |= dirty;
             return None;
         }
+        let ways = self.ways;
+        let set = self.set(line);
         let victim = if set.len() == ways {
             Some(set.remove(0))
         } else {
             None
         };
-        set.push(line);
+        set.push(RefBlock {
+            line,
+            dirty,
+            prefetched: kind.is_prefetch(),
+            pcb: kind == FillKind::PrefetchPageCross,
+            hits: 0,
+        });
         victim
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<RefBlock> {
+        let set = self.set(line);
+        let pos = set.iter().position(|b| b.line == line)?;
+        Some(set.remove(pos))
     }
 }
 
-/// A naive set-associative LRU TLB (4 KB entries only).
+/// A naive set-associative, page-size-aware LRU TLB: one most-recent-last
+/// list of `(huge, vpn, pfn)` per set, probed at 4 KB and then at 2 MB.
 struct RefTlb {
-    inner: RefCache,
+    sets: u64,
+    ways: usize,
+    resident: Vec<Vec<(bool, u64, u64)>>,
 }
 
 impl RefTlb {
     fn new(sets: u64, ways: usize) -> Self {
         Self {
-            inner: RefCache::new(sets, ways),
+            sets,
+            ways,
+            resident: vec![Vec::new(); sets as usize],
         }
+    }
+
+    fn set(&mut self, vpn: u64) -> &mut Vec<(bool, u64, u64)> {
+        &mut self.resident[(vpn & (self.sets - 1)) as usize]
+    }
+
+    /// Probes (and refreshes) the entry covering `va`: `(huge, vpn, pfn)`.
+    fn lookup(&mut self, va: u64) -> Option<(bool, u64, u64)> {
+        for (huge, shift) in [(false, 12), (true, 21)] {
+            let vpn = va >> shift;
+            let set = self.set(vpn);
+            if let Some(pos) = set.iter().position(|&(h, v, _)| h == huge && v == vpn) {
+                let e = set.remove(pos);
+                set.push(e);
+                return Some(e);
+            }
+        }
+        None
+    }
+
+    fn peek(&self, va: u64) -> bool {
+        [(false, 12), (true, 21)].iter().any(|&(huge, shift)| {
+            let vpn = va >> shift;
+            self.resident[(vpn & (self.sets - 1)) as usize]
+                .iter()
+                .any(|&(h, v, _)| h == huge && v == vpn)
+        })
+    }
+
+    fn fill(&mut self, huge: bool, vpn: u64, pfn: u64) {
+        let ways = self.ways;
+        let set = self.set(vpn);
+        if let Some(pos) = set.iter().position(|&(h, v, _)| h == huge && v == vpn) {
+            set.remove(pos);
+        } else if set.len() == ways {
+            set.remove(0);
+        }
+        set.push((huge, vpn, pfn));
+    }
+
+    fn invalidate_page(&mut self, huge: bool, vpn: u64) -> bool {
+        let set = self.set(vpn);
+        match set.iter().position(|&(h, v, _)| h == huge && v == vpn) {
+            Some(pos) => {
+                set.remove(pos);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn invalidate_region(&mut self, vpn2m: u64) -> u32 {
+        let mut dropped = 0;
+        for set in &mut self.resident {
+            let before = set.len();
+            set.retain(|&(h, v, _)| if h { v != vpn2m } else { v >> 9 != vpn2m });
+            dropped += (before - set.len()) as u32;
+        }
+        dropped
+    }
+
+    fn occupancy(&self) -> usize {
+        self.resident.iter().map(Vec::len).sum()
     }
 }
 
@@ -141,53 +248,104 @@ impl RefMshr {
 }
 
 /// The production cache and the reference model agree on every hit/miss
-/// outcome and every eviction victim, for arbitrary interleavings of
-/// demand accesses and fills.
+/// outcome, every lookup flag and every eviction record, for arbitrary
+/// interleavings of demand accesses, prefetch probes (which refresh LRU),
+/// fills of each kind and invalidations followed by refills, at 2-, 12- and
+/// 16-way associativity.
 #[test]
 fn cache_matches_reference_model() {
+    // (sets, ways): the L1D/L2C-like narrow set and the 12-way L1D and
+    // 16-way LLC widths of Table IV.
+    const GEOMETRIES: [(u64, u32); 3] = [(8, 2), (4, 12), (2, 16)];
     check(
         &Config::cases(48),
-        |rng| vec_of(rng, 1, 500, |r| (r.below(96), r.below(2) as u8)),
-        |ops| {
-            // 8 sets x 2 ways.
+        |rng| {
+            let geometry = rng.below(GEOMETRIES.len() as u64);
+            let ops = vec_of(rng, 1, 600, |r| (r.below(96), r.below(8) as u8));
+            (geometry, ops)
+        },
+        |(geometry, ops)| {
+            let (sets, ways) = GEOMETRIES[*geometry as usize];
             let mut dut = Cache::new(
                 "dut",
                 CacheConfig {
-                    size_bytes: 1024,
-                    ways: 2,
+                    size_bytes: sets * ways as u64 * 64,
+                    ways,
                     latency: 1,
                     mshr_entries: 4,
                 },
             );
-            let mut model = RefCache::new(8, 2);
-            for &(line, op) in ops {
+            let mut model = RefCache::new(sets, ways as usize);
+            // The line universe is three times the capacity, so sets fill,
+            // evict and (after invalidations) refill free ways.
+            let universe = 3 * sets * ways as u64;
+            for &(raw, op) in ops {
+                let line = raw * universe / 96;
                 let l = LineAddr(line);
                 match op {
-                    0 => {
-                        let dut_hit = dut.demand_access(l, false).hit;
-                        let model_hit = model.access(line);
-                        prop_assert_eq!(dut_hit, model_hit, "hit/miss mismatch on {}", line);
+                    0 | 1 => {
+                        let r = dut.demand_access(l, op == 1);
+                        let got = (r.hit, r.first_hit_on_prefetch, r.pcb);
+                        let want = model.demand(line, op == 1);
+                        prop_assert_eq!(got, want, "demand mismatch on {}", line);
+                    }
+                    2..=4 => {
+                        let kind = [
+                            FillKind::Demand,
+                            FillKind::PrefetchInPage,
+                            FillKind::PrefetchPageCross,
+                        ][op as usize - 2];
+                        let dirty = line.is_multiple_of(3);
+                        let got = dut
+                            .fill(l, kind, dirty)
+                            .map(|e| (e.line.raw(), e.dirty, e.prefetched, e.pcb, e.hits));
+                        let want = model.fill(line, kind, dirty).map(RefBlock::record);
+                        prop_assert_eq!(got, want, "victim mismatch on {}", line);
+                    }
+                    5 => {
+                        let got = dut.prefetch_access(l);
+                        let want = model.touch(line).is_some();
+                        prop_assert_eq!(got, want, "prefetch probe mismatch on {}", line);
+                    }
+                    6 => {
+                        let got = dut
+                            .invalidate(l)
+                            .map(|e| (e.line.raw(), e.dirty, e.prefetched, e.pcb, e.hits));
+                        let want = model.invalidate(line).map(RefBlock::record);
+                        prop_assert_eq!(got, want, "invalidate mismatch on {}", line);
                     }
                     _ => {
-                        let dut_victim = dut.fill(l, FillKind::Demand, false).map(|e| e.line.raw());
-                        let model_victim = model.fill(line);
-                        prop_assert_eq!(dut_victim, model_victim, "victim mismatch on {}", line);
+                        let want = model.resident[(line & (sets - 1)) as usize]
+                            .iter()
+                            .any(|b| b.line == line);
+                        prop_assert_eq!(dut.probe(l), want, "probe mismatch on {}", line);
                     }
                 }
             }
+            let model_occ: usize = model.resident.iter().map(Vec::len).sum();
+            prop_assert_eq!(dut.occupancy(), model_occ, "occupancy mismatch");
             Ok(())
         },
     );
 }
 
-/// The production TLB agrees with the reference model on lookups and
-/// occupancy for arbitrary fill/lookup interleavings over 4 KB pages.
+/// The production TLB agrees with the reference model on every lookup,
+/// prefetch probe, peek, invalidation and on its statistics, for arbitrary
+/// interleavings over 4 KB and 2 MB pages. Each sequence runs 4 KB-only
+/// traffic up to a random point, so the first 2 MB fill lands in a TLB
+/// that has only ever held 4 KB entries.
 #[test]
 fn tlb_matches_reference_model() {
     check(
-        &Config::cases(48),
-        |rng| vec_of(rng, 1, 400, |r| (r.below(64), r.below(2) as u8)),
-        |ops| {
+        &Config::cases(64),
+        |rng| {
+            let ops = vec_of(rng, 1, 400, |r| {
+                (r.below(4), r.below(24), (r.below(7) as u8, r.below(3) == 0))
+            });
+            let first_huge = rng.below(ops.len() as u64 + 1);
+            (first_huge, ops)
+        },
+        |(first_huge, ops)| {
             // 4 sets x 4 ways = 16 entries.
             let mut dut = Tlb::new(
                 "dut",
@@ -198,29 +356,59 @@ fn tlb_matches_reference_model() {
                 },
             );
             let mut model = RefTlb::new(4, 4);
-            for &(vpn, op) in ops {
-                let va = VirtAddr::new(vpn << 12);
+            let mut stats = pagecross::types::TlbStats::default();
+            for (i, &(region, page, (op, huge))) in ops.iter().enumerate() {
+                let huge = huge && i as u64 >= *first_huge;
+                let vpn4k = (region << 9) + page;
+                let va = (vpn4k << 12) | (page * 64);
+                let (vpn, size) = if huge {
+                    (region, PageSize::Huge2M)
+                } else {
+                    (vpn4k, PageSize::Base4K)
+                };
+                let got_of =
+                    |t: Option<Translation>| t.map(|t| (t.size == PageSize::Huge2M, t.vpn, t.pfn));
                 match op {
                     0 => {
-                        let dut_hit = dut.lookup(va).is_some();
-                        let model_hit = model.inner.access(vpn);
-                        prop_assert_eq!(dut_hit, model_hit, "lookup mismatch on vpn {}", vpn);
+                        let got = got_of(dut.lookup(VirtAddr::new(va)));
+                        let want = model.lookup(va);
+                        stats.accesses += 1;
+                        stats.misses += u64::from(want.is_none());
+                        prop_assert_eq!(got, want, "lookup mismatch on {:#x}", va);
+                    }
+                    1 => {
+                        let got = got_of(dut.prefetch_probe(VirtAddr::new(va)));
+                        let want = model.lookup(va);
+                        stats.prefetch_probes += 1;
+                        stats.prefetch_probe_misses += u64::from(want.is_none());
+                        prop_assert_eq!(got, want, "probe mismatch on {:#x}", va);
+                    }
+                    2 | 3 => {
+                        // The frame changes with the step, so a refill of a
+                        // resident page must update it.
+                        let pfn = vpn * 3 + i as u64 % 5;
+                        dut.fill(Translation { vpn, pfn, size }, op == 3);
+                        model.fill(huge, vpn, pfn);
+                        stats.prefetch_fills += u64::from(op == 3);
+                    }
+                    4 => {
+                        let got = dut.invalidate_page(vpn, size);
+                        let want = model.invalidate_page(huge, vpn);
+                        prop_assert_eq!(got, want, "invalidate_page mismatch on {:#x}", va);
+                    }
+                    5 => {
+                        let got = dut.invalidate_region(region);
+                        let want = model.invalidate_region(region);
+                        prop_assert_eq!(got, want, "invalidate_region mismatch on {}", region);
                     }
                     _ => {
-                        dut.fill(
-                            Translation {
-                                vpn,
-                                pfn: vpn + 100,
-                                size: PageSize::Base4K,
-                            },
-                            false,
-                        );
-                        model.inner.fill(vpn);
+                        let got = dut.peek(VirtAddr::new(va));
+                        prop_assert_eq!(got, model.peek(va), "peek mismatch on {:#x}", va);
                     }
                 }
-                let model_occ: usize = model.inner.resident.iter().map(|s| s.len()).sum();
-                prop_assert_eq!(dut.occupancy(), model_occ, "occupancy mismatch");
+                prop_assert_eq!(dut.occupancy(), model.occupancy(), "occupancy mismatch");
             }
+            prop_assert_eq!(dut.stats, stats, "statistics diverged");
             Ok(())
         },
     );
@@ -258,19 +446,25 @@ fn fill_kind_does_not_change_placement() {
 
 /// The production MSHR agrees with the naive reference on every lookup
 /// result, allocation completion time, merge/stall counter, and both
-/// occupancy views, for arbitrary interleavings of lookups and
-/// demand/prefetch allocations over non-decreasing time.
+/// occupancy views, for arbitrary interleavings of lookups, demand/prefetch
+/// allocations and occupancy reads. As in the engine, `now` is not
+/// monotone: it may step back below the last cycle seen. Completion times
+/// are coarse, so a full file often holds several entries completing at
+/// the same earliest cycle (the first slot is replaced), and a small line
+/// universe puts the same line in flight more than once (a lookup sees the
+/// first entry in insertion order).
 #[test]
 fn mshr_matches_reference_model() {
     check(
-        &Config::cases(48),
-        // Small time steps relative to the 25-cycle fill latency so the
+        &Config::cases(64),
+        // Small time steps relative to the 24–32-cycle fill latency so the
         // file regularly fills up and exercises the replacement path.
         |rng| {
-            vec_of(rng, 1, 300, |r| {
+            vec_of(rng, 1, 400, |r| {
                 (
-                    (r.below(16), r.below(8)),
-                    (r.below(3) as u8, r.below(2) == 1),
+                    (r.below(10), r.below(15) as i64 - 6),
+                    (r.below(4) as u8, r.below(2) == 1),
+                    r.below(2),
                 )
             })
         },
@@ -278,8 +472,8 @@ fn mshr_matches_reference_model() {
             let mut dut = Mshr::new(6);
             let mut model = RefMshr::new(6);
             let mut now = 0u64;
-            for &((line, dt), (op, demand)) in ops {
-                now += dt; // time never goes backwards
+            for &((line, dt), (op, demand), latency) in ops {
+                now = now.saturating_add_signed(dt);
                 let l = LineAddr(line);
                 match op {
                     0 => {
@@ -287,8 +481,8 @@ fn mshr_matches_reference_model() {
                         let model_hit = model.lookup(line, now);
                         prop_assert_eq!(dut_hit, model_hit, "lookup mismatch on {} @{}", line, now);
                     }
-                    _ => {
-                        let completes = now + 25;
+                    1 | 2 => {
+                        let completes = (now & !7) + 24 + 8 * latency;
                         let dut_done = dut.allocate_kind(l, now, completes, demand);
                         let model_done = model.allocate(line, now, completes, demand);
                         prop_assert_eq!(
@@ -299,15 +493,22 @@ fn mshr_matches_reference_model() {
                             now
                         );
                     }
+                    _ => {
+                        prop_assert_eq!(dut.occupancy(now) as usize, model.occupancy(now));
+                        prop_assert_eq!(
+                            dut.demand_occupancy(now) as usize,
+                            model.demand_occupancy(now)
+                        );
+                    }
                 }
                 prop_assert_eq!(dut.merges, model.merges, "merge counter diverged");
                 prop_assert_eq!(dut.full_stalls, model.full_stalls, "stall counter diverged");
-                prop_assert_eq!(dut.occupancy(now) as usize, model.occupancy(now));
-                prop_assert_eq!(
-                    dut.demand_occupancy(now) as usize,
-                    model.demand_occupancy(now)
-                );
             }
+            prop_assert_eq!(dut.occupancy(now) as usize, model.occupancy(now));
+            prop_assert_eq!(
+                dut.demand_occupancy(now) as usize,
+                model.demand_occupancy(now)
+            );
             Ok(())
         },
     );
