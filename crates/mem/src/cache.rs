@@ -218,7 +218,9 @@ impl Cache {
     /// Installs a line, evicting the LRU victim if the set is full.
     ///
     /// Re-filling a resident line only refreshes metadata (this happens when
-    /// two misses to the same line race through the MSHR path).
+    /// two misses to the same line race through the MSHR path). One pass
+    /// over the set finds the resident way, else the first free way, else
+    /// the least recently used way.
     pub fn fill(&mut self, line: LineAddr, kind: FillKind, dirty: bool) -> Option<Eviction> {
         self.tick += 1;
         if kind.is_prefetch() {
@@ -230,36 +232,38 @@ impl Cache {
         let tag = Self::tag(line);
         let tick = self.tick;
         let range = self.set_range(line);
+        let set = &mut self.blocks[range];
 
-        // Already resident: refresh.
-        if let Some(b) = self.blocks[range.clone()]
-            .iter_mut()
-            .find(|b| b.valid && b.tag == tag)
-        {
-            b.lru = tick;
-            b.dirty |= dirty;
-            return None;
+        let mut free = None;
+        let (mut lru, mut oldest) = (0, u64::MAX);
+        for (i, b) in set.iter_mut().enumerate() {
+            if !b.valid {
+                free = free.or(Some(i));
+            } else if b.tag == tag {
+                // Already resident: refresh.
+                b.lru = tick;
+                b.dirty |= dirty;
+                return None;
+            } else if b.lru < oldest {
+                (lru, oldest) = (i, b.lru);
+            }
         }
-
-        // Free way?
-        if let Some(b) = self.blocks[range.clone()].iter_mut().find(|b| !b.valid) {
-            *b = Block {
-                tag,
-                valid: true,
-                dirty,
-                prefetched: kind.is_prefetch(),
-                pcb: matches!(kind, FillKind::PrefetchPageCross),
-                hits: 0,
-                lru: tick,
-            };
+        let fresh = Block {
+            tag,
+            valid: true,
+            dirty,
+            prefetched: kind.is_prefetch(),
+            pcb: matches!(kind, FillKind::PrefetchPageCross),
+            hits: 0,
+            lru: tick,
+        };
+        if let Some(i) = free {
+            set[i] = fresh;
             return None;
         }
 
         // Evict LRU.
-        let victim = self.blocks[range]
-            .iter_mut()
-            .min_by_key(|b| b.lru)
-            .expect("set has at least one way");
+        let victim = std::mem::replace(&mut set[lru], fresh);
         let ev = Eviction {
             line: LineAddr(victim.tag),
             dirty: victim.dirty,
@@ -276,15 +280,6 @@ impl Cache {
         if ev.dirty {
             self.stats.writebacks += 1;
         }
-        *victim = Block {
-            tag,
-            valid: true,
-            dirty,
-            prefetched: kind.is_prefetch(),
-            pcb: matches!(kind, FillKind::PrefetchPageCross),
-            hits: 0,
-            lru: tick,
-        };
         Some(ev)
     }
 

@@ -42,7 +42,7 @@ pub use cache::{Cache, Eviction, FillKind, Lookup};
 pub use config::{CacheConfig, DramConfig, MemConfig, PscConfig, TlbConfig};
 pub use dram::Dram;
 pub use mshr::Mshr;
-pub use page_table::{Level, PageWalker, WalkPlan};
+pub use page_table::{Level, PageWalker, PteRefs, WalkPlan};
 pub use system::{CoreMem, DemandDataResult, FetchResult, MemorySystem, PrefetchIssueResult};
 pub use tlb::{Tlb, Translation};
 pub use vmem::{FrameAllocator, HugePagePolicy, OomError, Vmem};

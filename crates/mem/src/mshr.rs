@@ -6,21 +6,39 @@
 //! report in-flight L1D misses (an adaptive-thresholding input, Fig. 8).
 //!
 //! Entries are retired lazily: a lookup at cycle `c` first drops every entry
-//! whose fill completed at or before `c`.
+//! whose fill completed at or before `c`. The engine does not present
+//! cycles in order (a prefetch runs at its translation-ready cycle, later
+//! than the next demand's dispatch), so `c` may be earlier than the last
+//! cycle seen; an entry once dropped stays dropped.
+//!
+//! The file is nearly full on the common path (the L1D holds 15–16 of its
+//! 16 entries at a typical lookup), so every operation is built to avoid a
+//! pass over it: entries live in dense columns in insertion order, a
+//! watermark (the earliest completion cycle in the file) lets expiry skip
+//! the file until an entry has completed, and a 64-bit line signature lets
+//! a lookup reject an absent line without scanning.
 
 use pagecross_types::LineAddr;
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    line: LineAddr,
-    completes_at: u64,
-    demand: bool,
+/// The signature bit of `line`.
+#[inline]
+fn sig_bit(line: LineAddr) -> u64 {
+    1 << (line.raw() & 63)
 }
 
 /// A fixed-capacity MSHR file.
+///
+/// Entry `i` is `(lines[i], completes[i], demand[i])`, in insertion order;
+/// a replaced entry keeps its slot. Invariants: `earliest` is the smallest
+/// of `completes` (`u64::MAX` when empty) and `signature` has exactly the
+/// [`sig_bit`]s of `lines`.
 #[derive(Clone, Debug)]
 pub struct Mshr {
-    entries: Vec<Entry>,
+    lines: Vec<LineAddr>,
+    completes: Vec<u64>,
+    demand: Vec<bool>,
+    earliest: u64,
+    signature: u64,
     capacity: usize,
     /// Misses that merged into an existing entry.
     pub merges: u64,
@@ -36,30 +54,63 @@ impl Mshr {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: u32) -> Self {
         assert!(capacity > 0, "MSHR capacity must be positive");
+        let capacity = capacity as usize;
         Self {
-            entries: Vec::with_capacity(capacity as usize),
-            capacity: capacity as usize,
+            lines: Vec::with_capacity(capacity),
+            completes: Vec::with_capacity(capacity),
+            demand: Vec::with_capacity(capacity),
+            earliest: u64::MAX,
+            signature: 0,
+            capacity,
             merges: 0,
             full_stalls: 0,
         }
     }
 
+    /// Drops every entry completed at or before `now`; free until the
+    /// earliest entry has completed.
+    #[inline]
     fn expire(&mut self, now: u64) {
-        self.entries.retain(|e| e.completes_at > now);
+        if now >= self.earliest {
+            self.drop_completed(now);
+        }
     }
 
-    /// Looks up an in-flight miss for `line`; returns its completion cycle.
+    /// Compacts the file in place, keeping the order of the survivors, and
+    /// recomputes `earliest` and `signature` in the same pass.
+    #[inline(never)]
+    fn drop_completed(&mut self, now: u64) {
+        let (mut kept, mut earliest, mut signature) = (0, u64::MAX, 0);
+        for i in 0..self.completes.len() {
+            let c = self.completes[i];
+            if c > now {
+                let line = self.lines[i];
+                self.lines[kept] = line;
+                self.completes[kept] = c;
+                self.demand[kept] = self.demand[i];
+                earliest = earliest.min(c);
+                signature |= sig_bit(line);
+                kept += 1;
+            }
+        }
+        self.lines.truncate(kept);
+        self.completes.truncate(kept);
+        self.demand.truncate(kept);
+        self.earliest = earliest;
+        self.signature = signature;
+    }
+
+    /// Looks up an in-flight miss for `line`; returns its completion cycle
+    /// (the first entry for `line` in insertion order).
+    #[inline]
     pub fn lookup(&mut self, line: LineAddr, now: u64) -> Option<u64> {
         self.expire(now);
-        let hit = self
-            .entries
-            .iter()
-            .find(|e| e.line == line)
-            .map(|e| e.completes_at);
-        if hit.is_some() {
-            self.merges += 1;
+        if self.signature & sig_bit(line) == 0 {
+            return None;
         }
-        hit
+        let i = self.lines.iter().position(|&l| l == line)?;
+        self.merges += 1;
+        Some(self.completes[i])
     }
 
     /// Extra cycles charged when a miss finds the MSHR file full (retry
@@ -77,6 +128,10 @@ impl Mshr {
 
     /// [`Mshr::allocate`] with an explicit demand/prefetch tag; prefetch
     /// entries are excluded from [`Mshr::demand_occupancy`].
+    ///
+    /// A full file replaces the first slot completing at `earliest`, in
+    /// place: the replacement keeps that slot's position in the lookup
+    /// order.
     pub fn allocate_kind(
         &mut self,
         line: LineAddr,
@@ -85,30 +140,39 @@ impl Mshr {
         demand: bool,
     ) -> u64 {
         self.expire(now);
-        if self.entries.len() >= self.capacity {
+        if self.lines.len() >= self.capacity {
             self.full_stalls += 1;
             let delayed = completes_at + Self::FULL_PENALTY;
-            if let Some(slot) = self.entries.iter_mut().min_by_key(|e| e.completes_at) {
-                *slot = Entry {
-                    line,
-                    completes_at: delayed,
-                    demand,
-                };
+            // One pass finds the slot and summarises the survivors.
+            let (mut slot, mut earliest, mut signature) = (None, delayed, sig_bit(line));
+            for (i, (&c, &l)) in self.completes.iter().zip(&self.lines).enumerate() {
+                if slot.is_none() && c == self.earliest {
+                    slot = Some(i);
+                } else {
+                    earliest = earliest.min(c);
+                    signature |= sig_bit(l);
+                }
             }
+            let slot = slot.expect("a full file holds its earliest entry");
+            self.lines[slot] = line;
+            self.completes[slot] = delayed;
+            self.demand[slot] = demand;
+            self.earliest = earliest;
+            self.signature = signature;
             return delayed;
         }
-        self.entries.push(Entry {
-            line,
-            completes_at,
-            demand,
-        });
+        self.lines.push(line);
+        self.completes.push(completes_at);
+        self.demand.push(demand);
+        self.earliest = self.earliest.min(completes_at);
+        self.signature |= sig_bit(line);
         completes_at
     }
 
     /// Number of in-flight entries at `now`.
     pub fn occupancy(&mut self, now: u64) -> u32 {
         self.expire(now);
-        self.entries.len() as u32
+        self.lines.len() as u32
     }
 
     /// Number of in-flight *demand* entries at `now` — the "many in-flight
@@ -117,7 +181,7 @@ impl Mshr {
     /// trip the ROB-pressure rule.
     pub fn demand_occupancy(&mut self, now: u64) -> u32 {
         self.expire(now);
-        self.entries.iter().filter(|e| e.demand).count() as u32
+        self.demand.iter().filter(|&&d| d).count() as u32
     }
 
     /// Configured capacity.

@@ -110,12 +110,58 @@ impl Psc {
     }
 }
 
+/// The PTE addresses of one walk, root-most first: at most one per radix
+/// level, held inline so a walk allocates nothing. Reads as a slice.
+#[derive(Clone, Copy, Default)]
+pub struct PteRefs {
+    addrs: [PhysAddr; 5],
+    len: u8,
+}
+
+impl PteRefs {
+    fn push(&mut self, pte: PhysAddr) {
+        self.addrs[self.len as usize] = pte;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for PteRefs {
+    type Target = [PhysAddr];
+
+    fn deref(&self) -> &[PhysAddr] {
+        &self.addrs[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a PteRefs {
+    type Item = &'a PhysAddr;
+    type IntoIter = std::slice::Iter<'a, PhysAddr>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for PteRefs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PteRefs {}
+
+impl std::fmt::Debug for PteRefs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The plan for one page walk: the PTE lines to reference (pointer-chased in
 /// order), the resulting translation, and how many levels the PSCs skipped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalkPlan {
     /// Physical addresses of the PTEs to access, root-most first.
-    pub refs: Vec<PhysAddr>,
+    pub refs: PteRefs,
     /// The translation produced by the walk.
     pub translation: Translation,
     /// Radix levels skipped thanks to PSC hits.
@@ -196,7 +242,7 @@ impl PageWalker {
         // For 4 KB pages the deepest useful PSC is L2 (points at the PT
         // node); for 2 MB pages the leaf is the PDE, so the deepest useful
         // PSC is L3 (points at the PD node).
-        let mut refs = Vec::with_capacity(5);
+        let mut refs = PteRefs::default();
         let mut skipped = 0u32;
 
         let start_level: u8 = if !is_huge && self.psc_l2.lookup(p2) {

@@ -217,6 +217,11 @@ impl MemorySystem {
     /// Panics if `n_cores == 0`.
     pub fn new(cfg: MemConfig, n_cores: usize, huge: HugePagePolicy, seed: u64) -> Self {
         assert!(n_cores > 0, "need at least one core");
+        // The LLC is the largest array: allocated first, it takes the hole
+        // its predecessor left when one process builds many systems in a
+        // row, instead of a smaller array taking that hole and the heap
+        // growing by an LLC.
+        let llc = Cache::new("LLC", cfg.llc);
         let mut frames = FrameAllocator::with_cores(cfg.dram.capacity_bytes, seed, n_cores as u32);
         let cores = (0..n_cores)
             .map(|i| CoreMem {
@@ -240,7 +245,7 @@ impl MemorySystem {
             .collect();
         Self {
             cores,
-            llc: Cache::new("LLC", cfg.llc),
+            llc,
             llc_mshr: Mshr::new(cfg.llc.mshr_entries),
             dram: Dram::new(cfg.dram),
             frames,

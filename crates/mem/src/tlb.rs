@@ -9,7 +9,7 @@
 //! and sTLB structures", §II-C).
 
 use crate::config::TlbConfig;
-use pagecross_types::{PageSize, TlbStats, VirtAddr};
+use pagecross_types::{PageSize, TlbStats, VirtAddr, PAGE_SHIFT_4K};
 
 /// One translation: virtual page -> physical frame at a given page size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,22 +39,50 @@ impl Translation {
     }
 }
 
+/// The match key of a valid entry: `vpn` and page size packed into one
+/// word, so a probe is one compare per way. The low bit marks the word
+/// valid; `0` is the key of an empty way. VPNs are below 2^52, so the
+/// shift loses nothing.
+#[inline]
+const fn key(vpn: u64, size: PageSize) -> u64 {
+    vpn << 2 | (matches!(size, PageSize::Huge2M) as u64) << 1 | 1
+}
+
+/// One TLB way: a [`key`] (`0` when empty), its frame and its LRU stamp.
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
-    valid: bool,
-    vpn: u64,
+    key: u64,
     pfn: u64,
-    size: PageSize,
     lru: u64,
 }
 
-const INVALID_ENTRY: TlbEntry = TlbEntry {
-    valid: false,
-    vpn: 0,
-    pfn: 0,
-    size: PageSize::Base4K,
-    lru: 0,
-};
+impl TlbEntry {
+    const EMPTY: TlbEntry = TlbEntry {
+        key: 0,
+        pfn: 0,
+        lru: 0,
+    };
+
+    fn valid(&self) -> bool {
+        self.key != 0
+    }
+
+    fn size(&self) -> PageSize {
+        if self.key & 2 != 0 {
+            PageSize::Huge2M
+        } else {
+            PageSize::Base4K
+        }
+    }
+
+    fn translation(&self) -> Translation {
+        Translation {
+            vpn: self.key >> 2,
+            pfn: self.pfn,
+            size: self.size(),
+        }
+    }
+}
 
 /// A set-associative, page-size-aware TLB.
 #[derive(Clone, Debug)]
@@ -64,6 +92,14 @@ pub struct Tlb {
     ways: usize,
     entries: Vec<TlbEntry>,
     tick: u64,
+    /// The entry stamped last. Stamping it again changes no LRU order (it
+    /// stays the newest in its set), so a probe that hits it skips both the
+    /// set scan and the stamp; instruction fetches and in-page prefetches
+    /// mostly probe the page the previous probe found.
+    last: usize,
+    /// Whether a 2 MB translation was ever installed. Until then a probe
+    /// skips the 2 MB set: it cannot hit.
+    holds_huge: bool,
     /// Aggregate statistics.
     pub stats: TlbStats,
 }
@@ -84,8 +120,10 @@ impl Tlb {
             name,
             sets,
             ways: cfg.ways as usize,
-            entries: vec![INVALID_ENTRY; (sets * cfg.ways as u64) as usize],
+            entries: vec![TlbEntry::EMPTY; (sets * cfg.ways as u64) as usize],
             tick: 0,
+            last: 0,
+            holds_huge: false,
             stats: TlbStats::default(),
         }
     }
@@ -95,38 +133,55 @@ impl Tlb {
         self.name
     }
 
+    #[inline]
     fn set_range(&self, vpn: u64) -> std::ops::Range<usize> {
         let set = (vpn & (self.sets - 1)) as usize;
         let base = set * self.ways;
         base..base + self.ways
     }
 
-    fn find(&mut self, va: VirtAddr, touch: bool) -> Option<Translation> {
-        self.tick += 1;
-        let tick = self.tick;
-        for size in [PageSize::Base4K, PageSize::Huge2M] {
-            let vpn = va.raw() >> size.shift();
-            let range = self.set_range(vpn);
-            for e in &mut self.entries[range] {
-                if e.valid && e.size == size && e.vpn == vpn {
-                    if touch {
-                        e.lru = tick;
-                    }
-                    return Some(Translation {
-                        vpn: e.vpn,
-                        pfn: e.pfn,
-                        size: e.size,
-                    });
-                }
-            }
+    /// The index of the entry for `vpn` at `size`, if resident.
+    #[inline]
+    fn position(&self, vpn: u64, size: PageSize) -> Option<usize> {
+        let range = self.set_range(vpn);
+        let k = key(vpn, size);
+        let base = range.start;
+        self.entries[range]
+            .iter()
+            .position(|e| e.key == k)
+            .map(|i| base + i)
+    }
+
+    /// The index of the entry translating `va`: the 4 KB set first, then
+    /// (once a 2 MB entry was ever installed) the 2 MB set.
+    #[inline]
+    fn position_of(&self, va: VirtAddr) -> Option<usize> {
+        let hit = self.position(va.raw() >> PageSize::Base4K.shift(), PageSize::Base4K);
+        if hit.is_some() || !self.holds_huge {
+            return hit;
         }
-        None
+        self.position(va.raw() >> PageSize::Huge2M.shift(), PageSize::Huge2M)
+    }
+
+    #[inline]
+    fn find(&mut self, va: VirtAddr) -> Option<Translation> {
+        let last = &self.entries[self.last];
+        if last.lru == self.tick && last.key == key(va.raw() >> PAGE_SHIFT_4K, PageSize::Base4K) {
+            return Some(last.translation());
+        }
+        self.tick += 1;
+        let i = self.position_of(va)?;
+        self.last = i;
+        let e = &mut self.entries[i];
+        e.lru = self.tick;
+        Some(e.translation())
     }
 
     /// Demand lookup: counts toward demand accesses/misses and updates LRU.
+    #[inline]
     pub fn lookup(&mut self, va: VirtAddr) -> Option<Translation> {
         self.stats.accesses += 1;
-        let t = self.find(va, true);
+        let t = self.find(va);
         if t.is_none() {
             self.stats.misses += 1;
         }
@@ -135,9 +190,10 @@ impl Tlb {
 
     /// Prefetch-side probe: counted separately, still updates LRU on hit
     /// (the hardware port is shared).
+    #[inline]
     pub fn prefetch_probe(&mut self, va: VirtAddr) -> Option<Translation> {
         self.stats.prefetch_probes += 1;
-        let t = self.find(va, true);
+        let t = self.find(va);
         if t.is_none() {
             self.stats.prefetch_probe_misses += 1;
         }
@@ -146,70 +202,62 @@ impl Tlb {
 
     /// Checks presence without LRU or statistics side effects.
     pub fn peek(&self, va: VirtAddr) -> bool {
-        for size in [PageSize::Base4K, PageSize::Huge2M] {
-            let vpn = va.raw() >> size.shift();
-            let range = self.set_range(vpn);
-            if self.entries[range]
-                .iter()
-                .any(|e| e.valid && e.size == size && e.vpn == vpn)
-            {
-                return true;
-            }
-        }
-        false
+        self.position_of(va).is_some()
     }
 
     /// Installs a translation (LRU replacement within its set). Setting
     /// `from_prefetch` attributes the fill to a page-cross prefetch walk.
+    ///
+    /// One pass over the set finds the resident way (refreshed in place),
+    /// else the first free way, else the least recently used way.
     pub fn fill(&mut self, t: Translation, from_prefetch: bool) {
         self.tick += 1;
         if from_prefetch {
             self.stats.prefetch_fills += 1;
         }
+        self.holds_huge |= t.size == PageSize::Huge2M;
         let tick = self.tick;
+        let k = key(t.vpn, t.size);
         let range = self.set_range(t.vpn);
-        // Refresh if present.
-        if let Some(e) = self.entries[range.clone()]
-            .iter_mut()
-            .find(|e| e.valid && e.size == t.size && e.vpn == t.vpn)
-        {
-            e.lru = tick;
-            e.pfn = t.pfn;
-            return;
+        let base = range.start;
+        let set = &mut self.entries[range];
+        let mut free = None;
+        let (mut lru, mut oldest) = (0, u64::MAX);
+        for (i, e) in set.iter_mut().enumerate() {
+            if e.key == k {
+                e.lru = tick;
+                e.pfn = t.pfn;
+                self.last = base + i;
+                return;
+            }
+            if !e.valid() {
+                free = free.or(Some(i));
+            } else if e.lru < oldest {
+                (lru, oldest) = (i, e.lru);
+            }
         }
-        let slot = if let Some(free) = self.entries[range.clone()].iter_mut().find(|e| !e.valid) {
-            free
-        } else {
-            self.entries[range]
-                .iter_mut()
-                .min_by_key(|e| e.lru)
-                .expect("nonempty set")
-        };
-        *slot = TlbEntry {
-            valid: true,
-            vpn: t.vpn,
+        let slot = free.unwrap_or(lru);
+        set[slot] = TlbEntry {
+            key: k,
             pfn: t.pfn,
-            size: t.size,
             lru: tick,
         };
+        self.last = base + slot;
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid).count()
+        self.entries.iter().filter(|e| e.valid()).count()
     }
 
     /// Invalidates the entry for `vpn` at `size` (a shootdown of a single
     /// page). Returns whether an entry was dropped.
     pub fn invalidate_page(&mut self, vpn: u64, size: PageSize) -> bool {
-        let range = self.set_range(vpn);
-        for e in &mut self.entries[range] {
-            if e.valid && e.size == size && e.vpn == vpn {
-                e.valid = false;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.position(vpn, size) else {
+            return false;
+        };
+        self.entries[i] = TlbEntry::EMPTY;
+        true
     }
 
     /// Invalidates every entry covering the aligned 2 MB region `vpn2m`:
@@ -218,14 +266,18 @@ impl Tlb {
     pub fn invalidate_region(&mut self, vpn2m: u64) -> u32 {
         let mut dropped = 0;
         for e in &mut self.entries {
-            let hit = match e.size {
+            if !e.valid() {
+                continue;
+            }
+            let t = e.translation();
+            let hit = match t.size {
                 PageSize::Base4K => {
-                    e.vpn >> (PageSize::Huge2M.shift() - PageSize::Base4K.shift()) == vpn2m
+                    t.vpn >> (PageSize::Huge2M.shift() - PageSize::Base4K.shift()) == vpn2m
                 }
-                PageSize::Huge2M => e.vpn == vpn2m,
+                PageSize::Huge2M => t.vpn == vpn2m,
             };
-            if e.valid && hit {
-                e.valid = false;
+            if hit {
+                *e = TlbEntry::EMPTY;
                 dropped += 1;
             }
         }

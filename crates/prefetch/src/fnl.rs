@@ -10,7 +10,7 @@
 //!   miss line with the *next* miss line observed after it, capturing
 //!   taken-branch discontinuities that next-line prefetching cannot.
 
-use std::collections::HashMap;
+use pagecross_types::FastMap;
 
 /// An L1I prefetcher: observes fetched instruction lines, emits line
 /// numbers to prefetch.
@@ -28,7 +28,7 @@ pub trait L1iPrefetcher {
 pub struct FnlMma {
     degree: u64,
     last_miss: Option<u64>,
-    mma: HashMap<u64, u64>,
+    mma: FastMap<u64, u64>,
     max_entries: usize,
 }
 
@@ -43,7 +43,7 @@ impl FnlMma {
         Self {
             degree,
             last_miss: None,
-            mma: HashMap::new(),
+            mma: FastMap::default(),
             max_entries: 1024,
         }
     }

@@ -14,8 +14,7 @@
 //! Classification priority is GS > CS > CPLX, as in the paper.
 
 use crate::{candidate, AccessInfo, L1dPrefetcher};
-use pagecross_types::PrefetchCandidate;
-use std::collections::HashMap;
+use pagecross_types::{FastMap, PrefetchCandidate};
 
 const CS_DEGREE: i64 = 4;
 const GS_DEGREE: i64 = 6;
@@ -73,8 +72,8 @@ impl StreamDetector {
 /// The IPCP prefetcher.
 #[derive(Clone, Debug)]
 pub struct Ipcp {
-    ip_table: HashMap<u64, IpEntry>,
-    cspt: HashMap<u16, CsptEntry>,
+    ip_table: FastMap<u64, IpEntry>,
+    cspt: FastMap<u16, CsptEntry>,
     stream: StreamDetector,
     max_ips: usize,
 }
@@ -89,8 +88,8 @@ impl Ipcp {
     pub fn new(size_multiplier: u32) -> Self {
         assert!(size_multiplier > 0, "size multiplier must be positive");
         Self {
-            ip_table: HashMap::new(),
-            cspt: HashMap::new(),
+            ip_table: FastMap::default(),
+            cspt: FastMap::default(),
             stream: StreamDetector::default(),
             max_ips: 128 * size_multiplier as usize,
         }

@@ -9,8 +9,7 @@
 //! operate in the physical space and never cross pages).
 
 use crate::L2Prefetcher;
-use pagecross_types::{LINE_SHIFT, PAGE_SHIFT_4K};
-use std::collections::HashMap;
+use pagecross_types::{FastMap, LINE_SHIFT, PAGE_SHIFT_4K};
 
 const SIG_BITS: u32 = 12;
 const LOOKAHEAD_MAX: usize = 8;
@@ -34,16 +33,16 @@ struct Pattern {
 /// The SPP prefetcher (L2C, physical address space).
 #[derive(Clone, Debug)]
 pub struct Spp {
-    pages: HashMap<u64, PageEntry>,
-    patterns: HashMap<u16, [Pattern; 4]>,
+    pages: FastMap<u64, PageEntry>,
+    patterns: FastMap<u16, [Pattern; 4]>,
 }
 
 impl Spp {
     /// Creates an SPP instance.
     pub fn new() -> Self {
         Self {
-            pages: HashMap::new(),
-            patterns: HashMap::new(),
+            pages: FastMap::default(),
+            patterns: FastMap::default(),
         }
     }
 

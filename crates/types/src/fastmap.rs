@@ -59,6 +59,11 @@ impl Hasher for FastHasher {
     }
 
     #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    #[inline]
     fn write_u64(&mut self, i: u64) {
         self.add(i);
     }
@@ -73,11 +78,12 @@ impl Hasher for FastHasher {
 ///
 /// Iteration order differs from a SipHash map, so this alias and
 /// [`FastSet`] are only for maps whose iteration order cannot reach a
-/// simulated counter. Every current user only inserts, looks up, removes
-/// or clears: `CoreEngine::touched_pages`, Berti's `per_pc`, `Vmem`'s
-/// mappings (`take_region_4k` probes VPNs in ascending order),
-/// `PageWalker::nodes` and the `CorePager` maps and sets of
-/// `pagecross-os`.
+/// simulated counter. Every current user only inserts, looks up, removes,
+/// counts or clears: `CoreEngine::touched_pages`, the prefetcher tables
+/// (Berti's `per_pc`, SPP's `pages` and `patterns`, IPCP's `ip_table` and
+/// `cspt`, the stride `table` and FNL+MMA's `mma`), `Vmem`'s mappings
+/// (`take_region_4k` probes VPNs in ascending order), `PageWalker::nodes`
+/// and the `CorePager` maps and sets of `pagecross-os`.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// `HashSet` with [`FastHasher`]; build with `FastSet::default()`.

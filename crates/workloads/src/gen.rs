@@ -280,7 +280,11 @@ pub struct SyntheticTrace {
     rng: Rng64,
     phase_states: Vec<Vec<(CompState, u32)>>,
     total_weight: Vec<u64>,
-    instrs: u64,
+    /// Current phase, `(instructions / phase_len) % phases`, kept by a
+    /// countdown so the per-instruction path divides nothing.
+    phase: usize,
+    /// Instructions left before the next phase switch.
+    phase_left: u64,
     loop_pc: u64,
 }
 
@@ -289,9 +293,12 @@ impl SyntheticTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `phases` is empty or any phase has no components.
+    /// Panics if `phases` is empty, any phase has no components, or
+    /// `phase_len` or `code_lines` is zero.
     pub fn new(params: GenParams) -> Self {
         assert!(!params.phases.is_empty(), "need at least one phase");
+        assert!(params.phase_len > 0, "phase_len must be positive");
+        assert!(params.code_lines > 0, "code_lines must be positive");
         let mut rng = Rng64::new(params.seed);
         let mut phase_states = Vec::new();
         let mut total_weight = Vec::new();
@@ -321,21 +328,18 @@ impl SyntheticTrace {
             total_weight.push(tw);
         }
         Self {
+            phase_left: params.phase_len,
             params,
             rng,
             phase_states,
             total_weight,
-            instrs: 0,
+            phase: 0,
             loop_pc: 0,
         }
     }
 
-    fn phase_index(&self) -> usize {
-        ((self.instrs / self.params.phase_len) as usize) % self.phase_states.len()
-    }
-
     fn pick_component(&mut self) -> (u64, u64, bool) {
-        let pi = self.phase_index();
+        let pi = self.phase;
         let mut w = self.rng.below(self.total_weight[pi]);
         let states = &mut self.phase_states[pi];
         for (st, sw) in states.iter_mut() {
@@ -350,9 +354,19 @@ impl SyntheticTrace {
 
 impl TraceSource for SyntheticTrace {
     fn next_instr(&mut self) -> Instr {
-        self.instrs += 1;
+        self.phase_left -= 1;
+        if self.phase_left == 0 {
+            self.phase_left = self.params.phase_len;
+            self.phase += 1;
+            if self.phase == self.phase_states.len() {
+                self.phase = 0;
+            }
+        }
         // Rotate through the configured code footprint.
-        self.loop_pc = (self.loop_pc + 1) % (self.params.code_lines * 16);
+        self.loop_pc += 1;
+        if self.loop_pc == self.params.code_lines * 16 {
+            self.loop_pc = 0;
+        }
         let pc_body = 0x10_0000 + self.loop_pc * 4;
 
         let r = self.rng.unit();
