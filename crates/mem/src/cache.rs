@@ -59,6 +59,17 @@ impl Block {
         hits: 0,
         lru: 0,
     };
+
+    /// The eviction record of this (valid) block.
+    fn eviction(&self) -> Eviction {
+        Eviction {
+            line: LineAddr(self.tag),
+            dirty: self.dirty,
+            prefetched: self.prefetched,
+            pcb: self.pcb,
+            hits: self.hits,
+        }
+    }
 }
 
 /// Description of a block evicted by a fill, delivered to the caller so
@@ -151,12 +162,21 @@ impl Cache {
         line.raw()
     }
 
+    /// The index of the block holding `line`, if resident.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let tag = Self::tag(line);
+        let range = self.set_range(line);
+        let base = range.start;
+        self.blocks[range]
+            .iter()
+            .position(|b| b.valid && b.tag == tag)
+            .map(|i| base + i)
+    }
+
     /// Checks presence without updating LRU or statistics.
     pub fn probe(&self, line: LineAddr) -> bool {
-        let tag = Self::tag(line);
-        self.blocks[self.set_range(line)]
-            .iter()
-            .any(|b| b.valid && b.tag == tag)
+        self.find(line).is_some()
     }
 
     /// Performs a demand lookup, updating LRU, hit counters, and statistics.
@@ -165,33 +185,29 @@ impl Cache {
     pub fn demand_access(&mut self, line: LineAddr, is_store: bool) -> Lookup {
         self.tick += 1;
         self.stats.demand_accesses += 1;
-        let tag = Self::tag(line);
-        let tick = self.tick;
-        let range = self.set_range(line);
-        for b in &mut self.blocks[range] {
-            if b.valid && b.tag == tag {
-                b.lru = tick;
-                b.dirty |= is_store;
-                b.hits += 1;
-                let first = b.prefetched && b.hits == 1;
-                if first {
-                    self.stats.prefetch_useful += 1;
-                    if b.pcb {
-                        self.stats.pgc_useful += 1;
-                    }
-                }
-                return Lookup {
-                    hit: true,
-                    first_hit_on_prefetch: first,
-                    pcb: b.pcb,
-                };
+        let Some(i) = self.find(line) else {
+            self.stats.demand_misses += 1;
+            return Lookup {
+                hit: false,
+                first_hit_on_prefetch: false,
+                pcb: false,
+            };
+        };
+        let b = &mut self.blocks[i];
+        b.lru = self.tick;
+        b.dirty |= is_store;
+        b.hits += 1;
+        let first = b.prefetched && b.hits == 1;
+        if first {
+            self.stats.prefetch_useful += 1;
+            if b.pcb {
+                self.stats.pgc_useful += 1;
             }
         }
-        self.stats.demand_misses += 1;
         Lookup {
-            hit: false,
-            first_hit_on_prefetch: false,
-            pcb: false,
+            hit: true,
+            first_hit_on_prefetch: first,
+            pcb: b.pcb,
         }
     }
 
@@ -202,17 +218,13 @@ impl Cache {
     /// counter is untouched.
     pub fn prefetch_access(&mut self, line: LineAddr) -> bool {
         self.stats.prefetch_accesses += 1;
-        let tag = Self::tag(line);
-        let range = self.set_range(line);
-        for b in &mut self.blocks[range] {
-            if b.valid && b.tag == tag {
-                self.tick += 1;
-                b.lru = self.tick;
-                self.stats.prefetch_hits += 1;
-                return true;
-            }
-        }
-        false
+        let Some(i) = self.find(line) else {
+            return false;
+        };
+        self.tick += 1;
+        self.blocks[i].lru = self.tick;
+        self.stats.prefetch_hits += 1;
+        true
     }
 
     /// Installs a line, evicting the LRU victim if the set is full.
@@ -263,14 +275,7 @@ impl Cache {
         }
 
         // Evict LRU.
-        let victim = std::mem::replace(&mut set[lru], fresh);
-        let ev = Eviction {
-            line: LineAddr(victim.tag),
-            dirty: victim.dirty,
-            prefetched: victim.prefetched,
-            pcb: victim.pcb,
-            hits: victim.hits,
-        };
+        let ev = std::mem::replace(&mut set[lru], fresh).eviction();
         if ev.prefetched && ev.hits == 0 {
             self.stats.prefetch_useless += 1;
             if ev.pcb {
@@ -285,22 +290,8 @@ impl Cache {
 
     /// Invalidates a line if present, returning its eviction record.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Eviction> {
-        let tag = Self::tag(line);
-        let range = self.set_range(line);
-        for b in &mut self.blocks[range] {
-            if b.valid && b.tag == tag {
-                let ev = Eviction {
-                    line: LineAddr(b.tag),
-                    dirty: b.dirty,
-                    prefetched: b.prefetched,
-                    pcb: b.pcb,
-                    hits: b.hits,
-                };
-                *b = Block::INVALID;
-                return Some(ev);
-            }
-        }
-        None
+        let i = self.find(line)?;
+        Some(std::mem::replace(&mut self.blocks[i], Block::INVALID).eviction())
     }
 
     /// Number of valid blocks (occupancy), mainly for tests and reports.
