@@ -31,7 +31,7 @@ fn sig_bit(line: LineAddr) -> u64 {
 /// Entry `i` is `(lines[i], completes[i], demand[i])`, in insertion order;
 /// a replaced entry keeps its slot. Invariants: `earliest` is the smallest
 /// of `completes` (`u64::MAX` when empty) and `signature` has exactly the
-/// [`sig_bit`]s of `lines`.
+/// `sig_bit`s of `lines`.
 #[derive(Clone, Debug)]
 pub struct Mshr {
     lines: Vec<LineAddr>,
