@@ -92,10 +92,11 @@ pub struct Tlb {
     ways: usize,
     entries: Vec<TlbEntry>,
     tick: u64,
-    /// The entry stamped last. Stamping it again changes no LRU order (it
-    /// stays the newest in its set), so a probe that hits it skips both the
-    /// set scan and the stamp; instruction fetches and in-page prefetches
-    /// mostly probe the page the previous probe found.
+    /// The entry stamped last (by a hit or a fill). Stamping it again
+    /// changes no LRU order, as it is the newest in its set, so a probe
+    /// that hits it skips both the set scan and the stamp; an emptied entry
+    /// never matches. Instruction fetches and in-page prefetches mostly
+    /// probe the page the previous probe found.
     last: usize,
     /// Whether a 2 MB translation was ever installed. Until then a probe
     /// skips the 2 MB set: it cannot hit.
@@ -166,7 +167,7 @@ impl Tlb {
     #[inline]
     fn find(&mut self, va: VirtAddr) -> Option<Translation> {
         let last = &self.entries[self.last];
-        if last.lru == self.tick && last.key == key(va.raw() >> PAGE_SHIFT_4K, PageSize::Base4K) {
+        if last.key == key(va.raw() >> PAGE_SHIFT_4K, PageSize::Base4K) {
             return Some(last.translation());
         }
         self.tick += 1;
