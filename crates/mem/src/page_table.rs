@@ -111,8 +111,9 @@ impl Psc {
 }
 
 /// The PTE addresses of one walk, root-most first: at most one per radix
-/// level, held inline so a walk allocates nothing. Reads as a slice.
-#[derive(Clone, Copy, Default)]
+/// level, held inline so a walk allocates nothing. Reads as a slice; slots
+/// past `len` stay zero, so the derived comparisons see only the walk.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PteRefs {
     addrs: [PhysAddr; 5],
     len: u8,
@@ -139,20 +140,6 @@ impl<'a> IntoIterator for &'a PteRefs {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
-    }
-}
-
-impl PartialEq for PteRefs {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for PteRefs {}
-
-impl std::fmt::Debug for PteRefs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
     }
 }
 

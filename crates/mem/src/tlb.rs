@@ -2,14 +2,15 @@
 //!
 //! The hierarchy follows Table IV: a small first-level data TLB (dTLB) and
 //! instruction TLB (iTLB), backed by a shared last-level TLB (sTLB). Entries
-//! are page-size aware (4 KB / 2 MB) — a lookup probes both granularities,
-//! matching the paper's §V-B6 large-page methodology. Translations brought
+//! are page-size aware (4 KB / 2 MB) — a lookup probes both granularities
+//! (the 2 MB set only once the TLB has held a 2 MB entry), matching the
+//! paper's §V-B6 large-page methodology. Translations brought
 //! in by page-cross prefetch walks are installed in both dTLB and sTLB
 //! ("translations brought by page-cross prefetches are stored in both dTLB
 //! and sTLB structures", §II-C).
 
 use crate::config::TlbConfig;
-use pagecross_types::{PageSize, TlbStats, VirtAddr, PAGE_SHIFT_4K};
+use pagecross_types::{PageSize, TlbStats, VirtAddr};
 
 /// One translation: virtual page -> physical frame at a given page size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,7 +168,7 @@ impl Tlb {
     #[inline]
     fn find(&mut self, va: VirtAddr) -> Option<Translation> {
         let last = &self.entries[self.last];
-        if last.key == key(va.raw() >> PAGE_SHIFT_4K, PageSize::Base4K) {
+        if last.key == key(va.raw() >> PageSize::Base4K.shift(), PageSize::Base4K) {
             return Some(last.translation());
         }
         self.tick += 1;
@@ -216,6 +217,7 @@ impl Tlb {
         if from_prefetch {
             self.stats.prefetch_fills += 1;
         }
+        debug_assert!(t.vpn < 1 << 62, "VPN {:#x} does not fit a key", t.vpn);
         self.holds_huge |= t.size == PageSize::Huge2M;
         let tick = self.tick;
         let k = key(t.vpn, t.size);
