@@ -233,6 +233,32 @@ impl L1dPrefetcher for Berti {
 mod tests {
     use super::*;
 
+    #[test]
+    fn history_walks_a_pc_newest_first_across_the_wrap() {
+        // The ring against the bounded deque it replaced, before and after
+        // it wraps, for PCs that recur at irregular slots.
+        let mut rng = pagecross_types::Rng64::new(7);
+        let mut ring = History::new();
+        let mut deque: VecDeque<(u64, i64, u64)> = VecDeque::new();
+        for step in 0..200u64 {
+            let (pc, line) = (rng.below(5), rng.below(1000) as i64);
+            ring.push(pc, line, step);
+            if deque.len() == HISTORY_LEN {
+                deque.pop_front();
+            }
+            deque.push_back((pc, line, step));
+            for pc in 0..5 {
+                let want: Vec<(i64, u64)> = deque
+                    .iter()
+                    .rev()
+                    .filter(|e| e.0 == pc)
+                    .map(|e| (e.1, e.2))
+                    .collect();
+                assert_eq!(ring.of_pc(pc).collect::<Vec<_>>(), want, "step {step}");
+            }
+        }
+    }
+
     fn drive_stream(
         pf: &mut Berti,
         pc: u64,
