@@ -87,9 +87,6 @@ pub struct CoreEngine {
     delta_hist: [i64; 3],
     last_line: i64,
     touched_pages: FastSet<u64>,
-    /// The page of the previous demand access (`u64::MAX` before the
-    /// first): already in `touched_pages`, so a repeat skips the hash.
-    last_page: u64,
 
     epoch_base: TelemetryCounters,
     snapshot: SystemSnapshot,
@@ -147,7 +144,6 @@ impl CoreEngine {
             delta_hist: [0; 3],
             last_line: 0,
             touched_pages: FastSet::default(),
-            last_page: u64::MAX,
             epoch_base: TelemetryCounters::default(),
             snapshot: SystemSnapshot::default(),
             instrs_since_spot: 0,
@@ -411,9 +407,7 @@ impl CoreEngine {
         }
 
         // First touch to the page?
-        let page = va.page_4k().raw();
-        let fpa = page != self.last_page && self.touched_pages.insert(page);
-        self.last_page = page;
+        let fpa = self.touched_pages.insert(va.page_4k().raw());
 
         // Train the L1D prefetcher and collect candidates.
         let info = AccessInfo {

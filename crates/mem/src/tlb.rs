@@ -93,12 +93,6 @@ pub struct Tlb {
     ways: usize,
     entries: Vec<TlbEntry>,
     tick: u64,
-    /// The entry stamped last (by a hit or a fill). Stamping it again
-    /// changes no LRU order, as it is the newest in its set, so a probe
-    /// that hits it skips both the set scan and the stamp; an emptied entry
-    /// never matches. Instruction fetches and in-page prefetches mostly
-    /// probe the page the previous probe found.
-    last: usize,
     /// Whether a 2 MB translation was ever installed. Until then a probe
     /// skips the 2 MB set: it cannot hit.
     holds_huge: bool,
@@ -124,7 +118,6 @@ impl Tlb {
             ways: cfg.ways as usize,
             entries: vec![TlbEntry::EMPTY; (sets * cfg.ways as u64) as usize],
             tick: 0,
-            last: 0,
             holds_huge: false,
             stats: TlbStats::default(),
         }
@@ -167,13 +160,8 @@ impl Tlb {
 
     #[inline]
     fn find(&mut self, va: VirtAddr) -> Option<Translation> {
-        let last = &self.entries[self.last];
-        if last.key == key(va.raw() >> PageSize::Base4K.shift(), PageSize::Base4K) {
-            return Some(last.translation());
-        }
         self.tick += 1;
         let i = self.position_of(va)?;
-        self.last = i;
         let e = &mut self.entries[i];
         e.lru = self.tick;
         Some(e.translation())
@@ -222,7 +210,6 @@ impl Tlb {
         let tick = self.tick;
         let k = key(t.vpn, t.size);
         let range = self.set_range(t.vpn);
-        let base = range.start;
         let set = &mut self.entries[range];
         let mut free = None;
         let (mut lru, mut oldest) = (0, u64::MAX);
@@ -230,7 +217,6 @@ impl Tlb {
             if e.key == k {
                 e.lru = tick;
                 e.pfn = t.pfn;
-                self.last = base + i;
                 return;
             }
             if !e.valid() {
@@ -245,7 +231,6 @@ impl Tlb {
             pfn: t.pfn,
             lru: tick,
         };
-        self.last = base + slot;
     }
 
     /// Number of valid entries.

@@ -27,64 +27,11 @@ const MAX_ABS_DELTA: i64 = 256;
 const ACTIVE_THRESHOLD: u8 = 4;
 const COUNTER_MAX: u8 = 15;
 
-/// The last [`HISTORY_LEN`] accesses: a ring whose slot `next` is written
-/// next, so newest-first order runs `next - 1, next - 2, …` with wrap.
-/// Columns keep the PCs dense: a fill compares all of them into one match
-/// mask and visits only the matching slots.
-#[derive(Clone, Debug)]
-struct History {
-    pcs: [u64; HISTORY_LEN],
-    lines: [i64; HISTORY_LEN],
-    cycles: [u64; HISTORY_LEN],
-    next: usize,
-    len: usize,
-}
-
-// One bit of a `u64` match mask per slot.
-const _: () = assert!(HISTORY_LEN == 64);
-
-impl History {
-    fn new() -> Self {
-        Self {
-            pcs: [0; HISTORY_LEN],
-            lines: [0; HISTORY_LEN],
-            cycles: [0; HISTORY_LEN],
-            next: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, pc: u64, line: i64, cycle: u64) {
-        let i = self.next;
-        (self.pcs[i], self.lines[i], self.cycles[i]) = (pc, line, cycle);
-        self.next = (i + 1) % HISTORY_LEN;
-        self.len = (self.len + 1).min(HISTORY_LEN);
-    }
-
-    /// `(line, cycle)` of every recorded access by `pc`, newest first.
-    fn of_pc(&self, pc: u64) -> impl Iterator<Item = (i64, u64)> + '_ {
-        let mut matches = self
-            .pcs
-            .iter()
-            .enumerate()
-            .fold(0u64, |m, (i, &p)| m | u64::from(p == pc) << i);
-        if self.len < HISTORY_LEN {
-            // Not yet wrapped: slots `len..` were never written.
-            matches &= (1 << self.len) - 1;
-        }
-        // Bit j of the rotated mask is slot `next + j`: the newest slot is
-        // bit 63, the oldest bit 0.
-        let mut ordered = matches.rotate_right(self.next as u32);
-        std::iter::from_fn(move || {
-            if ordered == 0 {
-                return None;
-            }
-            let bit = 63 - ordered.leading_zeros() as usize;
-            ordered &= !(1 << bit);
-            let slot = (bit + self.next) % HISTORY_LEN;
-            Some((self.lines[slot], self.cycles[slot]))
-        })
-    }
+#[derive(Clone, Copy, Debug)]
+struct HistEntry {
+    pc: u64,
+    line: i64,
+    cycle: u64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -149,7 +96,7 @@ impl DeltaSet {
 /// The Berti prefetcher.
 #[derive(Clone, Debug)]
 pub struct Berti {
-    history: History,
+    history: VecDeque<HistEntry>,
     pending: VecDeque<PendingMiss>,
     per_pc: FastMap<u64, DeltaSet>,
     max_pcs: usize,
@@ -165,11 +112,18 @@ impl Berti {
     pub fn new(size_multiplier: u32) -> Self {
         assert!(size_multiplier > 0, "size multiplier must be positive");
         Self {
-            history: History::new(),
+            history: VecDeque::with_capacity(HISTORY_LEN),
             pending: VecDeque::with_capacity(PENDING_LEN),
             per_pc: FastMap::default(),
             max_pcs: MAX_PCS_BASE * size_multiplier as usize,
         }
+    }
+
+    fn record_history(&mut self, pc: u64, line: i64, cycle: u64) {
+        if self.history.len() == HISTORY_LEN {
+            self.history.pop_front();
+        }
+        self.history.push_back(HistEntry { pc, line, cycle });
     }
 }
 
@@ -189,7 +143,7 @@ impl L1dPrefetcher for Berti {
             }
         }
 
-        self.history.push(info.pc, line, info.cycle);
+        self.record_history(info.pc, line, info.cycle);
 
         if !info.hit {
             if self.pending.len() == PENDING_LEN {
@@ -217,11 +171,11 @@ impl L1dPrefetcher for Berti {
             self.per_pc.clear(); // bounded storage; cold restart
         }
         let set = self.per_pc.entry(miss.pc).or_default();
-        for (h_line, h_cycle) in self.history.of_pc(miss.pc) {
-            if h_cycle > deadline {
+        for h in self.history.iter().rev() {
+            if h.pc != miss.pc || h.cycle > deadline {
                 continue;
             }
-            let delta = miss.line - h_line;
+            let delta = miss.line - h.line;
             if delta != 0 && delta.abs() <= MAX_ABS_DELTA {
                 set.credit(delta);
             }
@@ -232,32 +186,6 @@ impl L1dPrefetcher for Berti {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn history_walks_a_pc_newest_first_across_the_wrap() {
-        // The ring against the bounded deque it replaced, before and after
-        // it wraps, for PCs that recur at irregular slots.
-        let mut rng = pagecross_types::Rng64::new(7);
-        let mut ring = History::new();
-        let mut deque: VecDeque<(u64, i64, u64)> = VecDeque::new();
-        for step in 0..200u64 {
-            let (pc, line) = (rng.below(5), rng.below(1000) as i64);
-            ring.push(pc, line, step);
-            if deque.len() == HISTORY_LEN {
-                deque.pop_front();
-            }
-            deque.push_back((pc, line, step));
-            for pc in 0..5 {
-                let want: Vec<(i64, u64)> = deque
-                    .iter()
-                    .rev()
-                    .filter(|e| e.0 == pc)
-                    .map(|e| (e.1, e.2))
-                    .collect();
-                assert_eq!(ring.of_pc(pc).collect::<Vec<_>>(), want, "step {step}");
-            }
-        }
-    }
 
     fn drive_stream(
         pf: &mut Berti,
