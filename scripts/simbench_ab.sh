@@ -2,18 +2,17 @@
 # Alternating A/B pairs of simbench: a git revision against the working tree.
 #
 # Builds simbench at <rev> in a temporary `git worktree` and at the working
-# tree, then runs AB_PAIRS alternating pairs per workload (the revision
-# first in odd pairs, the working tree first in even ones, so a host that
-# drifts between speed states penalises both sides alike). For each pair it
-# prints both sides' sim_mips, their ratio (working tree / revision) and
-# both sides' `correct`/`failed` gate fields; then the median ratio per
-# workload. Only the untraced (`--trace 0`) end-to-end run is timed.
+# tree, then runs 10 alternating pairs per workload (the revision first in
+# odd pairs, the working tree first in even ones, so a host that drifts
+# between speed states penalises both sides alike). Each run lasts
+# BENCHMARK.json's `run_seconds`. For each pair it prints both sides'
+# sim_mips, their ratio (working tree / revision) and both sides'
+# `correct`/`failed` gate fields; then the median ratio per workload. Only
+# the untraced (`--trace 0`) end-to-end run is timed.
 #
 # Usage: scripts/simbench_ab.sh <rev> [workload...]
 #   workloads default to stream_4k graph_replay os_mix2 campaign_grid
 # Environment:
-#   AB_PAIRS    pairs per workload (default 5)
-#   AB_SECONDS  simbench --seconds per run (default 4)
 #   AB_SEED     simbench --seed (default 1)
 #
 # Exits 1 when any run reports `correct: false` or `failed` > 0.
@@ -31,8 +30,8 @@ WORKLOADS=("$@")
 if [ ${#WORKLOADS[@]} -eq 0 ]; then
     WORKLOADS=(stream_4k graph_replay os_mix2 campaign_grid)
 fi
-PAIRS="${AB_PAIRS:-5}"
-RUN_SECONDS="${AB_SECONDS:-4}"
+PAIRS=10
+RUN_SECONDS="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 SEED="${AB_SEED:-1}"
 
 SCRATCH="$(mktemp -d)"
