@@ -39,9 +39,37 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Reads an LEB128 varint at `*pos`, advancing it. Errors on overlong
-/// encodings (> 10 bytes) and on running off the end of the buffer.
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
+/// Reads an LEB128 varint at `*pos`, advancing it. Errors on a value
+/// that overflows `u64` — which every encoding longer than 10 bytes does,
+/// as its 10th byte carries a continuation bit — and on running off the
+/// end of the buffer.
+///
+/// A varint that ends within the next 8 bytes is read from one 8-byte
+/// window: the first byte without a continuation bit is found with one
+/// `trailing_zeros`, and its 7-bit groups are packed in three steps.
+/// Longer varints and those near the end of `buf` take the byte loop.
+#[inline(always)]
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
+    if let Some(window) = buf.get(*pos..*pos + 8) {
+        let w = u64::from_le_bytes(window.try_into().expect("an 8-byte slice"));
+        let stops = !w & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            // Bit index of the last byte's (clear) continuation bit.
+            let end = stops.trailing_zeros();
+            *pos += (end as usize + 1) / 8;
+            let groups = w & (u64::MAX >> (63 - end)) & 0x7F7F_7F7F_7F7F_7F7F;
+            let pairs = (groups & 0x007F_007F_007F_007F) | ((groups & 0x7F00_7F00_7F00_7F00) >> 1);
+            let quads = (pairs & 0x0000_3FFF_0000_3FFF) | ((pairs & 0x3FFF_0000_3FFF_0000) >> 2);
+            return Ok((quads & 0x0FFF_FFFF) | ((quads & 0x0FFF_FFFF_0000_0000) >> 4));
+        }
+    }
+    read_varint_bytewise(buf, pos)
+}
+
+/// The checked byte-at-a-time varint read behind [`read_varint`].
+#[cold]
+#[inline(never)]
+fn read_varint_bytewise(buf: &[u8], pos: &mut usize) -> Result<u64, &'static str> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -50,16 +78,13 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
             .ok_or("varint runs past the end of the chunk payload")?;
         *pos += 1;
         if shift == 63 && byte > 1 {
-            return Err("varint overflows u64".to_string());
+            return Err("varint overflows u64");
         }
         v |= u64::from(byte & 0x7F) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
         shift += 7;
-        if shift > 63 {
-            return Err("varint longer than 10 bytes".to_string());
-        }
     }
 }
 
@@ -81,17 +106,11 @@ fn write_delta(buf: &mut Vec<u8>, prev: &mut u64, cur: u64) {
     *prev = cur;
 }
 
-#[inline]
-fn read_delta(buf: &[u8], pos: &mut usize, prev: &mut u64) -> Result<u64, String> {
-    let d = unzigzag(read_varint(buf, pos)?);
-    *prev = prev.wrapping_add(d as u64);
-    Ok(*prev)
-}
-
-/// Encodes `records` into a chunk payload (delta state starts at zero).
-pub fn encode_records(records: &[Instr]) -> Vec<u8> {
+/// Appends `records`, encoded as one chunk payload (delta state starts at
+/// zero), to `buf`.
+pub fn encode_records(records: &[Instr], buf: &mut Vec<u8>) {
     // Sequential code dominates: ~2 bytes per ALU/branch, ~4 per memory op.
-    let mut buf = Vec::with_capacity(records.len() * 4);
+    buf.reserve(records.len() * 4);
     let (mut prev_pc, mut prev_va) = (0u64, 0u64);
     for r in records {
         match r.op {
@@ -102,84 +121,174 @@ pub fn encode_records(records: &[Instr]) -> Vec<u8> {
             } => buf.push(if depends_on_prev { K_LOAD_DEP } else { K_LOAD }),
             Op::Store { .. } => buf.push(K_STORE),
         }
-        write_delta(&mut buf, &mut prev_pc, r.pc);
+        write_delta(buf, &mut prev_pc, r.pc);
         match r.op {
             Op::Load { va, .. } | Op::Store { va } => {
-                write_delta(&mut buf, &mut prev_va, va.raw());
+                write_delta(buf, &mut prev_va, va.raw());
             }
             _ => {}
         }
     }
-    buf
 }
 
-/// Decodes exactly `count` records from a chunk payload. Errors when the
-/// payload is malformed, too short, or carries trailing bytes.
-pub fn decode_records(payload: &[u8], count: u64) -> Result<Vec<Instr>, String> {
-    let mut out = Vec::with_capacity(count as usize);
-    let (mut prev_pc, mut prev_va) = (0u64, 0u64);
-    let mut pos = 0usize;
-    for i in 0..count {
-        let &kind = payload
-            .get(pos)
-            .ok_or_else(|| format!("payload ends at record {i} of {count}"))?;
-        pos += 1;
-        let pc = read_delta(payload, &mut pos, &mut prev_pc)?;
-        let op = match kind {
-            K_ALU => Op::Alu,
-            K_BRANCH_NT => Op::Branch { taken: false },
-            K_BRANCH_T => Op::Branch { taken: true },
-            K_LOAD | K_LOAD_DEP => {
-                let va = read_delta(payload, &mut pos, &mut prev_va)?;
+/// The decoder of one chunk payload, one record at a time: the position
+/// in the payload, the delta state and the records still to come.
+///
+/// The cursor does not own the payload; every call must pass the same
+/// one. A fresh cursor (`RecordCursor::default()`) has no records left.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RecordCursor {
+    pos: usize,
+    prev_pc: u64,
+    prev_va: u64,
+    index: u64,
+    count: u64,
+}
+
+impl RecordCursor {
+    /// A cursor at the start of a payload holding `count` records.
+    pub fn new(count: u64) -> Self {
+        Self {
+            count,
+            ..Self::default()
+        }
+    }
+
+    /// Records not yet decoded.
+    #[inline]
+    pub fn remaining(&self) -> u64 {
+        self.count - self.index
+    }
+
+    /// Decodes the next record of `payload`. Errors on a record cut short
+    /// by the end of the payload, a malformed varint or an unknown kind;
+    /// the cursor is unspecified after an error. Call it only while
+    /// [`RecordCursor::remaining`] is nonzero, and [`RecordCursor::finish`]
+    /// once it reaches zero.
+    #[inline(always)]
+    pub fn next(&mut self, payload: &[u8]) -> Result<Instr, String> {
+        let Some(&kind) = payload.get(self.pos) else {
+            return Err(self.payload_ended());
+        };
+        let mut pos = self.pos + 1;
+        let d = unzigzag(read_varint(payload, &mut pos)?);
+        self.prev_pc = self.prev_pc.wrapping_add(d as u64);
+        if kind > K_STORE {
+            return Err(self.unknown_kind(kind));
+        }
+        let op = if kind >= K_LOAD {
+            let d = unzigzag(read_varint(payload, &mut pos)?);
+            self.prev_va = self.prev_va.wrapping_add(d as u64);
+            let va = VirtAddr::new(self.prev_va);
+            if kind == K_STORE {
+                Op::Store { va }
+            } else {
                 Op::Load {
-                    va: VirtAddr::new(va),
+                    va,
                     depends_on_prev: kind == K_LOAD_DEP,
                 }
             }
-            K_STORE => {
-                let va = read_delta(payload, &mut pos, &mut prev_va)?;
-                Op::Store {
-                    va: VirtAddr::new(va),
-                }
+        } else if kind == K_ALU {
+            Op::Alu
+        } else {
+            Op::Branch {
+                taken: kind == K_BRANCH_T,
             }
-            other => return Err(format!("unknown record kind {other:#04x} at record {i}")),
         };
-        out.push(Instr { pc, op });
+        self.pos = pos;
+        self.index += 1;
+        Ok(Instr {
+            pc: self.prev_pc,
+            op,
+        })
     }
-    if pos != payload.len() {
-        return Err(format!(
-            "{} trailing byte(s) after the last record",
-            payload.len() - pos
-        ));
+
+    #[cold]
+    fn payload_ended(&self) -> String {
+        format!("payload ends at record {} of {}", self.index, self.count)
     }
-    Ok(out)
+
+    #[cold]
+    fn unknown_kind(&self, kind: u8) -> String {
+        format!("unknown record kind {kind:#04x} at record {}", self.index)
+    }
+
+    /// Checks that the records decoded so far used the whole of `payload`.
+    pub fn finish(&self, payload: &[u8]) -> Result<(), String> {
+        match payload.len() - self.pos {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing byte(s) after the last record")),
+        }
+    }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
+/// Decodes exactly `count` records from a chunk payload into `out`,
+/// replacing its contents and keeping its capacity. Errors when the
+/// payload is malformed, too short, or carries trailing bytes; `out` is
+/// unspecified after an error.
+pub fn decode_records(payload: &[u8], count: u64, out: &mut Vec<Instr>) -> Result<(), String> {
+    out.clear();
+    out.reserve(count as usize);
+    let mut cursor = RecordCursor::new(count);
+    while cursor.remaining() > 0 {
+        out.push(cursor.next(payload)?);
     }
-    static TABLE: [u32; 256] = table();
+    cursor.finish(payload)
+}
+
+/// Slicing-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the
+/// classic bytewise table, and `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight bytes
+/// per step through eight independent table lookups.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -212,16 +321,78 @@ mod tests {
 
     #[test]
     fn varint_rejects_overlong_and_truncated() {
-        // 11 continuation bytes: too long for a u64.
-        let overlong = vec![0x80u8; 11];
-        assert!(read_varint(&overlong, &mut 0).is_err());
+        // Each case with nothing after it and with a zero tail after it, so
+        // both the byte loop and the 8-byte window see it.
+        for tail in [0usize, 16] {
+            let read = |bytes: &[u8]| {
+                let mut buf = bytes.to_vec();
+                buf.resize(bytes.len() + tail, 0);
+                read_varint(&buf, &mut 0)
+            };
+            // Longer than 10 bytes: the 10th byte's continuation bit alone
+            // overflows a u64.
+            assert_eq!(read(&[0x80; 11]), Err("varint overflows u64"));
+            // 10th byte carrying more than the single remaining bit.
+            let mut overflow = vec![0xFFu8; 9];
+            overflow.push(0x7F);
+            assert_eq!(read(&overflow), Err("varint overflows u64"));
+        }
         // Continuation bit set on the last available byte.
-        let truncated = vec![0x80u8];
-        assert!(read_varint(&truncated, &mut 0).is_err());
-        // 10th byte carrying more than the single remaining bit.
-        let mut overflow = vec![0xFFu8; 9];
-        overflow.push(0x7F);
-        assert!(read_varint(&overflow, &mut 0).is_err());
+        for len in 1..=9 {
+            assert_eq!(
+                read_varint(&vec![0x80u8; len], &mut 0),
+                Err("varint runs past the end of the chunk payload"),
+                "{len} continuation byte(s)"
+            );
+        }
+    }
+
+    /// Both varint reads at `start` of `buf`: `(value, new position)` or
+    /// the error.
+    type VarintRead = Result<(u64, usize), &'static str>;
+
+    fn both_varint_reads(buf: &[u8], start: usize) -> (VarintRead, VarintRead) {
+        let (mut window, mut bytewise) = (start, start);
+        let a = read_varint(buf, &mut window).map(|v| (v, window));
+        let b = read_varint_bytewise(buf, &mut bytewise).map(|v| (v, bytewise));
+        (a, b)
+    }
+
+    #[test]
+    fn prop_window_varint_matches_byte_loop() {
+        // Every encoded length from 1 to 12 bytes (11 and 12 are overlong),
+        // with random 7-bit groups — so non-canonical and overflowing
+        // encodings too — followed by 0 to 9 bytes before the payload end.
+        check(
+            &Config::cases(96).seed(0x71A7),
+            |rng| rng.next_u64(),
+            |&seed| {
+                let mut rng = Rng64::new(seed);
+                for len in 1..=12usize {
+                    let mut enc: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8 | 0x80).collect();
+                    enc[len - 1] &= if rng.chance(0.5) { 0x01 } else { 0x7F };
+                    for lead in [0usize, 3] {
+                        for tail in 0..=9usize {
+                            let mut buf: Vec<u8> =
+                                (0..lead).map(|_| rng.next_u64() as u8).collect();
+                            buf.extend_from_slice(&enc);
+                            buf.extend((0..tail).map(|_| rng.next_u64() as u8));
+                            let (window, bytewise) = both_varint_reads(&buf, lead);
+                            prop_assert_eq!(
+                                window,
+                                bytewise,
+                                "{len}-byte varint {enc:02x?}, {tail} byte(s) before the end"
+                            );
+                            // The same bytes cut short inside the varint.
+                            let cut = &buf[..lead + len - 1];
+                            let (window, bytewise) = both_varint_reads(cut, lead);
+                            prop_assert_eq!(window, bytewise, "{len}-byte varint cut short");
+                        }
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -236,6 +407,39 @@ mod tests {
         // The classic check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// CRC-32 one bit at a time: the reference the table kernel must match.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn prop_crc32_matches_bitwise_reference() {
+        // Random bytes at every alignment: 0 to 300 bytes starting 0 to 300
+        // bytes into a buffer.
+        check(
+            &Config::cases(256).seed(0xC3C3),
+            |rng| (rng.next_u64(), rng.below(301), rng.below(301)),
+            |&(seed, start, len)| {
+                let mut rng = Rng64::new(seed);
+                let buf: Vec<u8> = (0..start + len).map(|_| rng.next_u64() as u8).collect();
+                let data = &buf[start as usize..];
+                prop_assert_eq!(crc32(data), crc32_bitwise(data), "{len} bytes at {start}");
+                Ok(())
+            },
+        );
     }
 
     /// Local wrapper so the foreign `Instr` can ride through the in-repo
@@ -275,8 +479,10 @@ mod tests {
             |rng| vec_of(rng, 0, 300, arb_instr),
             |instrs: &Vec<ArbInstr>| {
                 let plain: Vec<Instr> = instrs.iter().map(|a| a.0).collect();
-                let payload = encode_records(&plain);
-                let back = decode_records(&payload, plain.len() as u64)
+                let mut payload = Vec::new();
+                encode_records(&plain, &mut payload);
+                let mut back = Vec::new();
+                decode_records(&payload, plain.len() as u64, &mut back)
                     .map_err(|e| format!("decode failed: {e}"))?;
                 prop_assert_eq!(&back, &plain, "round trip diverged");
                 Ok(())
@@ -291,12 +497,13 @@ mod tests {
             |rng| vec_of(rng, 1, 100, arb_instr),
             |instrs: &Vec<ArbInstr>| {
                 let plain: Vec<Instr> = instrs.iter().map(|a| a.0).collect();
-                let payload = encode_records(&plain);
+                let mut payload = Vec::new();
+                encode_records(&plain, &mut payload);
                 // Dropping the final byte must never decode cleanly: either
                 // a record is cut short or a trailing-length check fires.
                 let cut = &payload[..payload.len() - 1];
                 prop_assert!(
-                    decode_records(cut, plain.len() as u64).is_err(),
+                    decode_records(cut, plain.len() as u64, &mut Vec::new()).is_err(),
                     "truncated payload decoded cleanly"
                 );
                 Ok(())
@@ -316,10 +523,18 @@ mod tests {
                 op: Op::Alu,
             },
         ];
-        let mut payload = encode_records(&records);
+        let mut payload = Vec::new();
+        encode_records(&records, &mut payload);
         payload.push(0);
-        let err = decode_records(&payload, 2).unwrap_err();
+        let err = decode_records(&payload, 2, &mut Vec::new()).unwrap_err();
         assert!(err.contains("trailing"), "got: {err}");
+    }
+
+    #[test]
+    fn unknown_record_kind_rejected() {
+        // An ALU record, then kind 6 with a valid pc delta.
+        let err = decode_records(&[K_ALU, 8, K_STORE + 1, 8], 2, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, "unknown record kind 0x06 at record 1");
     }
 
     #[test]
@@ -339,7 +554,8 @@ mod tests {
             };
             records.push(Instr { pc, op });
         }
-        let payload = encode_records(&records);
+        let mut payload = Vec::new();
+        encode_records(&records, &mut payload);
         assert!(
             payload.len() < records.len() * 4,
             "expected < 4 bytes/record, got {} for {}",

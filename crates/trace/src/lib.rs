@@ -21,11 +21,13 @@
 //!
 //! # Reading
 //!
-//! [`TraceReplay`] builds a [`BlockingSource`], which decodes chunks inline
-//! on the simulation thread and rewinds to the first chunk when the file
-//! is exhausted, preserving the infinite-stream `TraceSource` contract
-//! (like ChampSim's trace repeat). [`TraceReader::open`] is the one place
-//! that rejects an empty or unfinished recording.
+//! [`TraceReplay`] builds a [`BlockingSource`], which reads and checks one
+//! chunk at a time inline on the simulation thread, decodes its records
+//! one by one straight from the checked payload, and rewinds to the first
+//! chunk when the file is exhausted, preserving the infinite-stream
+//! `TraceSource` contract (like ChampSim's trace repeat).
+//! [`TraceReader::open`] is the one place that rejects an empty or
+//! unfinished recording.
 //!
 //! # Example
 //!

@@ -21,6 +21,9 @@ pub struct TraceReader {
     chunk_index: u64,
     /// Records decoded since the last rewind.
     records_seen: u64,
+    /// Payload of the chunk last read; its allocation is kept across
+    /// chunks.
+    payload: Vec<u8>,
 }
 
 impl TraceReader {
@@ -52,6 +55,7 @@ impl TraceReader {
             data_start: header_len as u64,
             chunk_index: 0,
             records_seen: 0,
+            payload: Vec::new(),
         })
     }
 
@@ -60,28 +64,15 @@ impl TraceReader {
         &self.meta
     }
 
-    fn read_exact_or_truncated(&mut self, buf: &mut [u8], what: &str) -> Result<(), TraceError> {
-        self.file.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceError::Truncated(format!(
-                    "file ends inside {what} (chunk {})",
-                    self.chunk_index
-                ))
-            } else {
-                TraceError::Io(e)
-            }
-        })
-    }
-
     /// Reads a varint byte-by-byte from the file.
     fn read_varint_file(&mut self, what: &str) -> Result<u64, TraceError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let mut byte = [0u8; 1];
-            self.read_exact_or_truncated(&mut byte, what)?;
+            read_exact_or_truncated(&mut self.file, &mut byte, what, self.chunk_index)?;
             let b = byte[0];
-            if (shift == 63 && b > 1) || shift > 63 {
+            if shift == 63 && b > 1 {
                 return Err(TraceError::ChunkCorrupt {
                     chunk: self.chunk_index,
                     detail: format!("malformed varint in {what}"),
@@ -95,19 +86,40 @@ impl TraceReader {
         }
     }
 
-    /// Decodes the next chunk into `out` (replacing its contents).
+    /// Decodes the next chunk into `out`, replacing its contents and
+    /// reusing its capacity.
     ///
     /// Returns `Ok(true)` when a chunk was decoded, `Ok(false)` at a clean
     /// end-of-stream (marker present and the record counts agree). Any
-    /// other condition — early EOF, CRC mismatch, count disagreement — is
-    /// an error.
+    /// other condition — early EOF, CRC mismatch, a malformed record,
+    /// count disagreement — is an error, after which the contents of `out`
+    /// are unspecified.
     pub fn next_chunk(&mut self, out: &mut Vec<Instr>) -> Result<bool, TraceError> {
+        let Some(n_records) = self.read_chunk()? else {
+            return Ok(false);
+        };
+        decode_records(&self.payload, n_records, out).map_err(|d| self.chunk_corrupt(d))?;
+        Ok(true)
+    }
+
+    /// Reads the next chunk's framing and payload and checks the payload's
+    /// CRC, without decoding its records. Returns the chunk's record count
+    /// — [`TraceReader::payload`] then holds its payload — or `None` at a
+    /// clean end-of-stream (marker present and the record counts agree).
+    /// Any other condition — early EOF, CRC mismatch, count disagreement —
+    /// is an error.
+    pub(crate) fn read_chunk(&mut self) -> Result<Option<u64>, TraceError> {
         let mut tag = [0u8; 1];
-        self.read_exact_or_truncated(&mut tag, "a chunk tag")?;
+        read_exact_or_truncated(&mut self.file, &mut tag, "a chunk tag", self.chunk_index)?;
         match tag[0] {
             END_TAG => {
                 let mut total = [0u8; 8];
-                self.read_exact_or_truncated(&mut total, "the end-of-stream marker")?;
+                read_exact_or_truncated(
+                    &mut self.file,
+                    &mut total,
+                    "the end-of-stream marker",
+                    self.chunk_index,
+                )?;
                 let total = u64::from_le_bytes(total);
                 if total != self.records_seen {
                     return Err(TraceError::CountMismatch {
@@ -121,7 +133,7 @@ impl TraceReader {
                         actual: total,
                     });
                 }
-                Ok(false)
+                Ok(None)
             }
             CHUNK_TAG => {
                 let n_records = self.read_varint_file("a chunk record count")?;
@@ -134,12 +146,22 @@ impl TraceReader {
                         ),
                     });
                 }
-                let mut payload = vec![0u8; payload_len as usize];
-                self.read_exact_or_truncated(&mut payload, "a chunk payload")?;
+                self.payload.resize(payload_len as usize, 0);
+                read_exact_or_truncated(
+                    &mut self.file,
+                    &mut self.payload,
+                    "a chunk payload",
+                    self.chunk_index,
+                )?;
                 let mut stored = [0u8; 4];
-                self.read_exact_or_truncated(&mut stored, "a chunk checksum")?;
+                read_exact_or_truncated(
+                    &mut self.file,
+                    &mut stored,
+                    "a chunk checksum",
+                    self.chunk_index,
+                )?;
                 let stored = u32::from_le_bytes(stored);
-                let actual = crc32(&payload);
+                let actual = crc32(&self.payload);
                 if stored != actual {
                     return Err(TraceError::ChunkCorrupt {
                         chunk: self.chunk_index,
@@ -148,20 +170,29 @@ impl TraceReader {
                         ),
                     });
                 }
-                *out = decode_records(&payload, n_records).map_err(|detail| {
-                    TraceError::ChunkCorrupt {
-                        chunk: self.chunk_index,
-                        detail,
-                    }
-                })?;
                 self.records_seen += n_records;
                 self.chunk_index += 1;
-                Ok(true)
+                Ok(Some(n_records))
             }
             other => Err(TraceError::ChunkCorrupt {
                 chunk: self.chunk_index,
                 detail: format!("unknown frame tag {other:#04x}"),
             }),
+        }
+    }
+
+    /// The checked payload of the chunk last read by
+    /// [`TraceReader::read_chunk`].
+    #[inline]
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// A record-decoding error in the chunk last read.
+    pub(crate) fn chunk_corrupt(&self, detail: String) -> TraceError {
+        TraceError::ChunkCorrupt {
+            chunk: self.chunk_index.saturating_sub(1),
+            detail,
         }
     }
 
@@ -172,6 +203,23 @@ impl TraceReader {
         self.records_seen = 0;
         Ok(())
     }
+}
+
+/// `read_exact` that reports running out of file as truncation inside
+/// `what`, in chunk `chunk`.
+fn read_exact_or_truncated(
+    file: &mut BufReader<File>,
+    buf: &mut [u8],
+    what: &str,
+    chunk: u64,
+) -> Result<(), TraceError> {
+    file.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            TraceError::Truncated(format!("file ends inside {what} (chunk {chunk})"))
+        } else {
+            TraceError::Io(e)
+        }
+    })
 }
 
 /// Loads an entire trace into memory, verifying every checksum and the

@@ -1,13 +1,14 @@
 //! Replay: recorded traces as drop-in [`TraceFactory`] implementations.
 //!
 //! [`TraceReplay::build`] hands the engine a [`BlockingSource`], which
-//! decodes each chunk on the simulation thread when the previous one runs
-//! out.
+//! decodes each record on the simulation thread, straight from the
+//! checked payload of the current chunk.
 
 use std::path::{Path, PathBuf};
 
 use pagecross_cpu::trace::{Instr, TraceFactory, TraceSource};
 
+use crate::codec::RecordCursor;
 use crate::format::TraceMeta;
 use crate::reader::TraceReader;
 use crate::TraceError;
@@ -68,13 +69,13 @@ impl TraceFactory for TraceReplay {
     }
 }
 
-/// Inline decoder: each chunk is decoded on the simulation thread when the
-/// previous one runs out. Rewinds at end-of-stream (infinite stream).
+/// Inline decoder: records are decoded one at a time, straight from the
+/// checked payload of the current chunk, and the next chunk is read when
+/// one runs out. Rewinds at end-of-stream (infinite stream).
 pub struct BlockingSource {
     reader: TraceReader,
     path: PathBuf,
-    chunk: Vec<Instr>,
-    pos: usize,
+    cursor: RecordCursor,
 }
 
 impl BlockingSource {
@@ -83,45 +84,56 @@ impl BlockingSource {
         Ok(Self {
             reader: TraceReader::open(path)?,
             path: path.to_path_buf(),
-            chunk: Vec::new(),
-            pos: 0,
+            cursor: RecordCursor::default(),
         })
     }
 
+    /// Checks that the current chunk held nothing past its last record,
+    /// then moves to the next chunk that holds records.
     fn refill(&mut self) {
         loop {
-            match self.reader.next_chunk(&mut self.chunk) {
-                Ok(true) => {
-                    self.pos = 0;
-                    return;
-                }
-                Ok(false) => {
-                    // Clean end of the recording: repeat from the top.
-                    if let Err(e) = self.reader.rewind() {
-                        panic!("replay of {}: {e}", self.path.display());
+            if let Err(d) = self.cursor.finish(self.reader.payload()) {
+                self.fail(self.reader.chunk_corrupt(d));
+            }
+            match self.reader.read_chunk() {
+                Ok(Some(n)) => {
+                    self.cursor = RecordCursor::new(n);
+                    if n > 0 {
+                        return;
                     }
                 }
-                Err(e) => panic!("replay of {}: {e}", self.path.display()),
+                Ok(None) => {
+                    // Clean end of the recording: repeat from the top.
+                    if let Err(e) = self.reader.rewind() {
+                        self.fail(e);
+                    }
+                }
+                Err(e) => self.fail(e),
             }
         }
+    }
+
+    fn fail(&self, e: TraceError) -> ! {
+        panic!("replay of {}: {e}", self.path.display())
     }
 }
 
 impl TraceSource for BlockingSource {
     fn next_instr(&mut self) -> Instr {
-        if self.pos >= self.chunk.len() {
+        if self.cursor.remaining() == 0 {
             self.refill();
         }
-        let i = self.chunk[self.pos];
-        self.pos += 1;
-        i
+        match self.cursor.next(self.reader.payload()) {
+            Ok(i) => i,
+            Err(d) => self.fail(self.reader.chunk_corrupt(d)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{read_all, verify_file};
+    use crate::reader::{read_all, verify_file, TraceReader};
     use crate::writer::{record, TraceWriter};
     use pagecross_cpu::trace::{Op, TraceFactory};
     use pagecross_types::{Rng64, VirtAddr};
@@ -342,6 +354,47 @@ mod tests {
         assert_eq!(read_all(&small).unwrap().1, read_all(&big).unwrap().1);
         std::fs::remove_file(&small).ok();
         std::fs::remove_file(&big).ok();
+    }
+
+    #[test]
+    fn reused_buffers_serve_only_the_current_chunk() {
+        // A 300-record chunk, then a 40-record one: the reader's payload
+        // buffer and the caller's `out` both shrink to the second chunk.
+        let path = tmp("reuse");
+        let w = RandomWorkload { seed: 53 };
+        let records = reference_stream(&w, 340);
+        let mut writer = TraceWriter::create(&path, "random", 1, 53)
+            .unwrap()
+            .chunk_records(300);
+        for r in &records {
+            writer.push(r).unwrap();
+        }
+        writer.finish().unwrap();
+
+        let mut reader = TraceReader::open(&path).unwrap();
+        let mut out = Vec::new();
+        assert!(reader.next_chunk(&mut out).unwrap());
+        assert_eq!(out, records[..300]);
+        let long_payload = reader.payload().len();
+        assert!(reader.next_chunk(&mut out).unwrap());
+        assert_eq!(out, records[300..], "stale records after the short chunk");
+        assert!(reader.payload().len() < long_payload);
+        assert!(!reader.next_chunk(&mut out).unwrap());
+        reader.rewind().unwrap();
+        assert!(reader.next_chunk(&mut out).unwrap());
+        assert_eq!(out, records[..300], "first chunk after the rewind");
+
+        // The inline source serves the same records, wrapping after 340.
+        let mut source = BlockingSource::open(&path).unwrap();
+        for (i, want) in records
+            .iter()
+            .chain(&records)
+            .chain(&records[..10])
+            .enumerate()
+        {
+            assert_eq!(source.next_instr(), *want, "diverged at {i}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

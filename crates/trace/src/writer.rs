@@ -22,6 +22,10 @@ pub struct TraceWriter {
     file: BufWriter<File>,
     meta: TraceMeta,
     pending: Vec<Instr>,
+    /// Encoded payload and frame header of the chunk being flushed, kept
+    /// across chunks.
+    payload: Vec<u8>,
+    frame: Vec<u8>,
     chunk_records: usize,
     total: u64,
     finished: bool,
@@ -44,6 +48,8 @@ impl TraceWriter {
             file,
             meta,
             pending: Vec::with_capacity(CHUNK_RECORDS),
+            payload: Vec::new(),
+            frame: Vec::new(),
             chunk_records: CHUNK_RECORDS,
             total: 0,
             finished: false,
@@ -71,14 +77,15 @@ impl TraceWriter {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let payload = encode_records(&self.pending);
-        let mut frame = Vec::with_capacity(payload.len() + 16);
-        frame.push(CHUNK_TAG);
-        write_varint(&mut frame, self.pending.len() as u64);
-        write_varint(&mut frame, payload.len() as u64);
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.file.write_all(&frame)?;
+        self.payload.clear();
+        encode_records(&self.pending, &mut self.payload);
+        self.frame.clear();
+        self.frame.push(CHUNK_TAG);
+        write_varint(&mut self.frame, self.pending.len() as u64);
+        write_varint(&mut self.frame, self.payload.len() as u64);
+        self.file.write_all(&self.frame)?;
+        self.file.write_all(&self.payload)?;
+        self.file.write_all(&crc32(&self.payload).to_le_bytes())?;
         self.pending.clear();
         Ok(())
     }

@@ -69,6 +69,29 @@ for flags in "" \
 done
 "$PAGECROSS" campaign --trace-dir "$TRACE_DIR" --jobs 2 > /dev/null
 
+echo "== verify: corrupt and truncated traces are named errors =="
+# One payload byte flipped (byte 100 lies inside the first chunk's payload)
+# and a copy cut inside that payload: replay must exit 2 and say why.
+cp "$TRACE_DIR/qmm_int.s00.pct" "$SCRATCH/flipped.pct"
+BYTE=$(od -An -tu1 -j100 -N1 "$SCRATCH/flipped.pct" | tr -d ' ')
+# shellcheck disable=SC2059
+printf "$(printf '\\%03o' $((BYTE ^ 0xFF)))" |
+    dd of="$SCRATCH/flipped.pct" bs=1 seek=100 conv=notrunc status=none
+head -c 200 "$TRACE_DIR/qmm_int.s00.pct" > "$SCRATCH/cut.pct"
+for bad in "flipped.pct:chunk 0: payload checksum mismatch" \
+    "cut.pct:file ends inside a chunk payload (chunk 0)"; do
+    file="${bad%%:*}"
+    want="${bad#*:}"
+    status=0
+    "$PAGECROSS" replay --trace "$SCRATCH/$file" --warmup 5000 --instructions 20000 \
+        > /dev/null 2> "$SCRATCH/err.txt" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -q "$want" "$SCRATCH/err.txt"; then
+        echo "verify: FAIL — replay of $file exited $status, expected 2 naming '$want':" >&2
+        cat "$SCRATCH/err.txt" >&2
+        exit 1
+    fi
+done
+
 echo "== verify: telemetry smoke (JSONL + chrome trace) =="
 # Telemetry must validate against its own checker and must not change the
 # report block (everything before the telemetry summary lines).
