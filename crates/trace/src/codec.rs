@@ -228,7 +228,9 @@ impl RecordCursor {
 /// unspecified after an error.
 pub fn decode_records(payload: &[u8], count: u64, out: &mut Vec<Instr>) -> Result<(), String> {
     out.clear();
-    out.reserve(count as usize);
+    // A record takes at least two bytes: a count read from a corrupt frame
+    // reserves no more than the payload can hold.
+    out.reserve(count.min(payload.len() as u64 / 2) as usize);
     let mut cursor = RecordCursor::new(count);
     while cursor.remaining() > 0 {
         out.push(cursor.next(payload)?);
