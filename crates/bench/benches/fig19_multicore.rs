@@ -9,7 +9,7 @@
 //! `run_mix`: the campaign grid simulates single-core cells only.
 
 use pagecross_bench::{env_scale, fmt_pct, print_header, print_row, CampaignConfig, Summary};
-use pagecross_cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder, TraceFactory};
+use pagecross_cpu::{MixReport, PgcPolicyKind, PrefetcherKind, SimulationBuilder, TraceFactory};
 use pagecross_types::geomean;
 use pagecross_workloads::random_mixes;
 
@@ -17,7 +17,7 @@ fn run_mix(
     policy: PgcPolicyKind,
     mix: &[&'static pagecross_workloads::Workload],
     cfg: &CampaignConfig,
-) -> Vec<f64> {
+) -> MixReport {
     let ws: Vec<&dyn TraceFactory> = mix.iter().map(|w| *w as &dyn TraceFactory).collect();
     SimulationBuilder::new()
         .prefetcher(PrefetcherKind::Berti)
@@ -25,7 +25,6 @@ fn run_mix(
         .warmup((8_000.0 * cfg.warmup_scale) as u64)
         .instructions((16_000.0 * cfg.measure_scale) as u64)
         .run_mix(&ws)
-        .ipcs()
 }
 
 fn main() {
@@ -44,14 +43,14 @@ fn main() {
     let mut permit_ws = Vec::new();
     let mut dripper_ws = Vec::new();
     for (i, mix) in mixes.iter().enumerate() {
-        let base = run_mix(PgcPolicyKind::DiscardPgc, mix, &cfg);
+        let base = run_mix(PgcPolicyKind::DiscardPgc, mix, &cfg).ipcs();
         let permit = run_mix(PgcPolicyKind::PermitPgc, mix, &cfg);
         let dripper = run_mix(PgcPolicyKind::Dripper, mix, &cfg);
-        // Weighted speedup over the Discard baseline: per-core relative IPC
-        // summed, normalised by core count.
-        let wsp =
-            |v: &[f64]| v.iter().zip(&base).map(|(a, b)| a / b).sum::<f64>() / base.len() as f64;
-        let (p, d) = (wsp(&permit), wsp(&dripper));
+        // Weighted speedup over the Discard baseline, normalised by core
+        // count.
+        let cores = base.len() as f64;
+        let p = permit.weighted_ipc(&base).expect("one IPC per core") / cores;
+        let d = dripper.weighted_ipc(&base).expect("one IPC per core") / cores;
         permit_ws.push(p);
         dripper_ws.push(d);
         print_row("fig19", &[format!("mix{i:02}"), fmt_pct(p), fmt_pct(d)]);

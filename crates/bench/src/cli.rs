@@ -1150,6 +1150,13 @@ mod tests {
             jsonl: jsonl.to_string_lossy().into_owned(),
         });
         assert_eq!(code, 0, "emitted JSONL must validate");
+        // The same stream with one key outside the schema must not.
+        let text = std::fs::read_to_string(&jsonl).unwrap();
+        std::fs::write(&jsonl, text.replacen('}', ",\"bogus\":1}", 1)).unwrap();
+        let code = execute(Command::CheckTelemetry {
+            jsonl: jsonl.to_string_lossy().into_owned(),
+        });
+        assert_eq!(code, 1, "an unknown key must fail validation");
         let trace_text = std::fs::read_to_string(&trace).unwrap();
         assert!(trace_text.contains("\"traceEvents\""));
         std::fs::remove_dir_all(&dir).ok();

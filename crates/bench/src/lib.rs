@@ -7,7 +7,6 @@
 
 pub mod campaign;
 pub mod cli;
-pub mod microbench;
 pub mod table;
 
 pub use campaign::{

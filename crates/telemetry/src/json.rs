@@ -2,8 +2,8 @@
 //!
 //! The workspace is zero-dependency, so both directions are hand-rolled:
 //! the emitter writes one flat JSON object per interval, and the validator
-//! parses that flat shape back (string/number/bool/null scalar values
-//! only — no nesting) to check the stream a run produced.
+//! parses that flat shape back (number and null values only — no strings,
+//! booleans or nesting) to check the stream a run produced.
 //!
 //! # Interval schema (one object per line)
 //!
@@ -84,184 +84,89 @@ pub struct JsonlSummary {
     pub final_cycles: u64,
 }
 
-/// A parsed flat-JSON scalar value.
-#[derive(Clone, Debug, PartialEq)]
-enum Scalar {
-    Num(f64),
-    Str(String),
-    Bool(bool),
+/// A value of the interval schema: the text of a JSON number, read per key
+/// by [`validate_jsonl`], or `null`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Scalar<'a> {
+    Num(&'a str),
     Null,
 }
 
-/// Parses a flat JSON object (scalar values only) into key/value pairs.
+impl Scalar<'_> {
+    /// The value as an exact count: ASCII digits only, within `u64`.
+    fn count(self) -> Option<u64> {
+        match self {
+            Scalar::Num(t) if t.bytes().all(|c| c.is_ascii_digit()) => t.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a finite float.
+    fn number(self) -> Option<f64> {
+        match self {
+            Scalar::Num(t) => t.parse().ok().filter(|x: &f64| x.is_finite()),
+            Scalar::Null => None,
+        }
+    }
+}
+
+/// Parses one interval line into its key/value pairs, in line order.
 ///
-/// Supports exactly the shape this crate emits: one object, string keys,
-/// values that are numbers, strings (with `\"`/`\\`/`\n`/`\t`/`\r`/`\/`
-/// `\b`/`\f`/`\uXXXX` escapes), booleans or null. Nested objects/arrays
-/// are rejected.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let b = line.as_bytes();
-    let mut i = 0usize;
-    let mut out = Vec::new();
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\r' | b'\n') {
-            *i += 1;
-        }
+/// Accepts exactly the shape [`intervals_to_jsonl`] writes: one flat
+/// object whose keys are strings without escapes and whose values are
+/// numbers or `null`. Strings, booleans, nested objects and arrays are
+/// not part of the schema and are rejected.
+fn parse_flat_object(line: &str) -> Result<Vec<(&str, Scalar<'_>)>, String> {
+    let body = line
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or("expected one object, '{' to '}'")?;
+    if body.trim().is_empty() {
+        return Ok(Vec::new());
     }
-
-    fn parse_string(b: &[u8], i: &mut usize) -> Result<String, String> {
-        if b.get(*i) != Some(&b'"') {
-            return Err("expected '\"'".into());
-        }
-        *i += 1;
-        let mut s = String::new();
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i) {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*i + 1..*i + 5)
-                                .ok_or("truncated \\u escape")
-                                .and_then(|h| {
-                                    std::str::from_utf8(h).map_err(|_| "bad \\u escape")
-                                })?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            s.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            *i += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    *i += 1;
-                }
-                c if c < 0x20 => return Err("control character in string".into()),
-                _ => {
-                    // Copy the full UTF-8 sequence starting here.
-                    let start = *i;
-                    *i += 1;
-                    while *i < b.len() && (b[*i] & 0xC0) == 0x80 {
-                        *i += 1;
-                    }
-                    s.push_str(std::str::from_utf8(&b[start..*i]).map_err(|_| "invalid UTF-8")?);
-                }
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    skip_ws(b, &mut i);
-    if b.get(i) != Some(&b'{') {
-        return Err("expected '{'".into());
-    }
-    i += 1;
-    skip_ws(b, &mut i);
-    if b.get(i) == Some(&b'}') {
-        i += 1;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err("trailing characters after object".into());
-        }
-        return Ok(out);
-    }
-    loop {
-        skip_ws(b, &mut i);
-        let key = parse_string(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if b.get(i) != Some(&b':') {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        i += 1;
-        skip_ws(b, &mut i);
-        let value = match b.get(i) {
-            Some(b'"') => Scalar::Str(parse_string(b, &mut i)?),
-            Some(b't') => {
-                if b[i..].starts_with(b"true") {
-                    i += 4;
-                    Scalar::Bool(true)
-                } else {
-                    return Err("bad literal".into());
-                }
-            }
-            Some(b'f') => {
-                if b[i..].starts_with(b"false") {
-                    i += 5;
-                    Scalar::Bool(false)
-                } else {
-                    return Err("bad literal".into());
-                }
-            }
-            Some(b'n') => {
-                if b[i..].starts_with(b"null") {
-                    i += 4;
-                    Scalar::Null
-                } else {
-                    return Err("bad literal".into());
-                }
-            }
-            Some(b'{') | Some(b'[') => {
-                return Err("nested values are not part of the schema".into())
-            }
-            Some(_) => {
-                let start = i;
-                while i < b.len() && matches!(b[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    i += 1;
-                }
-                let text = std::str::from_utf8(&b[start..i]).map_err(|_| "invalid UTF-8")?;
-                let num: f64 = text.parse().map_err(|_| format!("bad number {text:?}"))?;
-                Scalar::Num(num)
-            }
-            None => return Err("truncated object".into()),
-        };
-        out.push((key, value));
-        skip_ws(b, &mut i);
-        match b.get(i) {
-            Some(b',') => {
-                i += 1;
-            }
-            Some(b'}') => {
-                i += 1;
-                skip_ws(b, &mut i);
-                if i != b.len() {
-                    return Err("trailing characters after object".into());
-                }
-                return Ok(out);
-            }
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
+    body.split(',')
+        .map(|pair| {
+            let (key, value) = pair.split_once(':').ok_or("expected \"key\":value")?;
+            let key = key
+                .trim()
+                .strip_prefix('"')
+                .and_then(|k| k.strip_suffix('"'))
+                .filter(|k| !k.contains(['"', '\\']))
+                .ok_or_else(|| format!("bad key {}", key.trim()))?;
+            let value = match value.trim() {
+                "null" => Scalar::Null,
+                v if v.starts_with(|c: char| c == '-' || c.is_ascii_digit()) => Scalar::Num(v),
+                _ => return Err(format!("\"{key}\" is not a number or null")),
+            };
+            Ok((key, value))
+        })
+        .collect()
 }
 
-/// `v` as a count: `None` unless it is a non-negative integer.
-fn count(v: f64) -> Option<u64> {
-    (v >= 0.0 && v.fract() == 0.0).then_some(v as u64)
-}
+/// The keys of an interval line besides its `d_*` deltas, in the order
+/// [`intervals_to_jsonl`] writes them.
+const PLAIN_KEYS: [&str; 6] = [
+    "seq",
+    "instructions",
+    "cycles",
+    "ipc",
+    "threshold",
+    "weight_saturation",
+];
 
 /// Validates a telemetry JSONL stream.
 ///
 /// Checks, per the schema in the module docs:
-/// * every line parses as a flat JSON object;
+/// * every line parses as a flat JSON object of numbers and nulls;
+/// * every key is one of the schema's, present exactly once: the plain
+///   keys and one `d_<counter>` per `TelemetryCounters` field;
 /// * `seq` is dense from 0;
-/// * cumulative `instructions`/`cycles` are monotone non-decreasing;
-/// * every `d_<counter>` key is present exactly once, integral and ≥ 0
-///   (non-negative deltas), and no `d_*` key names an unknown counter;
-/// * `ipc` is present and finite; `threshold`/`weight_saturation` are
-///   present (value or null).
+/// * cumulative `instructions`/`cycles` and every `d_*` delta are exact
+///   non-negative integers, and the cumulative pair is monotone
+///   non-decreasing;
+/// * `ipc` is a finite number; `threshold`/`weight_saturation` are finite
+///   numbers or null.
 ///
 /// Returns the line count and summed deltas on success (for reconciliation
 /// against a final `Report`).
@@ -280,22 +185,50 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
             return Err(err("blank line in JSONL stream".into()));
         }
         let kv = parse_flat_object(raw).map_err(err)?;
-        let num = |key: &str| match kv.iter().find(|(k, _)| k == key) {
-            Some((_, Scalar::Num(n))) => Ok(*n),
-            _ => Err(err(format!("missing numeric \"{key}\""))),
+        let int = |v: Scalar, key: &str| {
+            v.count()
+                .ok_or_else(|| err(format!("\"{key}\" is not a non-negative integer")))
         };
 
-        let seq = num("seq")?;
-        if seq != idx as f64 {
+        // Plain values by their index in PLAIN_KEYS; `seen` counts the
+        // `d_*` keys per counter.
+        let mut plain = [None; PLAIN_KEYS.len()];
+        let mut seen = TelemetryCounters::default();
+        for &(key, value) in &kv {
+            if let Some(i) = PLAIN_KEYS.iter().position(|k| *k == key) {
+                if plain[i].replace(value).is_some() {
+                    return Err(err(format!("key \"{key}\" present more than once")));
+                }
+            } else if let Some(name) = key.strip_prefix("d_") {
+                if !seen.add_named(name, 1) {
+                    return Err(err(format!("unknown counter key \"{key}\"")));
+                }
+                summary.totals.add_named(name, int(value, key)?);
+            } else {
+                return Err(err(format!("unknown key \"{key}\"")));
+            }
+        }
+        let mut wrong = None;
+        seen.for_each_counter(&mut String::new(), &mut |name, n| {
+            if n != 1 && wrong.is_none() {
+                wrong = Some(format!("key \"d_{name}\" present {n} times, expected once"));
+            }
+        });
+        if let Some(message) = wrong {
+            return Err(err(message));
+        }
+        if let Some(i) = plain.iter().position(Option::is_none) {
+            return Err(err(format!("missing \"{}\"", PLAIN_KEYS[i])));
+        }
+        let [seq, instructions, cycles, ipc, threshold, weight_saturation] =
+            plain.map(|v| v.expect("presence checked above"));
+
+        let seq = int(seq, "seq")?;
+        if seq != idx as u64 {
             return Err(err(format!("seq {seq} but expected {idx} (dense from 0)")));
         }
-        let instructions = num("instructions")?;
-        let cycles = num("cycles")?;
-        let (Some(instructions), Some(cycles)) = (count(instructions), count(cycles)) else {
-            return Err(err(
-                "cumulative counters must be non-negative integers".into()
-            ));
-        };
+        let instructions = int(instructions, "instructions")?;
+        let cycles = int(cycles, "cycles")?;
         for (name, before, now) in [
             ("instructions", prev.0, instructions),
             ("cycles", prev.1, cycles),
@@ -308,44 +241,16 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
         }
         prev = (instructions, cycles);
 
-        let ipc = num("ipc")?;
-        if !ipc.is_finite() {
-            return Err(err("non-finite ipc".into()));
+        if ipc.number().is_none() {
+            return Err(err("\"ipc\" is not a finite number".into()));
         }
-        for key in ["threshold", "weight_saturation"] {
-            let present = kv
-                .iter()
-                .any(|(k, v)| k == key && matches!(v, Scalar::Num(_) | Scalar::Null));
-            if !present {
-                return Err(err(format!("missing \"{key}\" (number or null)")));
+        for (v, key) in [
+            (threshold, "threshold"),
+            (weight_saturation, "weight_saturation"),
+        ] {
+            if v != Scalar::Null && v.number().is_none() {
+                return Err(err(format!("\"{key}\" is not a finite number or null")));
             }
-        }
-
-        // Each `d_*` key must name a counter and hold a non-negative
-        // integer; `seen` counts the keys per counter.
-        let mut seen = TelemetryCounters::default();
-        for (key, value) in &kv {
-            let Some(name) = key.strip_prefix("d_") else {
-                continue;
-            };
-            if !seen.add_named(name, 1) {
-                return Err(err(format!("unknown counter key \"{key}\"")));
-            }
-            match value {
-                Scalar::Num(v) if count(*v).is_some() => {
-                    summary.totals.add_named(name, *v as u64);
-                }
-                _ => return Err(err(format!("\"{key}\" is not a non-negative integer"))),
-            }
-        }
-        let mut wrong = None;
-        seen.for_each_counter(&mut String::new(), &mut |name, n| {
-            if n != 1 && wrong.is_none() {
-                wrong = Some(format!("key \"d_{name}\" present {n} times, expected once"));
-            }
-        });
-        if let Some(message) = wrong {
-            return Err(err(message));
         }
 
         summary.lines = lineno;
@@ -480,10 +385,44 @@ mod tests {
     }
 
     #[test]
+    fn rejects_keys_and_values_outside_the_schema() {
+        let line = jsonl_line(&record(0, 10, 20));
+        for (broken, want) in [
+            (line.replace('}', ",\"bogus\":1}"), "unknown key \"bogus\""),
+            (
+                line.replace('}', ",\"seq\":0}"),
+                "\"seq\" present more than once",
+            ),
+            (
+                line.replace("\"d_l1d_misses\":3", "\"d_l1d_misses\":\"3\""),
+                "d_l1d_misses",
+            ),
+            (line.replace("\"ipc\":0.500000", "\"ipc\":true"), "ipc"),
+        ] {
+            let e = validate_jsonl(&broken).unwrap_err();
+            assert_eq!(e.line, 1);
+            assert!(e.message.contains(want), "{want}: {}", e.message);
+        }
+    }
+
+    #[test]
+    fn sums_deltas_as_exact_integers() {
+        // 2^53 + 1: the first integer an f64 cannot hold.
+        let line = jsonl_line(&record(0, 10, 20));
+        let big = line.replace("\"d_l1d_misses\":3", "\"d_l1d_misses\":9007199254740993");
+        let summary = validate_jsonl(&big).expect("valid line");
+        assert_eq!(summary.totals.l1d_misses, 9_007_199_254_740_993);
+    }
+
+    #[test]
     fn flat_parser_handles_escapes_and_rejects_nesting() {
-        let kv = parse_flat_object(r#"{"a":"x\"y\\z","b":true,"c":null}"#).unwrap();
-        assert_eq!(kv.len(), 3);
-        assert_eq!(kv[0].1, Scalar::Str("x\"y\\z".into()));
+        let kv = parse_flat_object(r#" { "a" : 1 , "b":null } "#).unwrap();
+        assert_eq!(kv, [("a", Scalar::Num("1")), ("b", Scalar::Null)]);
+        assert!(parse_flat_object("{}").unwrap().is_empty());
+        // The emitter writes neither strings nor escapes.
+        assert!(parse_flat_object(r#"{"a":"x\"y"}"#).is_err());
+        assert!(parse_flat_object(r#"{"a\"b":1}"#).is_err());
+        assert!(parse_flat_object(r#"{"a":false}"#).is_err());
         assert!(parse_flat_object(r#"{"a":{"b":1}}"#).is_err());
         assert!(parse_flat_object(r#"{"a":[1]}"#).is_err());
         assert!(parse_flat_object(r#"{"a":1} trailing"#).is_err());
