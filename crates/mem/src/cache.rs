@@ -34,10 +34,18 @@ impl FillKind {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Block {
-    tag: u64,
-    valid: bool,
+/// The match key of a resident line: the line address shifted left over
+/// a valid bit, so a way search is one compare per way. `0` is the key of
+/// an empty way. Line addresses are below 2^63 (`Cache::fill` checks it
+/// in debug builds), so the shift loses nothing.
+#[inline]
+const fn key(line: LineAddr) -> u64 {
+    line.raw() << 1 | 1
+}
+
+/// A resident block's metadata besides its key and LRU stamp.
+#[derive(Clone, Copy, Debug, Default)]
+struct Meta {
     dirty: bool,
     /// Fetched by a prefetch (any kind).
     prefetched: bool,
@@ -45,25 +53,13 @@ struct Block {
     pcb: bool,
     /// Demand hits served since fill.
     hits: u32,
-    /// LRU timestamp.
-    lru: u64,
 }
 
-impl Block {
-    const INVALID: Block = Block {
-        tag: 0,
-        valid: false,
-        dirty: false,
-        prefetched: false,
-        pcb: false,
-        hits: 0,
-        lru: 0,
-    };
-
-    /// The eviction record of this (valid) block.
-    fn eviction(&self) -> Eviction {
+impl Meta {
+    /// The eviction record of the block keyed `key` with this metadata.
+    fn eviction(self, key: u64) -> Eviction {
         Eviction {
-            line: LineAddr(self.tag),
+            line: LineAddr(key >> 1),
             dirty: self.dirty,
             prefetched: self.prefetched,
             pcb: self.pcb,
@@ -102,12 +98,18 @@ pub struct Lookup {
 }
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
+///
+/// Ways are stored as three parallel columns indexed `set * ways + way`:
+/// the match keys a way search scans, the LRU stamps only a full set's fill
+/// reads, and the metadata of resident blocks.
 #[derive(Clone, Debug)]
 pub struct Cache {
     name: &'static str,
     sets: u64,
     ways: usize,
-    blocks: Vec<Block>,
+    keys: Vec<u64>,
+    lru: Vec<u64>,
+    meta: Vec<Meta>,
     tick: u64,
     /// Aggregate statistics (demand/prefetch split).
     pub stats: CacheStats,
@@ -125,11 +127,14 @@ impl Cache {
             sets > 0 && sets.is_power_of_two(),
             "{name}: set count must be a power of two"
         );
+        let n = (sets * cfg.ways as u64) as usize;
         Self {
             name,
             sets,
             ways: cfg.ways as usize,
-            blocks: vec![Block::INVALID; (sets * cfg.ways as u64) as usize],
+            keys: vec![0; n],
+            lru: vec![0; n],
+            meta: vec![Meta::default(); n],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -150,27 +155,20 @@ impl Cache {
         self.ways
     }
 
+    /// The index of `line`'s set's first way.
     #[inline]
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let set = (line.raw() & (self.sets - 1)) as usize;
-        let base = set * self.ways;
-        base..base + self.ways
+    fn set_base(&self, line: LineAddr) -> usize {
+        (line.raw() & (self.sets - 1)) as usize * self.ways
     }
 
-    #[inline]
-    fn tag(line: LineAddr) -> u64 {
-        line.raw()
-    }
-
-    /// The index of the block holding `line`, if resident.
+    /// The index of the way holding `line`, if resident.
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
-        let tag = Self::tag(line);
-        let range = self.set_range(line);
-        let base = range.start;
-        self.blocks[range]
+        let k = key(line);
+        let base = self.set_base(line);
+        self.keys[base..base + self.ways]
             .iter()
-            .position(|b| b.valid && b.tag == tag)
+            .position(|&w| w == k)
             .map(|i| base + i)
     }
 
@@ -193,21 +191,21 @@ impl Cache {
                 pcb: false,
             };
         };
-        let b = &mut self.blocks[i];
-        b.lru = self.tick;
-        b.dirty |= is_store;
-        b.hits += 1;
-        let first = b.prefetched && b.hits == 1;
+        self.lru[i] = self.tick;
+        let m = &mut self.meta[i];
+        m.dirty |= is_store;
+        m.hits += 1;
+        let first = m.prefetched && m.hits == 1;
         if first {
             self.stats.prefetch_useful += 1;
-            if b.pcb {
+            if m.pcb {
                 self.stats.pgc_useful += 1;
             }
         }
         Lookup {
             hit: true,
             first_hit_on_prefetch: first,
-            pcb: b.pcb,
+            pcb: m.pcb,
         }
     }
 
@@ -222,7 +220,7 @@ impl Cache {
             return false;
         };
         self.tick += 1;
-        self.blocks[i].lru = self.tick;
+        self.lru[i] = self.tick;
         self.stats.prefetch_hits += 1;
         true
     }
@@ -231,9 +229,11 @@ impl Cache {
     ///
     /// Re-filling a resident line only refreshes metadata (this happens when
     /// two misses to the same line race through the MSHR path). One pass
-    /// over the set finds the resident way, else the first free way, else
-    /// the least recently used way.
+    /// over the set's keys finds the resident way, else the first free
+    /// way; only a full set reads its LRU stamps, for the least recently
+    /// used way.
     pub fn fill(&mut self, line: LineAddr, kind: FillKind, dirty: bool) -> Option<Eviction> {
+        debug_assert!(line.raw() < 1 << 63, "line {line:?} does not fit a key");
         self.tick += 1;
         if kind.is_prefetch() {
             self.stats.prefetch_fills += 1;
@@ -241,41 +241,42 @@ impl Cache {
                 self.stats.pgc_fills += 1;
             }
         }
-        let tag = Self::tag(line);
-        let tick = self.tick;
-        let range = self.set_range(line);
-        let set = &mut self.blocks[range];
+        let k = key(line);
+        let base = self.set_base(line);
+        let set = base..base + self.ways;
 
         let mut free = None;
-        let (mut lru, mut oldest) = (0, u64::MAX);
-        for (i, b) in set.iter_mut().enumerate() {
-            if !b.valid {
-                free = free.or(Some(i));
-            } else if b.tag == tag {
+        for (i, &w) in self.keys[set.clone()].iter().enumerate() {
+            if w == k {
                 // Already resident: refresh.
-                b.lru = tick;
-                b.dirty |= dirty;
+                self.lru[base + i] = self.tick;
+                self.meta[base + i].dirty |= dirty;
                 return None;
-            } else if b.lru < oldest {
-                (lru, oldest) = (i, b.lru);
+            }
+            if w == 0 && free.is_none() {
+                free = Some(i);
             }
         }
-        let fresh = Block {
-            tag,
-            valid: true,
+        let i = base
+            + match free {
+                Some(i) => i,
+                None => self.lru[set.clone()]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map_or(0, |(i, _)| i),
+            };
+        let evicted = free.is_none().then(|| self.meta[i].eviction(self.keys[i]));
+        self.keys[i] = k;
+        self.lru[i] = self.tick;
+        self.meta[i] = Meta {
             dirty,
             prefetched: kind.is_prefetch(),
             pcb: matches!(kind, FillKind::PrefetchPageCross),
             hits: 0,
-            lru: tick,
         };
-        if let Some(i) = free {
-            set[i] = fresh;
-            return None;
-        }
 
-        // Evict LRU.
-        let ev = std::mem::replace(&mut set[lru], fresh).eviction();
+        let ev = evicted?;
         if ev.prefetched && ev.hits == 0 {
             self.stats.prefetch_useless += 1;
             if ev.pcb {
@@ -291,12 +292,12 @@ impl Cache {
     /// Invalidates a line if present, returning its eviction record.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Eviction> {
         let i = self.find(line)?;
-        Some(std::mem::replace(&mut self.blocks[i], Block::INVALID).eviction())
+        Some(self.meta[i].eviction(std::mem::take(&mut self.keys[i])))
     }
 
     /// Number of valid blocks (occupancy), mainly for tests and reports.
     pub fn occupancy(&self) -> usize {
-        self.blocks.iter().filter(|b| b.valid).count()
+        self.keys.iter().filter(|&&w| w != 0).count()
     }
 }
 

@@ -8,14 +8,16 @@ use pagecross::mem::{
 };
 use pagecross::types::prop::{check, vec_of, Config};
 use pagecross::types::{prop_assert, prop_assert_eq};
-use pagecross::types::{LineAddr, PageSize, VirtAddr};
+use pagecross::types::{CacheStats, LineAddr, PageSize, VirtAddr};
 
-/// A naive set-associative LRU cache: explicit per-set recency vectors.
+/// A naive set-associative LRU cache: explicit per-set recency vectors,
+/// with the statistics each operation should count.
 struct RefCache {
     sets: u64,
     ways: usize,
     /// Per set: most-recent-last list of resident blocks.
     resident: Vec<Vec<RefBlock>>,
+    stats: CacheStats,
 }
 
 /// One resident block of [`RefCache`], with the metadata an eviction
@@ -42,6 +44,7 @@ impl RefCache {
             sets,
             ways,
             resident: vec![Vec::new(); sets as usize],
+            stats: CacheStats::default(),
         }
     }
 
@@ -60,17 +63,34 @@ impl RefCache {
 
     /// A demand access: `(hit, first hit on a prefetched block, pcb)`.
     fn demand(&mut self, line: u64, is_store: bool) -> (bool, bool, bool) {
-        match self.touch(line) {
-            Some(b) => {
-                b.hits += 1;
-                b.dirty |= is_store;
-                (true, b.prefetched && b.hits == 1, b.pcb)
-            }
-            None => (false, false, false),
+        self.stats.demand_accesses += 1;
+        let Some(b) = self.touch(line) else {
+            self.stats.demand_misses += 1;
+            return (false, false, false);
+        };
+        b.hits += 1;
+        b.dirty |= is_store;
+        let (first, pcb) = (b.prefetched && b.hits == 1, b.pcb);
+        if first {
+            self.stats.prefetch_useful += 1;
+            self.stats.pgc_useful += u64::from(pcb);
         }
+        (true, first, pcb)
+    }
+
+    /// A prefetch probe: refreshes LRU on a hit; returns the hit.
+    fn prefetch(&mut self, line: u64) -> bool {
+        self.stats.prefetch_accesses += 1;
+        let hit = self.touch(line).is_some();
+        self.stats.prefetch_hits += u64::from(hit);
+        hit
     }
 
     fn fill(&mut self, line: u64, kind: FillKind, dirty: bool) -> Option<RefBlock> {
+        if kind.is_prefetch() {
+            self.stats.prefetch_fills += 1;
+            self.stats.pgc_fills += u64::from(kind == FillKind::PrefetchPageCross);
+        }
         if let Some(b) = self.touch(line) {
             b.dirty |= dirty;
             return None;
@@ -89,6 +109,13 @@ impl RefCache {
             pcb: kind == FillKind::PrefetchPageCross,
             hits: 0,
         });
+        if let Some(v) = victim {
+            if v.prefetched && v.hits == 0 {
+                self.stats.prefetch_useless += 1;
+                self.stats.pgc_useless += u64::from(v.pcb);
+            }
+            self.stats.writebacks += u64::from(v.dirty);
+        }
         victim
     }
 
@@ -248,7 +275,8 @@ impl RefMshr {
 }
 
 /// The production cache and the reference model agree on every hit/miss
-/// outcome, every lookup flag and every eviction record, for arbitrary
+/// outcome, every lookup flag, every eviction record and the statistics
+/// at the end of each sequence, for arbitrary
 /// interleavings of demand accesses, prefetch probes (which refresh LRU),
 /// fills of each kind and invalidations followed by refills, at 2-, 12- and
 /// 16-way associativity.
@@ -304,7 +332,7 @@ fn cache_matches_reference_model() {
                     }
                     5 => {
                         let got = dut.prefetch_access(l);
-                        let want = model.touch(line).is_some();
+                        let want = model.prefetch(line);
                         prop_assert_eq!(got, want, "prefetch probe mismatch on {}", line);
                     }
                     6 => {
@@ -324,6 +352,7 @@ fn cache_matches_reference_model() {
             }
             let model_occ: usize = model.resident.iter().map(Vec::len).sum();
             prop_assert_eq!(dut.occupancy(), model_occ, "occupancy mismatch");
+            prop_assert_eq!(dut.stats, model.stats, "statistics diverged");
             Ok(())
         },
     );
