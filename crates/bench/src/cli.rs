@@ -1332,6 +1332,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A stream whose `d_*` deltas sum past `u64::MAX` fails validation
+    /// (exit 1) instead of passing with a wrapped total.
+    #[test]
+    fn check_telemetry_rejects_an_overflowing_sum() {
+        let dir = std::env::temp_dir().join(format!("pct-telem-sum-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records: Vec<_> = (0..3)
+            .map(|seq| pagecross_types::IntervalRecord {
+                seq,
+                end_instructions: (seq + 1) * 100,
+                end_cycles: (seq + 1) * 200,
+                delta: pagecross_types::TelemetryCounters {
+                    instructions: 100,
+                    cycles: 200,
+                    l1d_misses: u64::MAX,
+                    ..Default::default()
+                },
+                policy: None,
+            })
+            .collect();
+        let text = intervals_to_jsonl(&records);
+        assert_eq!(
+            text.matches("\"d_l1d_misses\":18446744073709551615")
+                .count(),
+            3
+        );
+        let jsonl = dir.join("sum.jsonl");
+        std::fs::write(&jsonl, text).unwrap();
+        let jsonl = jsonl.to_string_lossy().into_owned();
+        assert_eq!(execute(Command::CheckTelemetry { jsonl }), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// `run` and `replay` print this block; their diff in verify.sh cannot
     /// see a change that alters both, so the exact text is pinned here.
     #[test]

@@ -165,6 +165,7 @@ const PLAIN_KEYS: [&str; 6] = [
 /// * cumulative `instructions`/`cycles` and every `d_*` delta are exact
 ///   non-negative integers, and the cumulative pair is monotone
 ///   non-decreasing;
+/// * each `d_*` key's sum over the stream fits a `u64`;
 /// * `ipc` is a finite number; `threshold`/`weight_saturation` are finite
 ///   numbers or null.
 ///
@@ -200,10 +201,12 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, JsonlError> {
                     return Err(err(format!("key \"{key}\" present more than once")));
                 }
             } else if let Some(name) = key.strip_prefix("d_") {
-                if !seen.add_named(name, 1) {
+                if seen.add_named(name, 1).is_none() {
                     return Err(err(format!("unknown counter key \"{key}\"")));
                 }
-                summary.totals.add_named(name, int(value, key)?);
+                if summary.totals.add_named(name, int(value, key)?) == Some(false) {
+                    return Err(err(format!("sum of \"{key}\" overflows u64")));
+                }
             } else {
                 return Err(err(format!("unknown key \"{key}\"")));
             }
@@ -412,6 +415,31 @@ mod tests {
         let big = line.replace("\"d_l1d_misses\":3", "\"d_l1d_misses\":9007199254740993");
         let summary = validate_jsonl(&big).expect("valid line");
         assert_eq!(summary.totals.l1d_misses, 9_007_199_254_740_993);
+    }
+
+    #[test]
+    fn rejects_a_delta_sum_that_overflows() {
+        let max = |r| {
+            jsonl_line(&r).replace(
+                "\"d_l1d_misses\":3",
+                "\"d_l1d_misses\":18446744073709551615",
+            )
+        };
+        let one = max(record(0, 10, 20));
+        assert_eq!(validate_jsonl(&one).unwrap().totals.l1d_misses, u64::MAX);
+        let three = [
+            max(record(0, 10, 20)),
+            max(record(1, 20, 40)),
+            max(record(2, 30, 60)),
+        ]
+        .concat();
+        let e = validate_jsonl(&three).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(
+            e.message.contains("\"d_l1d_misses\" overflows"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

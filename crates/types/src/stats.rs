@@ -149,17 +149,19 @@ macro_rules! counters {
                 }
             }
 
-            /// Adds `value` to the field called `name`; `false` when no
-            /// such field exists (the JSONL validator re-sums deltas with
-            /// it, without a serde dependency).
-            pub fn add_named(&mut self, name: &str, value: u64) -> bool {
-                match name {
-                    $(stringify!($field) => {
-                        self.$field += value;
-                        true
-                    })+
-                    _ => false,
-                }
+            /// Adds `value` to the field called `name` unless the sum
+            /// overflows `u64`: `Some(true)` once added, `Some(false)` on
+            /// overflow (the field keeps its value), `None` when no such
+            /// field exists. The JSONL validator re-sums deltas with it,
+            /// without a serde dependency.
+            pub fn add_named(&mut self, name: &str, value: u64) -> Option<bool> {
+                let field = match name {
+                    $(stringify!($field) => &mut self.$field,)+
+                    _ => return None,
+                };
+                let sum = field.checked_add(value);
+                *field = sum.unwrap_or(*field);
+                Some(sum.is_some())
             }
         }
     };

@@ -368,12 +368,17 @@ mod tests {
     fn add_named_round_trips_every_field() {
         let mut sum = TelemetryCounters::default();
         for (name, _) in visited(&TelemetryCounters::default()) {
-            assert!(sum.add_named(&name, 3), "unknown field {name}");
+            assert_eq!(sum.add_named(&name, 3), Some(true), "unknown field {name}");
         }
-        assert!(!sum.add_named("not_a_field", 1));
+        assert_eq!(sum.add_named("not_a_field", 1), None);
         for (name, v) in visited(&sum) {
             assert_eq!(v, 3, "{name}");
         }
+        // A sum past u64::MAX is refused and leaves the field as it was.
+        assert_eq!(sum.add_named("l1d_misses", u64::MAX - 2), Some(false));
+        assert_eq!(sum.l1d_misses, 3);
+        assert_eq!(sum.add_named("l1d_misses", u64::MAX - 3), Some(true));
+        assert_eq!(sum.l1d_misses, u64::MAX);
     }
 
     #[test]
