@@ -8,7 +8,9 @@
 # BENCHMARK.json's `run_seconds`. For each pair it prints both sides'
 # sim_mips, their ratio (working tree / revision) and both sides'
 # `correct`/`failed` gate fields; then the median ratio per workload. Only
-# the untraced (`--trace 0`) end-to-end run is timed.
+# the untraced (`--trace 0`) end-to-end run is timed. Last, it prints a
+# row for BENCH_simbench.json (fill in "pr"; "commit" is the working
+# tree's `git describe --always --dirty`).
 #
 # Usage: scripts/simbench_ab.sh <rev> [workload...]
 #   workloads default to stream_4k graph_replay os_mix2 campaign_grid
@@ -59,6 +61,7 @@ r = json.loads(sys.stdin.read())
 print(r["metrics"]["sim_mips"]["value"], str(r["correct"]).lower(), r["failed"])'
 }
 
+PAIRS_LOG="$SCRATCH/pairs"
 bad=0
 for w in "${WORKLOADS[@]}"; do
     echo "== $w: $PAIRS pairs, ${RUN_SECONDS}s each, seed $SEED (ratio = working tree / $REV)"
@@ -73,6 +76,7 @@ for w in "${WORKLOADS[@]}"; do
         fi
         r="$(python3 -c "print(f'{$b / $a:.4f}')")"
         ratios+=("$r")
+        echo "$w $r $ac $af $bc $bf" >>"$PAIRS_LOG"
         printf 'pair %d: %s %.4f (correct %s, failed %s)  working tree %.4f (correct %s, failed %s)  ratio %s\n' \
             "$i" "$REV" "$a" "$ac" "$af" "$b" "$bc" "$bf" "$r"
         if [ "$ac" != true ] || [ "$bc" != true ] || [ "$af" != 0 ] || [ "$bf" != 0 ]; then
@@ -82,4 +86,22 @@ for w in "${WORKLOADS[@]}"; do
     python3 -c 'import statistics, sys
 print(f"median ratio {statistics.median(float(x) for x in sys.argv[1:]):.4f}")' "${ratios[@]}"
 done
+
+python3 - "$PAIRS_LOG" "$(git describe --always --dirty)" "$(git rev-parse --short "$REV")" \
+    "$SEED" "$RUN_SECONDS" <<'EOF'
+import json, statistics, sys
+log, commit, parent, seed, seconds = sys.argv[1:]
+pairs = {}
+for line in open(log):
+    w, r, ac, af, bc, bf = line.split()
+    pairs.setdefault(w, []).append((float(r), ac == bc == "true", int(af) + int(bf)))
+row = {"pr": None, "commit": commit, "parent": parent, "seed": int(seed),
+       "run_seconds": int(seconds), "statistic": "median_of_pair_ratios",
+       "workloads": {w: {"ratio": round(statistics.median(r for r, _, _ in p), 3),
+                         "pairs": len(p), "better": sum(r > 1 for r, _, _ in p),
+                         "correct": all(c for _, c, _ in p), "failed": sum(f for _, _, f in p)}
+                     for w, p in pairs.items()}}
+print("BENCH_simbench.json row:")
+print(json.dumps(row))
+EOF
 exit "$bad"
