@@ -432,6 +432,107 @@ mod tests {
         assert!(w.psc_hits() > before);
     }
 
+    /// The list PSC the set-associative array replaced: a `Vec` of
+    /// `(key, lru)` pairs, appended while below capacity, LRU-replaced when
+    /// full, `swap_remove`d on invalidation.
+    struct RefPsc {
+        entries: Vec<(u64, u64)>,
+        capacity: usize,
+        tick: u64,
+    }
+
+    impl RefPsc {
+        fn new(capacity: u32) -> Self {
+            Self {
+                entries: Vec::new(),
+                capacity: capacity.max(1) as usize,
+                tick: 0,
+            }
+        }
+
+        fn lookup(&mut self, key: u64) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            match self.entries.iter_mut().find(|(k, _)| *k == key) {
+                Some(e) => {
+                    e.1 = tick;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn fill(&mut self, key: u64) {
+            self.tick += 1;
+            let tick = self.tick;
+            if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
+                e.1 = tick;
+                return;
+            }
+            if self.entries.len() < self.capacity {
+                self.entries.push((key, tick));
+            } else if let Some(victim) = self.entries.iter_mut().min_by_key(|(_, lru)| *lru) {
+                *victim = (key, tick);
+            }
+        }
+
+        fn invalidate(&mut self, key: u64) -> bool {
+            match self.entries.iter().position(|(k, _)| *k == key) {
+                Some(i) => {
+                    self.entries.swap_remove(i);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    #[test]
+    fn psc_matches_reference_list() {
+        for capacity in [1u32, 2, 8, 32] {
+            for seed in 0..20 {
+                let mut rng = pagecross_types::Rng64::new(seed * 131 + u64::from(capacity));
+                let (mut psc, mut reference) = (Psc::new(capacity), RefPsc::new(capacity));
+                let (mut hits, mut misses, mut dropped) = (0, 0, 0);
+                // A universe a few keys wider than the PSC, key 0 included
+                // (the PSC-L5 key of every address below 2^48).
+                let universe = u64::from(capacity) + 3;
+                for step in 0..2_000 {
+                    let key = rng.below(universe);
+                    match rng.below(10) {
+                        0..=4 => {
+                            let hit = psc.lookup(key);
+                            assert_eq!(
+                                hit,
+                                reference.lookup(key),
+                                "capacity {capacity} seed {seed} step {step}: lookup({key})"
+                            );
+                            if hit {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                        }
+                        5..=8 => {
+                            psc.fill(key);
+                            reference.fill(key);
+                        }
+                        _ => {
+                            let gone = psc.invalidate(key);
+                            assert_eq!(
+                                gone,
+                                reference.invalidate(key),
+                                "capacity {capacity} seed {seed} step {step}: invalidate({key})"
+                            );
+                            dropped += u32::from(gone);
+                        }
+                    }
+                }
+                assert!(hits > 0 && misses > 0 && dropped > 0, "capacity {capacity}");
+            }
+        }
+    }
+
     #[test]
     fn psc_invalidation_forces_a_deeper_walk() {
         let (mut w, mut vm, mut fa) = setup();
