@@ -13,6 +13,7 @@
 //! (useful = served ≥ 1 demand hit before eviction) can be classified.
 
 use crate::config::CacheConfig;
+use crate::lru::{LruArray, Placement};
 use pagecross_types::{CacheStats, LineAddr};
 
 /// Provenance of a block fill.
@@ -34,16 +35,7 @@ impl FillKind {
     }
 }
 
-/// The match key of a resident line: the line address shifted left over
-/// a valid bit, so a way search is one compare per way. `0` is the key of
-/// an empty way. Line addresses are below 2^63 (`Cache::fill` checks it
-/// in debug builds), so the shift loses nothing.
-#[inline]
-const fn key(line: LineAddr) -> u64 {
-    line.raw() << 1 | 1
-}
-
-/// A resident block's metadata besides its key and LRU stamp.
+/// A resident block's metadata besides its line address and LRU stamp.
 #[derive(Clone, Copy, Debug, Default)]
 struct Meta {
     dirty: bool,
@@ -56,10 +48,10 @@ struct Meta {
 }
 
 impl Meta {
-    /// The eviction record of the block keyed `key` with this metadata.
-    fn eviction(self, key: u64) -> Eviction {
+    /// The eviction record of the block at `line` with this metadata.
+    fn eviction(self, line: u64) -> Eviction {
         Eviction {
-            line: LineAddr(key >> 1),
+            line: LineAddr(line),
             dirty: self.dirty,
             prefetched: self.prefetched,
             pcb: self.pcb,
@@ -99,18 +91,13 @@ pub struct Lookup {
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
 ///
-/// Ways are stored as three parallel columns indexed `set * ways + way`:
-/// the match keys a way search scans, the LRU stamps only a full set's fill
-/// reads, and the metadata of resident blocks.
+/// The crate's set-associative LRU array holds the line addresses (the
+/// set is a line's low bits); a third column beside its keys and stamps
+/// holds the metadata of resident blocks.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    name: &'static str,
-    sets: u64,
-    ways: usize,
-    keys: Vec<u64>,
-    lru: Vec<u64>,
+    lru: LruArray,
     meta: Vec<Meta>,
-    tick: u64,
     /// Aggregate statistics (demand/prefetch split).
     pub stats: CacheStats,
 }
@@ -127,49 +114,28 @@ impl Cache {
             sets > 0 && sets.is_power_of_two(),
             "{name}: set count must be a power of two"
         );
-        let n = (sets * cfg.ways as u64) as usize;
+        let lru = LruArray::new(sets, cfg.ways as usize);
         Self {
-            name,
-            sets,
-            ways: cfg.ways as usize,
-            keys: vec![0; n],
-            lru: vec![0; n],
-            meta: vec![Meta::default(); n],
-            tick: 0,
+            meta: vec![Meta::default(); lru.len()],
+            lru,
             stats: CacheStats::default(),
         }
     }
 
-    /// Cache name (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Number of sets.
     pub fn num_sets(&self) -> u64 {
-        self.sets
+        self.lru.sets()
     }
 
     /// Associativity.
     pub fn num_ways(&self) -> usize {
-        self.ways
-    }
-
-    /// The index of `line`'s set's first way.
-    #[inline]
-    fn set_base(&self, line: LineAddr) -> usize {
-        (line.raw() & (self.sets - 1)) as usize * self.ways
+        self.lru.ways()
     }
 
     /// The index of the way holding `line`, if resident.
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
-        let k = key(line);
-        let base = self.set_base(line);
-        self.keys[base..base + self.ways]
-            .iter()
-            .position(|&w| w == k)
-            .map(|i| base + i)
+        self.lru.find(line.raw(), line.raw())
     }
 
     /// Checks presence without updating LRU or statistics.
@@ -181,7 +147,6 @@ impl Cache {
     /// Does **not** fill on miss — the owner decides what to fill after the
     /// lower levels respond (see [`Cache::fill`]).
     pub fn demand_access(&mut self, line: LineAddr, is_store: bool) -> Lookup {
-        self.tick += 1;
         self.stats.demand_accesses += 1;
         let Some(i) = self.find(line) else {
             self.stats.demand_misses += 1;
@@ -191,7 +156,7 @@ impl Cache {
                 pcb: false,
             };
         };
-        self.lru[i] = self.tick;
+        self.lru.touch(i);
         let m = &mut self.meta[i];
         m.dirty |= is_store;
         m.hits += 1;
@@ -219,8 +184,7 @@ impl Cache {
         let Some(i) = self.find(line) else {
             return false;
         };
-        self.tick += 1;
-        self.lru[i] = self.tick;
+        self.lru.touch(i);
         self.stats.prefetch_hits += 1;
         true
     }
@@ -228,47 +192,24 @@ impl Cache {
     /// Installs a line, evicting the LRU victim if the set is full.
     ///
     /// Re-filling a resident line only refreshes metadata (this happens when
-    /// two misses to the same line race through the MSHR path). One pass
-    /// over the set's keys finds the resident way, else the first free
-    /// way; only a full set reads its LRU stamps, for the least recently
-    /// used way.
+    /// two misses to the same line race through the MSHR path).
     pub fn fill(&mut self, line: LineAddr, kind: FillKind, dirty: bool) -> Option<Eviction> {
-        debug_assert!(line.raw() < 1 << 63, "line {line:?} does not fit a key");
-        self.tick += 1;
         if kind.is_prefetch() {
             self.stats.prefetch_fills += 1;
             if matches!(kind, FillKind::PrefetchPageCross) {
                 self.stats.pgc_fills += 1;
             }
         }
-        let k = key(line);
-        let base = self.set_base(line);
-        let set = base..base + self.ways;
-
-        let mut free = None;
-        for (i, &w) in self.keys[set.clone()].iter().enumerate() {
-            if w == k {
-                // Already resident: refresh.
-                self.lru[base + i] = self.tick;
-                self.meta[base + i].dirty |= dirty;
+        let placement = self.lru.place(line.raw(), line.raw());
+        let i = placement.index();
+        let evicted = match placement {
+            Placement::Resident(_) => {
+                self.meta[i].dirty |= dirty;
                 return None;
             }
-            if w == 0 && free.is_none() {
-                free = Some(i);
-            }
-        }
-        let i = base
-            + match free {
-                Some(i) => i,
-                None => self.lru[set.clone()]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &stamp)| stamp)
-                    .map_or(0, |(i, _)| i),
-            };
-        let evicted = free.is_none().then(|| self.meta[i].eviction(self.keys[i]));
-        self.keys[i] = k;
-        self.lru[i] = self.tick;
+            Placement::Free(_) => None,
+            Placement::Evicted(_, victim) => Some(self.meta[i].eviction(victim)),
+        };
         self.meta[i] = Meta {
             dirty,
             prefetched: kind.is_prefetch(),
@@ -292,12 +233,12 @@ impl Cache {
     /// Invalidates a line if present, returning its eviction record.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<Eviction> {
         let i = self.find(line)?;
-        Some(self.meta[i].eviction(std::mem::take(&mut self.keys[i])))
+        Some(self.meta[i].eviction(self.lru.invalidate(i)))
     }
 
     /// Number of valid blocks (occupancy), mainly for tests and reports.
     pub fn occupancy(&self) -> usize {
-        self.keys.iter().filter(|&&w| w != 0).count()
+        self.lru.occupancy()
     }
 }
 

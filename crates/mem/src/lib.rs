@@ -4,7 +4,8 @@
 //! core is implemented here, from scratch:
 //!
 //! * [`cache::Cache`] — set-associative caches with LRU, prefetch metadata
-//!   and the Page-Cross Bit on every block;
+//!   and the Page-Cross Bit on every block, built like the TLBs and the
+//!   page-structure caches on one private set-associative LRU array;
 //! * [`mshr::Mshr`] — miss status holding registers with merge semantics;
 //! * [`tlb::Tlb`] — page-size-aware dTLB/iTLB/sTLB;
 //! * [`page_table::PageWalker`] — 5-level radix page table with split
@@ -32,6 +33,7 @@
 pub mod cache;
 pub mod config;
 pub mod dram;
+mod lru;
 pub mod mshr;
 pub mod page_table;
 pub mod system;

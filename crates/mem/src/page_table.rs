@@ -14,6 +14,7 @@
 //! x86.
 
 use crate::config::PscConfig;
+use crate::lru::LruArray;
 use crate::tlb::Translation;
 use crate::vmem::{FrameAllocator, OomError, Vmem};
 use pagecross_types::{FastMap, PageSize, PhysAddr, VirtAddr, PAGE_SHIFT_4K};
@@ -51,62 +52,36 @@ impl Level {
     }
 }
 
-/// A fully-associative, LRU page-structure cache for one radix level.
+/// A fully-associative, LRU page-structure cache for one radix level: one
+/// set of `capacity` ways (at least one) keyed by the VA prefix above the
+/// level.
 #[derive(Clone, Debug)]
-struct Psc {
-    entries: Vec<(u64, u64)>, // (key, lru)
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
+struct Psc(LruArray);
 
 impl Psc {
     fn new(capacity: u32) -> Self {
-        Self {
-            entries: Vec::with_capacity(capacity as usize),
-            capacity: capacity.max(1) as usize,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Self(LruArray::new(1, capacity.max(1) as usize))
     }
 
     fn lookup(&mut self, key: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            e.1 = tick;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
-        }
+        let Some(i) = self.0.find(0, key) else {
+            return false;
+        };
+        self.0.touch(i);
+        true
     }
 
     fn fill(&mut self, key: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
-            e.1 = tick;
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push((key, tick));
-        } else if let Some(victim) = self.entries.iter_mut().min_by_key(|(_, lru)| *lru) {
-            *victim = (key, tick);
-        }
+        self.0.place(0, key);
     }
 
-    /// Drops the entry for `key` (shootdown); no statistics side effects.
+    /// Drops the entry for `key` (shootdown).
     fn invalidate(&mut self, key: u64) -> bool {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.swap_remove(i);
-            true
-        } else {
-            false
-        }
+        let Some(i) = self.0.find(0, key) else {
+            return false;
+        };
+        self.0.invalidate(i);
+        true
     }
 }
 
@@ -284,11 +259,6 @@ impl PageWalker {
         })
     }
 
-    /// Total PSC hits across all levels (diagnostics).
-    pub fn psc_hits(&self) -> u64 {
-        self.psc_l5.hits + self.psc_l4.hits + self.psc_l3.hits + self.psc_l2.hits
-    }
-
     /// Shootdown of a single 4 KB page: conservatively drops the PSC-L2
     /// entry covering it (the cached PT-node pointer may now lead to a
     /// stale leaf). Returns whether an entry was dropped.
@@ -426,10 +396,9 @@ mod tests {
     #[test]
     fn psc_hit_counter_increases() {
         let (mut w, mut vm, mut fa) = setup();
-        w.walk(VirtAddr::new(0x1000), &mut vm, &mut fa).unwrap();
-        let before = w.psc_hits();
-        w.walk(VirtAddr::new(0x2000), &mut vm, &mut fa).unwrap();
-        assert!(w.psc_hits() > before);
+        let cold = w.walk(VirtAddr::new(0x1000), &mut vm, &mut fa).unwrap();
+        let warm = w.walk(VirtAddr::new(0x2000), &mut vm, &mut fa).unwrap();
+        assert!(warm.levels_skipped > cold.levels_skipped);
     }
 
     /// The list PSC the set-associative array replaced: a `Vec` of

@@ -10,6 +10,7 @@
 //! and sTLB structures", §II-C).
 
 use crate::config::TlbConfig;
+use crate::lru::LruArray;
 use pagecross_types::{PageSize, TlbStats, VirtAddr};
 
 /// One translation: virtual page -> physical frame at a given page size.
@@ -40,59 +41,33 @@ impl Translation {
     }
 }
 
-/// The match key of a valid entry: `vpn` and page size packed into one
-/// word, so a probe is one compare per way. The low bit marks the word
-/// valid; `0` is the key of an empty way. VPNs are below 2^52, so the
-/// shift loses nothing.
+/// The array tag of a translation of `vpn` at `size`: the VPN over a
+/// 2 MB bit. VPNs are below 2^52, so the shift loses nothing.
 #[inline]
-const fn key(vpn: u64, size: PageSize) -> u64 {
-    vpn << 2 | (matches!(size, PageSize::Huge2M) as u64) << 1 | 1
+const fn tag(vpn: u64, size: PageSize) -> u64 {
+    vpn << 1 | matches!(size, PageSize::Huge2M) as u64
 }
 
-/// One TLB way: a [`key`] (`0` when empty), its frame and its LRU stamp.
-#[derive(Clone, Copy, Debug)]
-struct TlbEntry {
-    key: u64,
-    pfn: u64,
-    lru: u64,
-}
-
-impl TlbEntry {
-    const EMPTY: TlbEntry = TlbEntry {
-        key: 0,
-        pfn: 0,
-        lru: 0,
+/// The VPN and page size of the array tag `tag`.
+#[inline]
+const fn untag(tag: u64) -> (u64, PageSize) {
+    let size = if tag & 1 != 0 {
+        PageSize::Huge2M
+    } else {
+        PageSize::Base4K
     };
-
-    fn valid(&self) -> bool {
-        self.key != 0
-    }
-
-    fn size(&self) -> PageSize {
-        if self.key & 2 != 0 {
-            PageSize::Huge2M
-        } else {
-            PageSize::Base4K
-        }
-    }
-
-    fn translation(&self) -> Translation {
-        Translation {
-            vpn: self.key >> 2,
-            pfn: self.pfn,
-            size: self.size(),
-        }
-    }
+    (tag >> 1, size)
 }
 
 /// A set-associative, page-size-aware TLB.
+///
+/// The crate's set-associative LRU array holds `vpn << 1 | is_2m` tags
+/// (the set is a VPN's low bits); a third column beside its keys and
+/// stamps holds each entry's frame.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    name: &'static str,
-    sets: u64,
-    ways: usize,
-    entries: Vec<TlbEntry>,
-    tick: u64,
+    lru: LruArray,
+    pfn: Vec<u64>,
     /// Whether a 2 MB translation was ever installed. Until then a probe
     /// skips the 2 MB set: it cannot hit.
     holds_huge: bool,
@@ -112,39 +87,19 @@ impl Tlb {
             sets > 0 && sets.is_power_of_two(),
             "{name}: TLB sets must be a power of two"
         );
+        let lru = LruArray::new(sets, cfg.ways as usize);
         Self {
-            name,
-            sets,
-            ways: cfg.ways as usize,
-            entries: vec![TlbEntry::EMPTY; (sets * cfg.ways as u64) as usize],
-            tick: 0,
+            pfn: vec![0; lru.len()],
+            lru,
             holds_huge: false,
             stats: TlbStats::default(),
         }
     }
 
-    /// TLB name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    #[inline]
-    fn set_range(&self, vpn: u64) -> std::ops::Range<usize> {
-        let set = (vpn & (self.sets - 1)) as usize;
-        let base = set * self.ways;
-        base..base + self.ways
-    }
-
     /// The index of the entry for `vpn` at `size`, if resident.
     #[inline]
     fn position(&self, vpn: u64, size: PageSize) -> Option<usize> {
-        let range = self.set_range(vpn);
-        let k = key(vpn, size);
-        let base = range.start;
-        self.entries[range]
-            .iter()
-            .position(|e| e.key == k)
-            .map(|i| base + i)
+        self.lru.find(vpn, tag(vpn, size))
     }
 
     /// The index of the entry translating `va`: the 4 KB set first, then
@@ -160,11 +115,14 @@ impl Tlb {
 
     #[inline]
     fn find(&mut self, va: VirtAddr) -> Option<Translation> {
-        self.tick += 1;
         let i = self.position_of(va)?;
-        let e = &mut self.entries[i];
-        e.lru = self.tick;
-        Some(e.translation())
+        self.lru.touch(i);
+        let (vpn, size) = untag(self.lru.tag(i));
+        Some(Translation {
+            vpn,
+            pfn: self.pfn[i],
+            size,
+        })
     }
 
     /// Demand lookup: counts toward demand accesses/misses and updates LRU.
@@ -195,47 +153,21 @@ impl Tlb {
         self.position_of(va).is_some()
     }
 
-    /// Installs a translation (LRU replacement within its set). Setting
-    /// `from_prefetch` attributes the fill to a page-cross prefetch walk.
-    ///
-    /// One pass over the set finds the resident way (refreshed in place),
-    /// else the first free way, else the least recently used way.
+    /// Installs a translation (LRU replacement within its set); a
+    /// resident entry is refreshed in place. Setting `from_prefetch`
+    /// attributes the fill to a page-cross prefetch walk.
     pub fn fill(&mut self, t: Translation, from_prefetch: bool) {
-        self.tick += 1;
         if from_prefetch {
             self.stats.prefetch_fills += 1;
         }
-        debug_assert!(t.vpn < 1 << 62, "VPN {:#x} does not fit a key", t.vpn);
         self.holds_huge |= t.size == PageSize::Huge2M;
-        let tick = self.tick;
-        let k = key(t.vpn, t.size);
-        let range = self.set_range(t.vpn);
-        let set = &mut self.entries[range];
-        let mut free = None;
-        let (mut lru, mut oldest) = (0, u64::MAX);
-        for (i, e) in set.iter_mut().enumerate() {
-            if e.key == k {
-                e.lru = tick;
-                e.pfn = t.pfn;
-                return;
-            }
-            if !e.valid() {
-                free = free.or(Some(i));
-            } else if e.lru < oldest {
-                (lru, oldest) = (i, e.lru);
-            }
-        }
-        let slot = free.unwrap_or(lru);
-        set[slot] = TlbEntry {
-            key: k,
-            pfn: t.pfn,
-            lru: tick,
-        };
+        let i = self.lru.place(t.vpn, tag(t.vpn, t.size)).index();
+        self.pfn[i] = t.pfn;
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.valid()).count()
+        self.lru.occupancy()
     }
 
     /// Invalidates the entry for `vpn` at `size` (a shootdown of a single
@@ -244,7 +176,7 @@ impl Tlb {
         let Some(i) = self.position(vpn, size) else {
             return false;
         };
-        self.entries[i] = TlbEntry::EMPTY;
+        self.lru.invalidate(i);
         true
     }
 
@@ -252,24 +184,12 @@ impl Tlb {
     /// the 2 MB entry itself and all 4 KB entries inside it (a shootdown
     /// after THP promotion/demotion). Returns the number of entries dropped.
     pub fn invalidate_region(&mut self, vpn2m: u64) -> u32 {
-        let mut dropped = 0;
-        for e in &mut self.entries {
-            if !e.valid() {
-                continue;
+        self.lru.invalidate_where(|tag| match untag(tag) {
+            (vpn, PageSize::Base4K) => {
+                vpn >> (PageSize::Huge2M.shift() - PageSize::Base4K.shift()) == vpn2m
             }
-            let t = e.translation();
-            let hit = match t.size {
-                PageSize::Base4K => {
-                    t.vpn >> (PageSize::Huge2M.shift() - PageSize::Base4K.shift()) == vpn2m
-                }
-                PageSize::Huge2M => t.vpn == vpn2m,
-            };
-            if hit {
-                *e = TlbEntry::EMPTY;
-                dropped += 1;
-            }
-        }
-        dropped
+            (vpn, PageSize::Huge2M) => vpn == vpn2m,
+        })
     }
 }
 

@@ -71,6 +71,33 @@ impl OsConfig {
 
 const PAGES_PER_REGION: u64 = 512;
 
+/// CLOCK second chance: pops entries off `hand` until one is resident in
+/// `referenced` with its bit clear, and returns it. A set bit is cleared
+/// and its entry requeued; stale entries (no longer resident) and those
+/// `skip` accepts are dropped from the hand lazily. Gives up after two
+/// laps of the hand.
+fn clock_sweep(
+    hand: &mut VecDeque<u64>,
+    referenced: &mut FastMap<u64, bool>,
+    skip: impl Fn(u64) -> bool,
+) -> Option<u64> {
+    for _ in 0..2 * hand.len() + 1 {
+        let page = hand.pop_front()?;
+        if skip(page) {
+            continue;
+        }
+        match referenced.get_mut(&page) {
+            None => continue, // promoted away or already evicted
+            Some(r) if *r => {
+                *r = false;
+                hand.push_back(page);
+            }
+            Some(_) => return Some(page),
+        }
+    }
+    None
+}
+
 /// Per-core pager state. Every core runs its own process (separate
 /// address space), so residency bookkeeping is per core; only the frame
 /// pools (partitioned per core inside `FrameAllocator`) and the
@@ -304,45 +331,11 @@ impl Os {
         Ok(())
     }
 
-    /// CLOCK hand over the 4 KB residency list: referenced pages get a
-    /// second chance, stale and pinned entries are skipped lazily.
+    /// CLOCK hand over the 4 KB residency list; pinned pages are never
+    /// chosen.
     fn pick_victim_4k(&mut self, core: usize) -> Option<u64> {
         let p = &mut self.pagers[core];
-        let mut budget = 2 * p.clock.len() + 1;
-        while budget > 0 {
-            budget -= 1;
-            let vpn = p.clock.pop_front()?;
-            if p.pinned.contains(&vpn) {
-                continue;
-            }
-            match p.pages.get_mut(&vpn) {
-                None => continue, // promoted away or already evicted
-                Some(r) if *r => {
-                    *r = false;
-                    p.clock.push_back(vpn);
-                }
-                Some(_) => return Some(vpn),
-            }
-        }
-        None
-    }
-
-    fn pick_victim_2m(&mut self, core: usize) -> Option<u64> {
-        let p = &mut self.pagers[core];
-        let mut budget = 2 * p.clock_huge.len() + 1;
-        while budget > 0 {
-            budget -= 1;
-            let vpn2m = p.clock_huge.pop_front()?;
-            match p.huge.get_mut(&vpn2m) {
-                None => continue,
-                Some(r) if *r => {
-                    *r = false;
-                    p.clock_huge.push_back(vpn2m);
-                }
-                Some(_) => return Some(vpn2m),
-            }
-        }
-        None
+        clock_sweep(&mut p.clock, &mut p.pages, |vpn| p.pinned.contains(&vpn))
     }
 
     fn evict_4k(&mut self, mem: &mut MemorySystem, core: usize, vpn4k: u64, cycle: u64) {
@@ -383,10 +376,10 @@ impl Os {
     /// individually reclaimable. Returns false when no region is
     /// resident.
     fn demote_one(&mut self, mem: &mut MemorySystem, core: usize, cycle: u64) -> bool {
-        let Some(vpn2m) = self.pick_victim_2m(core) else {
+        let p = &mut self.pagers[core];
+        let Some(vpn2m) = clock_sweep(&mut p.clock_huge, &mut p.huge, |_| false) else {
             return false;
         };
-        let p = &mut self.pagers[core];
         p.huge.remove(&vpn2m);
         let (vmem, _) = mem.vmem_and_frames(core);
         let pfn2m = vmem.unmap_2m(vpn2m).expect("huge victim must be mapped");
