@@ -220,17 +220,21 @@ impl MemorySystem {
         // The LLC is the largest array: allocated first, it takes the hole
         // its predecessor left when one process builds many systems in a
         // row, instead of a smaller array taking that hole and the heap
-        // growing by an LLC.
+        // growing by an LLC. Each core's TLBs come before its caches for
+        // the same reason: built after them, the sTLB's three 12 KB columns
+        // moved the heap so that glibc returned the LLC's pages to the OS
+        // whenever a system was dropped, and the next system faulted them
+        // back in.
         let llc = Cache::new("LLC", cfg.llc);
         let mut frames = FrameAllocator::with_cores(cfg.dram.capacity_bytes, seed, n_cores as u32);
         let cores = (0..n_cores)
             .map(|i| CoreMem {
-                l1i: Cache::new("L1I", cfg.l1i),
-                l1d: Cache::new("L1D", cfg.l1d),
-                l2c: Cache::new("L2C", cfg.l2c),
                 dtlb: Tlb::new("dTLB", cfg.dtlb),
                 itlb: Tlb::new("iTLB", cfg.itlb),
                 stlb: Tlb::new("sTLB", cfg.stlb),
+                l1i: Cache::new("L1I", cfg.l1i),
+                l1d: Cache::new("L1D", cfg.l1d),
+                l2c: Cache::new("L2C", cfg.l2c),
                 walker: PageWalker::for_core(cfg.psc, &mut frames, i as u32),
                 vmem: Vmem::for_core(
                     huge.clone(),
