@@ -5,7 +5,7 @@
 
 use pagecross::cpu::trace::{Instr, Op, TraceFactory, TraceSource};
 use pagecross::cpu::{CoreConfig, OsConfig, PrefetcherKind, SimulationBuilder};
-use pagecross::types::VirtAddr;
+use pagecross::types::{OsStats, VirtAddr};
 use pagecross::workloads::{suite, SuiteId};
 
 /// A data stream wider than a 64 MB machine's 4 KB pool (8 192 frames):
@@ -57,7 +57,9 @@ fn pressure_config() -> OsConfig {
 /// A 64 MB machine streaming a 48 MB data footprint must fault every
 /// page in, reclaim frames once the pool drains, shoot down stale TLB
 /// entries, and re-fault reclaimed pages as major faults on the second
-/// pass — while the exact stall-slot accounting keeps holding.
+/// pass — while the exact stall-slot accounting keeps holding. The exact
+/// counters and cycle count lock the CLOCK sweep's victim order: which
+/// pages it reclaims decides which revisits major-fault.
 #[test]
 fn memory_pressure_exercises_the_whole_reclaim_path() {
     let w = WideStream { pages: 12_288 }; // 48 MB > the 32 MB 4K pool
@@ -80,6 +82,20 @@ fn memory_pressure_exercises_the_whole_reclaim_path() {
         "revisiting reclaimed pages must major-fault"
     );
     assert!(r.core.stalls.os_fault > 0, "faults must cost issue slots");
+    assert_eq!(
+        r.os,
+        OsStats {
+            minor_faults: 7_288,
+            major_faults: 12_712,
+            reclaims: 16_809,
+            thp_promotions: 0,
+            thp_demotions: 0,
+            shootdowns: 16_809,
+            ipis_received: 0,
+            fault_cycles: 435_936_000,
+        }
+    );
+    assert_eq!(r.core.cycles, 1_358_959);
 
     let width = CoreConfig::default().issue_width;
     assert!(
