@@ -6,6 +6,7 @@
 //! entries; this implementation uses 1024 (see `FilterConfig`).
 
 use moka_pgc::dripper::{dripper_config, TargetPrefetcher};
+use moka_pgc::perceptron::WEIGHT_BITS;
 use pagecross_bench::{print_header, print_row, Summary};
 
 fn main() {
@@ -15,7 +16,7 @@ fn main() {
     let (pfs, sfs, bits) = (
         cfg.program_features.len(),
         cfg.system_features.len(),
-        cfg.weight_bits as usize,
+        WEIGHT_BITS as usize,
     );
     // (component, geometry, size in bits); a buffer entry is 36 + 12 bits.
     let rows = [

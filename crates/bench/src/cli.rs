@@ -921,7 +921,6 @@ mod tests {
                     thp: 0.5,
                     minor_fault_cycles: 4_000,
                     major_fault_cycles: 32_000,
-                    ..OsConfig::default()
                 }),
             ),
         ];

@@ -32,10 +32,6 @@ pub struct UpdateEntry {
 pub struct UpdateBuffer {
     entries: VecDeque<UpdateEntry>,
     capacity: usize,
-    /// Lookups that found a matching entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
 }
 
 impl UpdateBuffer {
@@ -50,8 +46,6 @@ impl UpdateBuffer {
         Self {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -68,20 +62,8 @@ impl UpdateBuffer {
 
     /// Removes and returns the entry for `line`, if present.
     pub fn take(&mut self, line: u64) -> Option<UpdateEntry> {
-        if let Some(pos) = self.entries.iter().position(|e| e.line == line) {
-            self.hits += 1;
-            self.entries.remove(pos)
-        } else {
-            self.misses += 1;
-            None
-        }
-    }
-
-    /// Looks up without removing (pUB positive training keeps the entry so
-    /// a later eviction can still match if the block never hits again —
-    /// but the paper trains once; we expose both shapes).
-    pub fn peek(&self, line: u64) -> Option<&UpdateEntry> {
-        self.entries.iter().find(|e| e.line == line)
+        let pos = self.entries.iter().position(|e| e.line == line)?;
+        self.entries.remove(pos)
     }
 
     /// Current number of entries.
@@ -120,8 +102,7 @@ mod tests {
         assert_eq!(e.indices, vec![7, 9]);
         assert_eq!(e.sf_mask, 0b01);
         assert!(b.take(100).is_none(), "take removes");
-        assert_eq!(b.hits, 1);
-        assert_eq!(b.misses, 1);
+        assert!(b.is_empty());
     }
 
     #[test]
@@ -144,14 +125,6 @@ mod tests {
         b.insert(entry(3)); // evicts 2
         assert!(b.take(2).is_none());
         assert!(b.take(1).is_some());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut b = UpdateBuffer::new(4);
-        b.insert(entry(5));
-        assert!(b.peek(5).is_some());
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use crate::buffers::{UpdateBuffer, UpdateEntry};
 use crate::features::{FeatureContext, ProgramFeature};
-use crate::perceptron::PerceptronBank;
+use crate::perceptron::{PerceptronBank, WEIGHT_BITS};
 use crate::policy::{PgcPolicy, PolicyAction};
 use crate::system_features::{SystemFeature, SystemFeatureBank};
-use crate::threshold::{AdaptiveThreshold, ThresholdConfig};
+use crate::threshold::AdaptiveThreshold;
 use pagecross_types::{PolicyTelemetry, PrefetchCandidate, SystemSnapshot};
 
 /// Configuration of a Page-Cross Filter instance.
@@ -27,8 +27,6 @@ pub struct FilterConfig {
     /// item and 1.44 KB total are only consistent with ~1000 5-bit entries,
     /// so the default is 1024.
     pub wt_entries: usize,
-    /// Weight width in bits (5 in Table III).
-    pub weight_bits: u32,
     /// vUB capacity (4 in Table III).
     pub vub_entries: usize,
     /// pUB capacity (128 in Table III).
@@ -37,8 +35,6 @@ pub struct FilterConfig {
     pub adaptive: bool,
     /// Activation threshold when `adaptive` is false.
     pub static_threshold: i32,
-    /// Adaptive-scheme constants.
-    pub threshold_cfg: ThresholdConfig,
 }
 
 impl FilterConfig {
@@ -52,21 +48,19 @@ impl FilterConfig {
             program_features,
             system_features,
             wt_entries: 1024,
-            weight_bits: 5,
             vub_entries: 4,
             pub_entries: 128,
             adaptive: true,
             static_threshold: 0,
-            threshold_cfg: ThresholdConfig::default(),
         }
     }
 
     /// Storage cost in bits (Table III accounting): weight tables + system
     /// feature counters + vUB/pUB entries at 36 tag + 12 index bits each.
     pub fn storage_bits(&self) -> u64 {
-        let wt =
-            self.program_features.len() as u64 * self.wt_entries as u64 * self.weight_bits as u64;
-        let sf = self.system_features.len() as u64 * self.weight_bits as u64;
+        let bits = WEIGHT_BITS as u64;
+        let wt = self.program_features.len() as u64 * self.wt_entries as u64 * bits;
+        let sf = self.system_features.len() as u64 * bits;
         let ub_entry_bits = 36 + 12;
         let ub = (self.vub_entries as u64 + self.pub_entries as u64) * ub_entry_bits;
         wt + sf + ub
@@ -117,13 +111,11 @@ impl PageCrossFilter {
     /// Builds a filter from its configuration.
     pub fn new(cfg: FilterConfig) -> Self {
         Self {
-            bank: PerceptronBank::new(&cfg.program_features, cfg.wt_entries, cfg.weight_bits),
-            sf: SystemFeatureBank::new(&cfg.system_features, cfg.weight_bits),
+            bank: PerceptronBank::new(&cfg.program_features, cfg.wt_entries),
+            sf: SystemFeatureBank::new(&cfg.system_features),
             vub: UpdateBuffer::new(cfg.vub_entries.max(1)),
             pbuf: UpdateBuffer::new(cfg.pub_entries.max(1)),
-            adaptive: cfg
-                .adaptive
-                .then(|| AdaptiveThreshold::new(cfg.threshold_cfg)),
+            adaptive: cfg.adaptive.then(AdaptiveThreshold::new),
             static_threshold: cfg.static_threshold,
             pending_issue: None,
             stats: FilterStats::default(),

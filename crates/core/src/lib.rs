@@ -9,17 +9,22 @@
 //! The framework combines:
 //!
 //! 1. [`features`] — a bouquet of 55 prefetcher-independent **program
-//!    features** hashed into perceptron weight tables ([`perceptron`]);
+//!    features** hashed into perceptron weight tables of
+//!    [`WEIGHT_BITS`](perceptron::WEIGHT_BITS)-bit weights ([`perceptron`]);
 //! 2. [`system_features`] — gated saturating-counter **system features**
 //!    that fold TLB/cache pressure into the decision;
 //! 3. [`buffers`] — the **vUB**/**pUB** update buffers that route training
 //!    back to the exact weights that produced each decision;
-//! 4. [`threshold`] — the epoch-based **adaptive thresholding** scheme.
+//! 4. [`threshold`] — the epoch-based **adaptive thresholding** scheme,
+//!    whose constants the paper fixes (§III-C3, Fig. 8).
 //!
 //! [`PageCrossFilter`] assembles them and is itself a [`PgcPolicy`], next
-//! to the static policies of [`policy`]. [`dripper`](mod@dripper)
+//! to the static policies of [`policy`]. A [`FilterConfig`] holds what
+//! varies between filters: the feature selection, the table and buffer
+//! sizes, and adaptive or static thresholding. [`dripper`](mod@dripper)
 //! configures it as the paper's DRIPPER prototype (Table II) and as the
-//! filter-backed comparison schemes of Fig. 9.
+//! filter-backed comparison schemes of Fig. 9, and [`selection`] searches
+//! over `FilterConfig`s for the best feature set (§III-D3).
 //!
 //! # Example: DRIPPER learns from false negatives
 //!
@@ -73,6 +78,6 @@ pub use dripper::{dripper, TargetPrefetcher};
 pub use features::{FeatureContext, ProgramFeature};
 pub use filter::{FilterConfig, FilterStats, PageCrossFilter};
 pub use policy::{DiscardPgc, DiscardPtw, PermitPgc, PgcPolicy, PolicyAction};
-pub use selection::{select_features, CandidateFeature, FeatureSet, SelectionOutcome};
+pub use selection::{select_features, CandidateFeature, SelectionOutcome};
 pub use system_features::SystemFeature;
-pub use threshold::{AdaptiveThreshold, ThresholdConfig};
+pub use threshold::AdaptiveThreshold;

@@ -10,6 +10,10 @@ use crate::features::{FeatureContext, ProgramFeature};
 use pagecross_types::stats::ratio;
 use pagecross_types::SatCounter;
 
+/// Weight width in bits of every weight-table entry and system-feature
+/// counter (5 in Table III).
+pub const WEIGHT_BITS: u32 = 5;
+
 /// A single feature's weight table.
 #[derive(Clone, Debug)]
 pub struct WeightTable {
@@ -18,19 +22,19 @@ pub struct WeightTable {
 }
 
 impl WeightTable {
-    /// Creates a zeroed table of `entries` counters of `bits` width.
+    /// Creates a zeroed table of `entries` counters of [`WEIGHT_BITS`] width.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is not a power of two.
-    pub fn new(feature: ProgramFeature, entries: usize, bits: u32) -> Self {
+    pub fn new(feature: ProgramFeature, entries: usize) -> Self {
         assert!(
             entries.is_power_of_two(),
             "weight tables are power-of-two sized"
         );
         Self {
             feature,
-            weights: vec![SatCounter::new(bits); entries],
+            weights: vec![SatCounter::new(WEIGHT_BITS); entries],
         }
     }
 
@@ -89,11 +93,11 @@ pub struct PerceptronBank {
 
 impl PerceptronBank {
     /// Builds one table per feature.
-    pub fn new(features: &[ProgramFeature], entries: usize, bits: u32) -> Self {
+    pub fn new(features: &[ProgramFeature], entries: usize) -> Self {
         Self {
             tables: features
                 .iter()
-                .map(|&f| WeightTable::new(f, entries, bits))
+                .map(|&f| WeightTable::new(f, entries))
                 .collect(),
         }
     }
@@ -182,13 +186,13 @@ mod tests {
 
     #[test]
     fn fresh_bank_predicts_zero() {
-        let bank = PerceptronBank::new(&[ProgramFeature::Delta, ProgramFeature::Pc], 512, 5);
+        let bank = PerceptronBank::new(&[ProgramFeature::Delta, ProgramFeature::Pc], 512);
         assert_eq!(bank.predict(&ctx(1, 2)), 0);
     }
 
     #[test]
     fn reward_shifts_prediction_up() {
-        let mut bank = PerceptronBank::new(&[ProgramFeature::Delta], 512, 5);
+        let mut bank = PerceptronBank::new(&[ProgramFeature::Delta], 512);
         let c = ctx(1, 7);
         let idx = bank.indices(&c);
         for _ in 0..3 {
@@ -205,19 +209,19 @@ mod tests {
 
     #[test]
     fn punish_saturates_at_minimum() {
-        let mut bank = PerceptronBank::new(&[ProgramFeature::Pc], 64, 3);
+        let mut bank = PerceptronBank::new(&[ProgramFeature::Pc], 64);
         let c = ctx(42, 0);
         let idx = bank.indices(&c);
         for _ in 0..100 {
             bank.punish(&idx);
         }
-        assert_eq!(bank.predict(&c), -4);
+        assert_eq!(bank.predict(&c), -16);
     }
 
     #[test]
     fn predict_at_matches_predict() {
         let mut bank =
-            PerceptronBank::new(&[ProgramFeature::Delta, ProgramFeature::PcXorDelta], 512, 5);
+            PerceptronBank::new(&[ProgramFeature::Delta, ProgramFeature::PcXorDelta], 512);
         let c = ctx(0xABC, -3);
         let idx = bank.indices(&c);
         bank.reward(&idx);
@@ -228,7 +232,7 @@ mod tests {
 
     #[test]
     fn multiple_features_sum() {
-        let mut bank = PerceptronBank::new(&[ProgramFeature::Delta, ProgramFeature::Pc], 512, 5);
+        let mut bank = PerceptronBank::new(&[ProgramFeature::Delta, ProgramFeature::Pc], 512);
         let c = ctx(5, 6);
         let idx = bank.indices(&c);
         bank.reward(&idx); // both tables +1
@@ -238,6 +242,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn non_pow2_rejected() {
-        let _ = WeightTable::new(ProgramFeature::Pc, 500, 5);
+        let _ = WeightTable::new(ProgramFeature::Pc, 500);
     }
 }

@@ -8,9 +8,12 @@
 //!
 //! This module implements that search generically over an
 //! evaluation closure, so it can be driven by the full simulator (see the
-//! `feature_selection` example) or by fast surrogates in tests.
+//! `feature_selection` example) or by fast surrogates in tests. Each
+//! feature set under evaluation is a [`FilterConfig`] with Table III's
+//! defaults, so the closure can build the filter it scores directly.
 
 use crate::features::ProgramFeature;
+use crate::filter::FilterConfig;
 use crate::system_features::SystemFeature;
 
 /// A candidate feature: one program feature or one system feature.
@@ -22,40 +25,14 @@ pub enum CandidateFeature {
     System(SystemFeature),
 }
 
-/// A feature set under evaluation.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FeatureSet {
-    /// Selected program features.
-    pub program: Vec<ProgramFeature>,
-    /// Selected system features.
-    pub system: Vec<SystemFeature>,
-}
-
-impl FeatureSet {
-    /// The empty set.
-    pub fn new() -> Self {
-        Self::default()
+/// Returns a copy of `cfg` with `f` added to its feature selection.
+fn with(cfg: &FilterConfig, f: CandidateFeature) -> FilterConfig {
+    let mut c = cfg.clone();
+    match f {
+        CandidateFeature::Program(p) => c.program_features.push(p),
+        CandidateFeature::System(y) => c.system_features.push(y),
     }
-
-    /// Returns a copy with `f` added.
-    pub fn with(&self, f: CandidateFeature) -> Self {
-        let mut s = self.clone();
-        match f {
-            CandidateFeature::Program(p) => s.program.push(p),
-            CandidateFeature::System(y) => s.system.push(y),
-        }
-        s
-    }
-
-    /// Number of features in the set.
-    pub fn len(&self) -> usize {
-        self.program.len() + self.system.len()
-    }
-
-    /// True when no feature is selected.
-    pub fn is_empty(&self) -> bool {
-        self.program.is_empty() && self.system.is_empty()
-    }
+    c
 }
 
 /// The paper's candidate pool: the 55-feature program bouquet plus the six
@@ -72,8 +49,8 @@ pub fn candidate_pool() -> Vec<CandidateFeature> {
 /// Result of a selection run.
 #[derive(Clone, Debug)]
 pub struct SelectionOutcome {
-    /// The selected feature set, in adoption order.
-    pub selected: FeatureSet,
+    /// The selected filter; its feature lists are in adoption order.
+    pub selected: FilterConfig,
     /// Geomean speedup of the selected set.
     pub score: f64,
     /// Every candidate's isolated score, sorted descending (the paper's
@@ -85,7 +62,7 @@ pub struct SelectionOutcome {
 
 /// Greedy forward selection per §III-D3.
 ///
-/// `evaluate` maps a [`FeatureSet`] to its geomean IPC speedup over the
+/// `evaluate` maps a [`FilterConfig`] to its geomean IPC speedup over the
 /// Discard-PGC baseline (1.0 = parity). `min_gain` is the paper's 0.3%
 /// adoption threshold, expressed as a ratio delta (0.003).
 ///
@@ -98,12 +75,13 @@ pub fn select_features<F>(
     min_gain: f64,
 ) -> SelectionOutcome
 where
-    F: FnMut(&FeatureSet) -> f64,
+    F: FnMut(&FilterConfig) -> f64,
 {
     assert!(
         !candidates.is_empty(),
         "need at least one candidate feature"
     );
+    let empty = FilterConfig::with_features(vec![], vec![]);
     let mut evaluations = 0;
 
     // Round 1: isolated scores.
@@ -111,16 +89,16 @@ where
         .iter()
         .map(|&f| {
             evaluations += 1;
-            (f, evaluate(&FeatureSet::new().with(f)))
+            (f, evaluate(&with(&empty, f)))
         })
         .collect();
     ranking.sort_by(|a, b| b.1.total_cmp(&a.1));
 
     // Round 2: greedy growth from the best performer, in ranking order.
-    let mut selected = FeatureSet::new().with(ranking[0].0);
+    let mut selected = with(&empty, ranking[0].0);
     let mut best_score = ranking[0].1;
     for &(f, _) in &ranking[1..] {
-        let trial = selected.with(f);
+        let trial = with(&selected, f);
         evaluations += 1;
         let score = evaluate(&trial);
         if score > best_score + min_gain {
@@ -144,20 +122,24 @@ mod tests {
     /// A synthetic objective: Delta is worth 2%, each sTLB feature 1%,
     /// everything else is noise-free 0%; gains are additive with mild
     /// diminishing returns.
-    fn toy_objective(s: &FeatureSet) -> f64 {
+    fn toy_objective(s: &FilterConfig) -> f64 {
         let mut gain = 0.0;
-        if s.program.contains(&ProgramFeature::Delta) {
+        if s.program_features.contains(&ProgramFeature::Delta) {
             gain += 0.02;
         }
-        if s.system.contains(&SystemFeature::StlbMpki) {
+        if s.system_features.contains(&SystemFeature::StlbMpki) {
             gain += 0.01;
         }
-        if s.system.contains(&SystemFeature::StlbMissRate) {
+        if s.system_features.contains(&SystemFeature::StlbMissRate) {
             gain += 0.01;
         }
         // Every extra feature beyond 3 costs a little (overfitting proxy).
-        let overflow = s.len().saturating_sub(3) as f64;
+        let overflow = features(s).saturating_sub(3) as f64;
         1.0 + gain - overflow * 0.004
+    }
+
+    fn features(s: &FilterConfig) -> usize {
+        s.program_features.len() + s.system_features.len()
     }
 
     #[test]
@@ -168,14 +150,11 @@ mod tests {
     #[test]
     fn greedy_selection_recovers_dripper_like_set() {
         let out = select_features(&candidate_pool(), toy_objective, 0.003);
-        assert!(out.selected.program.contains(&ProgramFeature::Delta));
-        assert!(out.selected.system.contains(&SystemFeature::StlbMpki));
-        assert!(out.selected.system.contains(&SystemFeature::StlbMissRate));
-        assert_eq!(
-            out.selected.len(),
-            3,
-            "nothing beyond the useful three is adopted"
-        );
+        let s = &out.selected;
+        assert!(s.program_features.contains(&ProgramFeature::Delta));
+        assert!(s.system_features.contains(&SystemFeature::StlbMpki));
+        assert!(s.system_features.contains(&SystemFeature::StlbMissRate));
+        assert_eq!(features(s), 3, "nothing beyond the useful three is adopted");
         assert!((out.score - 1.04).abs() < 1e-9);
     }
 
@@ -195,7 +174,7 @@ mod tests {
     #[test]
     fn high_min_gain_stops_growth() {
         let out = select_features(&candidate_pool(), toy_objective, 0.05);
-        assert_eq!(out.selected.len(), 1, "no candidate clears a 5% bar");
+        assert_eq!(features(&out.selected), 1, "no candidate clears a 5% bar");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! the corresponding prediction was made — the active-feature bitmask is
 //! carried through the vUB/pUB entries.
 
+use crate::perceptron::WEIGHT_BITS;
 use pagecross_types::{SatCounter, SystemSnapshot};
 
 /// The six system features of Table I.
@@ -72,19 +73,18 @@ impl SystemFeature {
 pub struct SystemFeatureBank {
     features: Vec<(SystemFeature, f64)>,
     weights: Vec<SatCounter>,
-    bits: u32,
 }
 
 impl SystemFeatureBank {
-    /// Builds a bank with default thresholds and `bits`-wide weights.
-    pub fn new(features: &[SystemFeature], bits: u32) -> Self {
+    /// Builds a bank with default thresholds and [`WEIGHT_BITS`]-wide
+    /// weights.
+    pub fn new(features: &[SystemFeature]) -> Self {
         Self {
             features: features
                 .iter()
                 .map(|&f| (f, f.default_threshold()))
                 .collect(),
-            weights: vec![SatCounter::new(bits); features.len()],
-            bits,
+            weights: vec![SatCounter::new(WEIGHT_BITS); features.len()],
         }
     }
 
@@ -152,10 +152,8 @@ impl SystemFeatureBank {
     /// (±16). The paper leaves the update policy unspecified; periodic
     /// decay is the standard fix for exactly this failure mode.
     pub fn decay(&mut self) {
-        let bits = self.bits;
         for w in &mut self.weights {
-            let halved = w.get() / 2;
-            *w = SatCounter::with_value(bits, halved);
+            *w = SatCounter::with_value(WEIGHT_BITS, w.get() / 2);
         }
     }
 }
@@ -188,8 +186,7 @@ mod tests {
 
     #[test]
     fn mask_reflects_activation() {
-        let bank =
-            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate], 5);
+        let bank = SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate]);
         // Low MPKI, high miss rate -> both active.
         assert_eq!(bank.active_mask(&snap(0.1, 0.5)), 0b11);
         // High MPKI, low miss rate -> neither.
@@ -201,7 +198,7 @@ mod tests {
     #[test]
     fn inactive_features_do_not_contribute() {
         let mut bank =
-            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate], 5);
+            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate]);
         bank.reward(0b11);
         bank.reward(0b11);
         assert_eq!(bank.predict(0b11), 4);
@@ -212,7 +209,7 @@ mod tests {
     #[test]
     fn training_respects_mask() {
         let mut bank =
-            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate], 5);
+            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate]);
         bank.reward(0b01);
         bank.punish(0b10);
         assert_eq!(bank.predict(0b01), 1);
@@ -223,7 +220,7 @@ mod tests {
     #[test]
     fn decay_halves_toward_zero() {
         let mut bank =
-            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate], 5);
+            SystemFeatureBank::new(&[SystemFeature::StlbMpki, SystemFeature::StlbMissRate]);
         for _ in 0..20 {
             bank.reward(0b01);
             bank.punish(0b10);

@@ -17,67 +17,47 @@
 //! * accuracy increased (decreased) vs the previous epoch → `T_a += 1`
 //!   (`T_a -= 1`);
 //! * IPC dropped vs the previous epoch → `T_a = max(T_a, t_m)`.
+//!
+//! The paper fixes the scheme's constants, so they are private `const`s
+//! of this module: `t_l`, `t_m`, `t_h` are `T_LOW` (-1), `T_MEDIUM` (6) and
+//! `T_HIGH` (14), clamped to `[T_MIN, T_MAX]` = `[-4, 16]`; `T₁`, `T₂` are
+//! `ACC_LOW` (0.25) and `ACC_MEDIUM` (0.50).
 
 use pagecross_types::SystemSnapshot;
 
-/// Tunable constants of the scheme.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ThresholdConfig {
-    /// Low (default/aggressive) threshold.
-    pub t_low: i32,
-    /// Medium threshold `t_m`.
-    pub t_medium: i32,
-    /// High threshold `t_h` (only very confident prefetches pass).
-    pub t_high: i32,
-    /// Clamp bounds for incremental adjustment.
-    pub t_min: i32,
-    /// Upper clamp bound.
-    pub t_max: i32,
-    /// Accuracy below which the high threshold is forced (`T₁`).
-    pub acc_low: f64,
-    /// Accuracy below which the medium threshold is forced (`T₂`).
-    pub acc_medium: f64,
-    /// L1I MPKI above which the medium threshold is forced (`T_L1i`).
-    pub l1i_mpki_high: f64,
-    /// ROB occupancy fraction considered "high pressure".
-    pub rob_pressure: f64,
-    /// In-flight L1D misses considered "many".
-    pub inflight_high: u32,
-    /// LLC miss rate considered "very high pressure" (disable rule).
-    pub llc_missrate_extreme: f64,
-    /// LLC MPKI floor for the disable rule. Set well above what a pure
-    /// streaming workload can generate (~16 MPKI at 4 loads/line), so the
-    /// rule only fires on genuine thrashing phases — streams are where
-    /// page-cross prefetching helps most and must not be disabled.
-    pub llc_mpki_extreme: f64,
-    /// Relative IPC drop that triggers the IPC rule.
-    pub ipc_drop: f64,
-}
-
-impl Default for ThresholdConfig {
-    fn default() -> Self {
-        Self {
-            t_low: -1,
-            t_medium: 6,
-            t_high: 14,
-            t_min: -4,
-            t_max: 16,
-            acc_low: 0.25,
-            acc_medium: 0.50,
-            l1i_mpki_high: 5.0,
-            rob_pressure: 0.90,
-            inflight_high: 12,
-            llc_missrate_extreme: 0.90,
-            llc_mpki_extreme: 50.0,
-            ipc_drop: 0.80,
-        }
-    }
-}
+/// Low (default/aggressive) threshold.
+const T_LOW: i32 = -1;
+/// Medium threshold `t_m`.
+const T_MEDIUM: i32 = 6;
+/// High threshold `t_h` (only very confident prefetches pass).
+const T_HIGH: i32 = 14;
+/// Lower clamp bound for incremental adjustment.
+const T_MIN: i32 = -4;
+/// Upper clamp bound.
+const T_MAX: i32 = 16;
+/// Accuracy below which the high threshold is forced (`T₁`).
+const ACC_LOW: f64 = 0.25;
+/// Accuracy below which the medium threshold is forced (`T₂`).
+const ACC_MEDIUM: f64 = 0.50;
+/// L1I MPKI above which the medium threshold is forced (`T_L1i`).
+const L1I_MPKI_HIGH: f64 = 5.0;
+/// ROB occupancy fraction considered "high pressure".
+const ROB_PRESSURE: f64 = 0.90;
+/// In-flight L1D misses considered "many".
+const INFLIGHT_HIGH: u32 = 12;
+/// LLC miss rate considered "very high pressure" (disable rule).
+const LLC_MISSRATE_EXTREME: f64 = 0.90;
+/// LLC MPKI floor for the disable rule. Set well above what a pure
+/// streaming workload can generate (~16 MPKI at 4 loads/line), so the
+/// rule only fires on genuine thrashing phases — streams are where
+/// page-cross prefetching helps most and must not be disabled.
+const LLC_MPKI_EXTREME: f64 = 50.0;
+/// Relative IPC drop that triggers the IPC rule.
+const IPC_DROP: f64 = 0.80;
 
 /// The adaptive threshold controller.
 #[derive(Clone, Debug)]
 pub struct AdaptiveThreshold {
-    cfg: ThresholdConfig,
     t_a: i32,
     disabled: bool,
     prev_accuracy: Option<f64>,
@@ -87,22 +67,18 @@ pub struct AdaptiveThreshold {
     acc_useful: u64,
     /// Useless page-cross prefetches accumulated since the last judgement.
     acc_useless: u64,
-    /// Epochs elapsed.
-    pub epochs: u64,
 }
 
 impl AdaptiveThreshold {
-    /// Creates a controller starting at `t_low`.
-    pub fn new(cfg: ThresholdConfig) -> Self {
+    /// Creates a controller starting at `T_LOW`.
+    pub fn new() -> Self {
         Self {
-            t_a: cfg.t_low,
-            cfg,
+            t_a: T_LOW,
             disabled: false,
             prev_accuracy: None,
             prev_ipc: None,
             acc_useful: 0,
             acc_useless: 0,
-            epochs: 0,
         }
     }
 
@@ -117,13 +93,8 @@ impl AdaptiveThreshold {
         self.disabled
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ThresholdConfig {
-        &self.cfg
-    }
-
     fn clamp(&mut self) {
-        self.t_a = self.t_a.clamp(self.cfg.t_min, self.cfg.t_max);
+        self.t_a = self.t_a.clamp(T_MIN, T_MAX);
     }
 
     /// In-epoch spot check against extreme behaviours (step ➁ in Fig. 8).
@@ -134,10 +105,10 @@ impl AdaptiveThreshold {
         // and blocking them under pressure creates a self-reinforcing
         // lockout (blocked prefetches -> more demand misses -> still
         // "extreme" pressure).
-        if snap.llc_miss_rate > self.cfg.llc_missrate_extreme
-            && snap.llc_mpki > self.cfg.llc_mpki_extreme
+        if snap.llc_miss_rate > LLC_MISSRATE_EXTREME
+            && snap.llc_mpki > LLC_MPKI_EXTREME
             && snap.pgc_useful + snap.pgc_useless >= 8
-            && snap.pgc_accuracy() < self.cfg.acc_medium
+            && snap.pgc_accuracy() < ACC_MEDIUM
         {
             self.disabled = true;
             return;
@@ -147,19 +118,19 @@ impl AdaptiveThreshold {
         // epoch — pressure that exists *without* page-cross traffic cannot
         // be cured by discarding it, and raising the threshold then only
         // creates a self-reinforcing lockout.
-        if snap.rob_occupancy > self.cfg.rob_pressure
-            && snap.inflight_l1d_misses > self.cfg.inflight_high
+        if snap.rob_occupancy > ROB_PRESSURE
+            && snap.inflight_l1d_misses > INFLIGHT_HIGH
             && snap.pgc_useful + snap.pgc_useless >= 8
         {
-            self.t_a = self.t_a.max(self.cfg.t_high);
+            self.t_a = self.t_a.max(T_HIGH);
         }
         // Accuracy collapsed: high threshold.
-        if snap.pgc_useful + snap.pgc_useless >= 32 && snap.pgc_accuracy() < self.cfg.acc_low {
-            self.t_a = self.t_a.max(self.cfg.t_high);
+        if snap.pgc_useful + snap.pgc_useless >= 32 && snap.pgc_accuracy() < ACC_LOW {
+            self.t_a = self.t_a.max(T_HIGH);
         }
         // High L1I pressure: at least medium threshold.
-        if snap.l1i_mpki > self.cfg.l1i_mpki_high {
-            self.t_a = self.t_a.max(self.cfg.t_medium);
+        if snap.l1i_mpki > L1I_MPKI_HIGH {
+            self.t_a = self.t_a.max(T_MEDIUM);
         }
         self.clamp();
     }
@@ -172,7 +143,6 @@ impl AdaptiveThreshold {
     /// trickles of one-off junk prefetches (a fresh weight-table bucket per
     /// novel delta) leak forever below the rules' radar.
     pub fn end_epoch(&mut self, snap: &SystemSnapshot) {
-        self.epochs += 1;
         self.disabled = false;
 
         self.acc_useful += snap.pgc_useful;
@@ -181,11 +151,11 @@ impl AdaptiveThreshold {
 
         if resolved >= 8 {
             let acc = self.acc_useful as f64 / resolved as f64;
-            if acc < self.cfg.acc_low {
-                self.t_a = self.t_a.max(self.cfg.t_high);
-            } else if acc < self.cfg.acc_medium {
-                self.t_a = self.t_a.max(self.cfg.t_medium);
-            } else if self.t_a > self.cfg.t_low {
+            if acc < ACC_LOW {
+                self.t_a = self.t_a.max(T_HIGH);
+            } else if acc < ACC_MEDIUM {
+                self.t_a = self.t_a.max(T_MEDIUM);
+            } else if self.t_a > T_LOW {
                 // Accuracy is fine: ease one step back toward t_low. The
                 // vUB can only recover prefetches whose covering demand
                 // arrives within a few accesses of the discard, so without
@@ -212,8 +182,8 @@ impl AdaptiveThreshold {
             self.acc_useful = 0;
             self.acc_useless = 0;
         } else if resolved == 0
-            && self.prev_accuracy.is_none_or(|a| a >= self.cfg.acc_medium)
-            && self.t_a > self.cfg.t_low
+            && self.prev_accuracy.is_none_or(|a| a >= ACC_MEDIUM)
+            && self.t_a > T_LOW
         {
             // Nothing in flight and no history of inaccuracy: ease back so
             // a raised threshold cannot become a permanent lockout.
@@ -224,8 +194,8 @@ impl AdaptiveThreshold {
         if let Some(prev_ipc) = self.prev_ipc {
             // Only blame page-cross prefetching for an IPC drop when it was
             // actually active during the epoch.
-            if snap.ipc < prev_ipc * self.cfg.ipc_drop && issued >= 8 {
-                self.t_a = self.t_a.max(self.cfg.t_medium);
+            if snap.ipc < prev_ipc * IPC_DROP && issued >= 8 {
+                self.t_a = self.t_a.max(T_MEDIUM);
             }
         }
         self.prev_ipc = Some(snap.ipc);
@@ -235,7 +205,7 @@ impl AdaptiveThreshold {
 
 impl Default for AdaptiveThreshold {
     fn default() -> Self {
-        Self::new(ThresholdConfig::default())
+        Self::new()
     }
 }
 
@@ -384,7 +354,7 @@ mod tests {
         for _ in 0..30 {
             t.end_epoch(&snap());
         }
-        assert_eq!(t.threshold(), t.config().t_low, "recovered to t_low");
+        assert_eq!(t.threshold(), T_LOW, "recovered to t_low");
     }
 
     #[test]

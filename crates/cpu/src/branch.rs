@@ -17,10 +17,6 @@ const WEIGHT_MIN: i16 = -64;
 pub struct BranchPredictor {
     weights: Vec<[i16; TABLES]>,
     history: u64,
-    /// Lookups performed.
-    pub predictions: u64,
-    /// Mispredictions observed.
-    pub mispredictions: u64,
 }
 
 impl BranchPredictor {
@@ -28,9 +24,7 @@ impl BranchPredictor {
     pub fn new() -> Self {
         Self {
             weights: vec![[0; TABLES]; ENTRIES],
-            predictions: 0,
             history: 0,
-            mispredictions: 0,
         }
     }
 
@@ -47,15 +41,9 @@ impl BranchPredictor {
         (0..TABLES).map(|t| self.weights[idx[t]][t] as i32).sum()
     }
 
-    /// Predicts the direction of the branch at `pc`.
-    pub fn predict(&mut self, pc: u64) -> bool {
-        self.predictions += 1;
-        let idx = self.indices(pc);
-        self.sum(&idx) >= 0
-    }
-
-    /// Updates with the resolved direction; returns `true` when the earlier
-    /// prediction was wrong (the caller charges the misprediction penalty).
+    /// Predicts the branch at `pc` and trains on its resolved direction;
+    /// returns `true` when the prediction was wrong (the caller charges
+    /// the misprediction penalty).
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         let idx = self.indices(pc);
         let sum = self.sum(&idx);
@@ -70,9 +58,6 @@ impl BranchPredictor {
                     (*w - 1).max(WEIGHT_MIN)
                 };
             }
-        }
-        if mispredicted {
-            self.mispredictions += 1;
         }
         self.history = (self.history << 1) | taken as u64;
         mispredicted
@@ -94,7 +79,6 @@ mod tests {
         let mut bp = BranchPredictor::new();
         let mut wrong = 0;
         for _ in 0..200 {
-            bp.predict(0x400);
             if bp.update(0x400, true) {
                 wrong += 1;
             }
@@ -111,7 +95,6 @@ mod tests {
         let mut wrong_late = 0;
         for i in 0..2000u64 {
             let taken = i % 2 == 0;
-            bp.predict(0x800);
             let mis = bp.update(0x800, taken);
             if i > 1000 && mis {
                 wrong_late += 1;
@@ -127,12 +110,10 @@ mod tests {
     fn random_branches_mispredict_half() {
         let mut bp = BranchPredictor::new();
         let mut rng = pagecross_types::Rng64::new(9);
-        for _ in 0..4000 {
-            let taken = rng.chance(0.5);
-            bp.predict(0xC00);
-            bp.update(0xC00, taken);
-        }
-        let rate = bp.mispredictions as f64 / bp.predictions as f64;
+        let wrong = (0..4000)
+            .filter(|_| bp.update(0xC00, rng.chance(0.5)))
+            .count();
+        let rate = wrong as f64 / 4000.0;
         assert!(rate > 0.3 && rate < 0.7, "random stream rate {rate}");
     }
 
@@ -140,14 +121,10 @@ mod tests {
     fn distinct_pcs_do_not_destructively_interfere() {
         let mut bp = BranchPredictor::new();
         for _ in 0..500 {
-            bp.predict(0x1000);
             bp.update(0x1000, true);
-            bp.predict(0x2004);
             bp.update(0x2004, false);
         }
-        bp.predict(0x1000);
         let m1 = bp.update(0x1000, true);
-        bp.predict(0x2004);
         let m2 = bp.update(0x2004, false);
         assert!(!m1 && !m2);
     }

@@ -23,7 +23,7 @@ use crate::trace::{Instr, Op};
 use moka_pgc::{FeatureContext, PgcPolicy, PolicyAction};
 use pagecross_mem::{Eviction, MemorySystem, OomError};
 use pagecross_os::Os;
-use pagecross_prefetch::{AccessInfo, FnlMma, L1dPrefetcher, L1iPrefetcher, L2Prefetcher};
+use pagecross_prefetch::{AccessInfo, FnlMma, L1dPrefetcher, L2Prefetcher};
 use pagecross_telemetry::IntervalSampler;
 use pagecross_types::{
     CoreStats, FastSet, OsStats, PageSize, PhysAddr, PrefetchCandidate, PrefetchStats, StallCause,
@@ -134,7 +134,7 @@ impl CoreEngine {
             fetch_ready: 0,
             fetch_stall_until: 0,
             bp: BranchPredictor::new(),
-            l1i_prefetcher: FnlMma::default(),
+            l1i_prefetcher: FnlMma::new(),
             l1i_buf: Vec::with_capacity(4),
             prefetcher,
             policy,
@@ -511,7 +511,6 @@ impl CoreEngine {
             Op::Alu => (dispatch + 1, RetireTag::Other),
             Op::Branch { taken } => {
                 self.stats.branches += 1;
-                self.bp.predict(instr.pc);
                 let mis = self.bp.update(instr.pc, taken);
                 let done = dispatch + 1;
                 if mis {

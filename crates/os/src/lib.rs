@@ -36,12 +36,6 @@ pub struct OsConfig {
     pub minor_fault_cycles: u64,
     /// Major (swapped-out) fault latency, including device swap-in.
     pub major_fault_cycles: u64,
-    /// Cost of receiving one shootdown IPI, charged to the receiving
-    /// core at its next memory access.
-    pub ipi_cycles: u64,
-    /// Cost of collapsing a region to a 2 MB mapping, charged to the
-    /// core whose fault tipped the region over the threshold.
-    pub promote_cycles: u64,
 }
 
 impl Default for OsConfig {
@@ -51,8 +45,6 @@ impl Default for OsConfig {
             thp: 0.0,
             minor_fault_cycles: 4_000,
             major_fault_cycles: 32_000,
-            ipi_cycles: 800,
-            promote_cycles: 2_000,
         }
     }
 }
@@ -70,6 +62,14 @@ impl OsConfig {
 }
 
 const PAGES_PER_REGION: u64 = 512;
+
+/// Cost in cycles of receiving one shootdown IPI, charged to the
+/// receiving core at its next memory access.
+const IPI_CYCLES: u64 = 800;
+
+/// Cost in cycles of collapsing a region to a 2 MB mapping, charged to
+/// the core whose fault tipped the region over the threshold.
+const PROMOTE_CYCLES: u64 = 2_000;
 
 /// CLOCK second chance: pops entries off `hand` until one is resident in
 /// `referenced` with its bit clear, and returns it. A set bit is cleared
@@ -136,11 +136,14 @@ pub struct Os {
 }
 
 impl Os {
+    /// An OS with nothing resident, managing `n_cores` processes (one per
+    /// core) under `cfg`.
     pub fn new(cfg: OsConfig, n_cores: usize) -> Self {
         let pagers = (0..n_cores).map(|_| CorePager::default()).collect();
         Os { cfg, pagers }
     }
 
+    /// The configuration in force.
     pub fn config(&self) -> &OsConfig {
         &self.cfg
     }
@@ -285,7 +288,7 @@ impl Os {
         let n = p.pending_ipis;
         p.pending_ipis = 0;
         p.stats.ipis_received += n;
-        n * self.cfg.ipi_cycles
+        n * IPI_CYCLES
     }
 
     /// A 4 KB frame for `core`, reclaiming (and if necessary demoting a
@@ -459,11 +462,11 @@ impl Os {
             TraceEvent::Os {
                 op: OsOp::Promote,
                 va_page: vpn2m,
-                cycles: self.cfg.promote_cycles,
+                cycles: PROMOTE_CYCLES,
             },
         );
         self.broadcast_region(mem, core, vpn2m, cycle);
-        self.cfg.promote_cycles
+        PROMOTE_CYCLES
     }
 
     /// One shootdown broadcast: flush the page everywhere, count one
@@ -491,7 +494,7 @@ impl Os {
             TraceEvent::Os {
                 op: OsOp::Shootdown,
                 va_page,
-                cycles: self.cfg.ipi_cycles,
+                cycles: IPI_CYCLES,
             },
         );
     }
@@ -603,10 +606,7 @@ mod tests {
         let mut os = os(1.0, 1);
         let va = VirtAddr::new(5 << 21);
         let c = os.before_access(&mut mem, 0, va, 0).unwrap();
-        assert_eq!(
-            c,
-            os.config().minor_fault_cycles + os.config().promote_cycles
-        );
+        assert_eq!(c, os.config().minor_fault_cycles + PROMOTE_CYCLES);
         let s = os.stats(0);
         assert_eq!(s.thp_promotions, 1);
         assert_eq!(s.shootdowns, 1);
@@ -706,7 +706,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             c,
-            os.config().ipi_cycles + os.config().minor_fault_cycles + os.config().promote_cycles
+            IPI_CYCLES + os.config().minor_fault_cycles + PROMOTE_CYCLES
         );
         assert_eq!(os.stats(1).ipis_received, 1);
     }

@@ -4,65 +4,37 @@
 //! Two cooperating predictors, simplified to their cores:
 //!
 //! * **FNL (Footprint Next Line)** — on fetching a new instruction line,
-//!   prefetch the next `degree` sequential lines (most instruction fetch
-//!   is sequential).
+//!   prefetch the next `DEGREE` (2) sequential lines (most instruction
+//!   fetch is sequential).
 //! * **MMA (Multiple Miss Ahead)** — a table correlating an instruction
 //!   miss line with the *next* miss line observed after it, capturing
 //!   taken-branch discontinuities that next-line prefetching cannot.
 
 use pagecross_types::FastMap;
 
-/// An L1I prefetcher: observes fetched instruction lines, emits line
-/// numbers to prefetch.
-pub trait L1iPrefetcher {
-    /// Prefetcher name.
-    fn name(&self) -> &'static str;
-
-    /// Observes a fetch of instruction line `line` with its L1I hit flag;
-    /// appends predicted line numbers to `out`.
-    fn on_fetch(&mut self, line: u64, hit: bool, out: &mut Vec<u64>);
-}
+/// Sequential lines FNL prefetches ahead of each fetched line.
+const DEGREE: u64 = 2;
+/// MMA table capacity; a full table is cleared before the next insert.
+const MMA_ENTRIES: usize = 1024;
 
 /// The FNL+MMA prefetcher.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FnlMma {
-    degree: u64,
     last_miss: Option<u64>,
     mma: FastMap<u64, u64>,
-    max_entries: usize,
 }
 
 impl FnlMma {
-    /// Creates an instance prefetching `degree` sequential lines ahead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `degree == 0`.
-    pub fn new(degree: u64) -> Self {
-        assert!(degree > 0, "degree must be positive");
-        Self {
-            degree,
-            last_miss: None,
-            mma: FastMap::default(),
-            max_entries: 1024,
-        }
-    }
-}
-
-impl Default for FnlMma {
-    fn default() -> Self {
-        Self::new(2)
-    }
-}
-
-impl L1iPrefetcher for FnlMma {
-    fn name(&self) -> &'static str {
-        "fnl+mma"
+    /// Creates an instance with an empty MMA table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn on_fetch(&mut self, line: u64, hit: bool, out: &mut Vec<u64>) {
+    /// Observes a fetch of instruction line `line` with its L1I hit flag;
+    /// appends predicted line numbers to `out`.
+    pub fn on_fetch(&mut self, line: u64, hit: bool, out: &mut Vec<u64>) {
         // FNL: sequential footprint.
-        for d in 1..=self.degree {
+        for d in 1..=DEGREE {
             out.push(line + d);
         }
         // MMA: follow the learned miss successor.
@@ -74,7 +46,7 @@ impl L1iPrefetcher for FnlMma {
                 // Only discontinuities are worth a table entry; sequential
                 // successors are already covered by FNL.
                 if line != prev + 1 && line != prev {
-                    if self.mma.len() >= self.max_entries {
+                    if self.mma.len() >= MMA_ENTRIES {
                         self.mma.clear();
                     }
                     self.mma.insert(prev, line);
@@ -91,7 +63,7 @@ mod tests {
 
     #[test]
     fn fnl_prefetches_sequential_lines() {
-        let mut p = FnlMma::new(2);
+        let mut p = FnlMma::new();
         let mut out = Vec::new();
         p.on_fetch(100, true, &mut out);
         assert_eq!(out, vec![101, 102]);
@@ -99,7 +71,7 @@ mod tests {
 
     #[test]
     fn mma_learns_miss_discontinuities() {
-        let mut p = FnlMma::new(1);
+        let mut p = FnlMma::new();
         let mut out = Vec::new();
         // Miss at 100, then a discontinuous miss at 500: learn 100 -> 500.
         p.on_fetch(100, false, &mut out);
@@ -115,22 +87,26 @@ mod tests {
 
     #[test]
     fn sequential_misses_do_not_pollute_mma() {
-        let mut p = FnlMma::new(1);
+        let mut p = FnlMma::new();
         let mut out = Vec::new();
         p.on_fetch(100, false, &mut out);
         p.on_fetch(101, false, &mut out);
         out.clear();
         p.on_fetch(100, true, &mut out);
-        assert_eq!(out, vec![101], "no MMA entry for a sequential successor");
+        assert_eq!(
+            out,
+            vec![101, 102],
+            "no MMA entry for a sequential successor"
+        );
     }
 
     #[test]
     fn table_is_bounded() {
-        let mut p = FnlMma::new(1);
+        let mut p = FnlMma::new();
         let mut out = Vec::new();
         for i in 0..5_000u64 {
             p.on_fetch(i * 7 + (i % 3) * 1000, false, &mut out);
         }
-        assert!(p.mma.len() <= 1024);
+        assert!(p.mma.len() <= MMA_ENTRIES);
     }
 }

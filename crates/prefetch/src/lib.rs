@@ -45,7 +45,7 @@ pub mod spp;
 pub use baseline::{NextLine, Stride};
 pub use berti::Berti;
 pub use bop::Bop;
-pub use fnl::{FnlMma, L1iPrefetcher};
+pub use fnl::FnlMma;
 pub use ipcp::Ipcp;
 pub use spp::Spp;
 

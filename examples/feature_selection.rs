@@ -13,7 +13,7 @@
 
 use pagecross::cpu::{PgcPolicyKind, PrefetcherKind, SimulationBuilder};
 use pagecross::moka::filter::FilterConfig;
-use pagecross::moka::selection::{candidate_pool, select_features, CandidateFeature, FeatureSet};
+use pagecross::moka::selection::{candidate_pool, select_features, CandidateFeature};
 use pagecross::moka::{ProgramFeature, SystemFeature};
 use pagecross::types::geomean;
 use pagecross::workloads::representative_seen;
@@ -35,17 +35,14 @@ fn main() {
         })
         .collect();
 
-    let evaluate = |set: &FeatureSet| -> f64 {
+    let evaluate = |cfg: &FilterConfig| -> f64 {
         let ratios: Vec<f64> = workloads
             .iter()
             .zip(&baselines)
             .map(|(w, &base)| {
                 let ipc = SimulationBuilder::new()
                     .prefetcher(PrefetcherKind::Berti)
-                    .custom_filter(FilterConfig::with_features(
-                        set.program.clone(),
-                        set.system.clone(),
-                    ))
+                    .custom_filter(cfg.clone())
                     .warmup(20_000)
                     .instructions(40_000)
                     .run_workload(*w)
@@ -85,10 +82,10 @@ fn main() {
         println!("  {f:?}: {:+.2}%", (score - 1.0) * 100.0);
     }
     println!("\nselected set ({} evaluations):", out.evaluations);
-    for p in &out.selected.program {
+    for p in &out.selected.program_features {
         println!("  program: {p:?}");
     }
-    for s in &out.selected.system {
+    for s in &out.selected.system_features {
         println!("  system:  {s:?}");
     }
     println!("geomean speedup: {:+.2}%", (out.score - 1.0) * 100.0);
